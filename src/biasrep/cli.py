@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .bounds import BiasPoint, cnot_bound, optimize_nk
+from .bounds import BiasPoint, cnot_bound, optimize_nk, sweep
 from .channels import (amplitude_damping, bell_phi0, builtin_cphase_kraus,
                        diamond_lower_bound, kraus_from_json, split_channel)
 from .gadgets import build_gadget, check_schedule, circuit_from_text
@@ -162,12 +162,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             grid = _parse_grid(args.eps_grid)
             config.update({"bias": args.bias, "eps_grid": args.eps_grid,
                            "optimize": constraint})
-            for bias in args.bias:
-                for eps in grid:
-                    r = optimize_nk(eps=eps, bias=bias, c=args.c,
-                                    n_max=args.n_max, constraint=constraint)
-                    lines.append(_bound_row(eps, bias, args.c, r.n, r.k,
-                                            r.eps_L, r.epsp_L))
+            for eps, bias, r in sweep(grid, args.bias, c=args.c,
+                                      n_max=args.n_max, constraint=constraint):
+                lines.append(_bound_row(eps, bias, args.c, r.n, r.k,
+                                        r.eps_L, r.epsp_L))
     else:
         if args.eps is None or args.n is None:
             raise ConfigError("direct evaluation needs --n and --eps "
@@ -392,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--gadget", choices=("teleport", "cnot"), required=True)
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--k", type=int, required=True)
-    orc.add_argument("--rates", default="table1")
+    orc.add_argument("--rates", required=True,
+                     help="leak-free rate table: path or 'zero'")
     orc.add_argument("--weight", type=int, default=2)
     orc.add_argument("--max-patterns", type=int, default=2_000_000)
     orc.add_argument("--output", default=None)

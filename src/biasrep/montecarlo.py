@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .gadgets import Circuit
-from .noise_model import (ErrorRateTable, FaultEvent, FaultKind, OpKind,
-                          Rates, Species)
+from .gadgets import Circuit, assert_valid
+from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultKind,
+                          zero_rates)
 from .pauli_frame import (BatchRunResult, LeakPolicy, RunResult,
                           run_circuit, run_circuit_batch)
 
@@ -241,33 +241,18 @@ def fault_sites(circuit: Circuit, rates: ErrorRateTable) -> list[FaultSite]:
     """Enumerate the fault opportunities of a circuit under a rate table.
     Leakage rates are rejected: a leak makes downstream propagation random,
     so exact enumeration only covers Pauli and outcome-flip faults."""
+    faults = rates.faults()
     sites: list[FaultSite] = []
     for loc in circuit.locations:
-        for q in loc.qubits:
-            r = rates.get(loc.kind, circuit.species_of(q))
-            if r.eps_leak:
+        op = faults.get(loc.kind)
+        for row, slot, _ in op.draws(loc.qubits, circuit.species_of) if op else ():
+            if slot < 0:
+                raise ValueError("fault enumeration does not support cphase_zz")
+            if any(EFFECTS[cls].leak for cls in row.classes):
                 raise ValueError(
                     "fault enumeration requires a leak-free rate table "
-                    f"(location {loc.index}, qubit {q})")
-            choices: list[tuple[FaultKind, float]] = []
-            if loc.kind is OpKind.PREP_PLUS:
-                if r.eps:
-                    choices.append((FaultKind.Z, r.eps))
-                if r.eps_other:
-                    choices.append((FaultKind.Y, r.eps_other))
-            elif loc.kind is OpKind.CPHASE:
-                if r.eps:
-                    choices.append((FaultKind.Z, r.eps))
-                if r.eps_other:
-                    choices.append((FaultKind.X, r.eps_other / 2))
-                    choices.append((FaultKind.Y, r.eps_other / 2))
-            else:
-                if r.eps:
-                    choices.append((FaultKind.MEAS_FLIP, r.eps))
-            if choices:
-                sites.append(FaultSite(loc.index, q, tuple(choices)))
-        if loc.kind is OpKind.CPHASE and rates.cphase_zz:
-            raise ValueError("fault enumeration does not support cphase_zz")
+                    f"(location {loc.index}, qubit {slot})")
+            sites.append(FaultSite(loc.index, slot, tuple(zip(row.classes, row.probs))))
     return sites
 
 
@@ -283,10 +268,7 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     The result is exact up to patterns of weight > weight_max, whose total
     probability is bounded by ``remainder_bound``.
     """
-    from .gadgets import check_schedule, ScheduleViolation
-    violations = check_schedule(gadget)
-    if violations:
-        raise ScheduleViolation(*violations[0])
+    assert_valid(gadget)
     sites = fault_sites(gadget, rates)
     L = len(sites)
     budget = 0
@@ -298,8 +280,7 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
                          f"for {L} sites at weight {weight_max} "
                          f"(limit {max_patterns})")
 
-    zero = ErrorRateTable(entries={
-        (kind, species): Rates() for kind in OpKind for species in Species})
+    zero = zero_rates()
     survival_all = 1.0
     for s in sites:
         survival_all *= 1.0 - s.total

@@ -13,9 +13,11 @@ species; species A is used for data qubits and species B for ancillas.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,14 +74,93 @@ class FaultEvent:
     error: FaultKind
 
 
+# ---------------------------------------------------------------------------
+# Fault semantics
+# ---------------------------------------------------------------------------
+
+class Effect(NamedTuple):
+    """What a fault does: Pauli (x, z) bits multiplied into the frame entry,
+    the entry leaking, or the measurement outcome flipping."""
+
+    x: bool = False
+    z: bool = False
+    leak: bool = False
+    flip: bool = False
+
+
+EFFECTS = {
+    FaultKind.Z: Effect(z=True),
+    FaultKind.X: Effect(x=True),
+    FaultKind.Y: Effect(x=True, z=True),
+    FaultKind.LEAK: Effect(leak=True),
+    FaultKind.MEAS_FLIP: Effect(flip=True),
+}
+
+# Fault classes of each operation in draw order, with their probabilities
+# from the operation's rates.  X acts trivially on |+>, so a preparation's
+# non-phase error is realized as Y; a CPHASE splits it evenly between X and Y.
+FAULT_CLASSES = {
+    OpKind.PREP_PLUS: lambda r: ((FaultKind.Z, r.eps), (FaultKind.Y, r.eps_other),
+                                 (FaultKind.LEAK, r.eps_leak)),
+    OpKind.CPHASE: lambda r: ((FaultKind.Z, r.eps), (FaultKind.X, r.eps_other / 2),
+                              (FaultKind.Y, r.eps_other / 2),
+                              (FaultKind.LEAK, r.eps_leak)),
+    OpKind.MEASURE_X: lambda r: ((FaultKind.MEAS_FLIP, r.eps),),
+}
+
+
+class FaultRow(NamedTuple):
+    """The nonzero fault classes of one keyed draw in draw order, their
+    probabilities, and the running sums of those: a uniform draw u selects
+    the first class whose threshold exceeds u, or no fault."""
+
+    classes: tuple[FaultKind, ...]
+    probs: tuple[float, ...]
+    thresholds: tuple[float, ...]
+
+    @classmethod
+    def build(cls, classes: Iterable[tuple[FaultKind, float]]) -> FaultRow | None:
+        kept = [(kind, p) for kind, p in classes if p]
+        if not kept:
+            return None
+        kinds, probs = zip(*kept)
+        return cls(kinds, probs, tuple(accumulate(probs)))
+
+    def draw(self, u: float) -> FaultKind | None:
+        i = bisect_right(self.thresholds, u)
+        return self.classes[i] if i < len(self.classes) else None
+
+
+class OpFaults(NamedTuple):
+    """The fault draws of one operation kind: one per qubit whose species
+    has a row, and the correlated ``pair`` draw, if any (the CPHASE Z(x)Z
+    term at rate ``cphase_zz``)."""
+
+    rows: dict[Species, FaultRow]
+    pair: FaultRow | None = None
+
+    def draws(self, qubits: Sequence[int], species_of: Callable[[int], Species]
+              ) -> list[tuple[FaultRow, int, tuple[int, ...]]]:
+        """(row, qubit slot of the draw's key, qubits the drawn class hits)
+        for each draw of one location; the pair draw is keyed to slot -1."""
+        out = [(self.rows[sp], q, (q,)) for q in qubits
+               if (sp := species_of(q)) in self.rows]
+        if self.pair is not None:
+            out.append((self.pair, -1, tuple(qubits)))
+        return out
+
+
 @dataclass
 class ErrorRateTable:
     """Per-(operation, species) rates, plus an optional correlated Z(x)Z rate
     for CPHASE locations (``cphase_zz``, default 0: the stochastic table does
-    not assign the two-qubit dephasing term its own rate)."""
+    not assign the two-qubit dephasing term its own rate).  A valid table
+    has a row for every (operation, species) pair."""
 
     entries: dict[tuple[OpKind, Species], Rates] = field(default_factory=dict)
     cphase_zz: float = 0.0
+    _faults: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def get(self, kind: OpKind, species: Species) -> Rates:
         try:
@@ -92,6 +173,30 @@ class ErrorRateTable:
             rates.validate()
         if not 0.0 <= self.cphase_zz <= 1.0:
             raise ValueError(f"cphase_zz={self.cphase_zz} outside [0, 1]")
+        missing = [f"({kind.value}, {species.value})" for kind in OpKind
+                   for species in Species if (kind, species) not in self.entries]
+        if missing:
+            raise ValueError("missing rate rows: " + ", ".join(missing))
+
+    def faults(self) -> dict[OpKind, OpFaults]:
+        """The fault semantics of these rates: the :class:`OpFaults` of each
+        operation kind with a nonzero row, where rows and classes of zero
+        probability are left out.  Built after one validation on first use
+        and rebuilt only after ``entries`` or ``cphase_zz`` change."""
+        key = (tuple(self.entries.items()), self.cphase_zz)
+        if self._faults is None or self._faults[0] != key:
+            self.validate()
+            rows: dict[OpKind, dict[Species, FaultRow]] = {}
+            for (kind, species), r in self.entries.items():
+                row = FaultRow.build(FAULT_CLASSES[kind](r))
+                if row is not None:
+                    rows.setdefault(kind, {})[species] = row
+            table = {kind: OpFaults(by_species) for kind, by_species in rows.items()}
+            pair = FaultRow.build([(FaultKind.Z, self.cphase_zz)])
+            if pair is not None:
+                table[OpKind.CPHASE] = OpFaults(rows.get(OpKind.CPHASE, {}), pair)
+            self._faults = (key, table)
+        return self._faults[1]
 
     def bias(self, kind: OpKind = OpKind.CPHASE, species: Species = Species.A) -> float:
         r = self.get(kind, species)
@@ -152,69 +257,18 @@ def zero_rates() -> ErrorRateTable:
 # Fault sampling
 # ---------------------------------------------------------------------------
 
-def _classify_uniform(u: float, first: float, second: float, third: float,
-                      fourth: float = 0.0) -> int:
-    """Map one uniform draw onto fault classes 1..4 by cumulative thresholds
-    (0 = no fault).  Classes are mutually exclusive within the draw."""
-    if u < first:
-        return 1
-    u -= first
-    if u < second:
-        return 2
-    u -= second
-    if u < third:
-        return 3
-    u -= third
-    if u < fourth:
-        return 4
-    return 0
-
-
-_CZ_CLASSES = (None, FaultKind.Z, FaultKind.X, FaultKind.Y, FaultKind.LEAK)
-_PREP_CLASSES = (None, FaultKind.Z, FaultKind.Y, FaultKind.LEAK)
-
-
 def sample_faults(kind: OpKind, qubits: Sequence[int], species: Sequence[Species],
                   location_id: int, rates: ErrorRateTable,
                   stream: FaultStream) -> list[FaultEvent]:
-    """Draw the faults for one circuit location.
-
-    PREP_PLUS draws one class among {Z: eps, Y: eps_other, LEAK: eps_leak}
-    (X acts trivially on |+>, so the non-phase error is realized as Y).
-    CPHASE draws independently per qubit among {Z: eps, X: eps_other/2,
-    Y: eps_other/2, LEAK: eps_leak} of that qubit's species, plus an optional
-    correlated Z(x)Z event at rate ``cphase_zz``.  MEASURE_X flips the
-    outcome with probability eps.
-    """
-    rates.validate()
+    """Draw the faults for one circuit location: one keyed draw for each
+    draw :meth:`ErrorRateTable.faults` gives the location's operation."""
+    op = rates.faults().get(kind)
     events: list[FaultEvent] = []
-    if kind is OpKind.PREP_PLUS:
-        (q,) = qubits
-        r = rates.get(kind, species[0])
-        cls = _classify_uniform(stream.uniform(location_id, q, TAG_FAULT),
-                                r.eps, r.eps_other, r.eps_leak)
-        if cls:
-            events.append(FaultEvent(location_id, q, _PREP_CLASSES[cls]))
-    elif kind is OpKind.CPHASE:
-        for q, sp in zip(qubits, species):
-            r = rates.get(kind, sp)
-            cls = _classify_uniform(stream.uniform(location_id, q, TAG_FAULT),
-                                    r.eps, r.eps_other / 2.0, r.eps_other / 2.0,
-                                    r.eps_leak)
-            if cls:
-                events.append(FaultEvent(location_id, q, _CZ_CLASSES[cls]))
-        if rates.cphase_zz:
-            # Correlated draw keyed to the location itself (qubit slot -1).
-            if stream.uniform(location_id, -1, TAG_FAULT) < rates.cphase_zz:
-                for q in qubits:
-                    events.append(FaultEvent(location_id, q, FaultKind.Z))
-    elif kind is OpKind.MEASURE_X:
-        (q,) = qubits
-        r = rates.get(kind, species[0])
-        if stream.uniform(location_id, q, TAG_FAULT) < r.eps:
-            events.append(FaultEvent(location_id, q, FaultKind.MEAS_FLIP))
-    else:
-        raise ValueError(f"unknown operation kind {kind}")
+    species_of = dict(zip(qubits, species)).__getitem__
+    for row, slot, targets in op.draws(qubits, species_of) if op else ():
+        fault = row.draw(stream.uniform(location_id, slot, TAG_FAULT))
+        if fault is not None:
+            events.extend(FaultEvent(location_id, q, fault) for q in targets)
     return events
 
 
@@ -223,23 +277,14 @@ def fault_class_counts(kind: OpKind, species: Species, rates: ErrorRateTable,
                        trials: int) -> dict[FaultKind, int]:
     """Vectorized fault-class frequencies for one (location, qubit) cell,
     using exactly the draws :func:`sample_faults` would make per trial."""
+    op = rates.faults().get(kind)
+    row = op.rows.get(species) if op else None
+    if row is None:
+        return {}
     u = uniform_vector(seed, np.arange(trials, dtype=np.uint64),
                        location_id, qubit, TAG_FAULT)
-    r = rates.get(kind, species)
-    if kind is OpKind.PREP_PLUS:
-        edges = np.cumsum([r.eps, r.eps_other, r.eps_leak])
-        classes = _PREP_CLASSES
-    elif kind is OpKind.CPHASE:
-        edges = np.cumsum([r.eps, r.eps_other / 2, r.eps_other / 2, r.eps_leak])
-        classes = _CZ_CLASSES
-    else:
-        edges = np.cumsum([r.eps])
-        classes = (None, FaultKind.MEAS_FLIP)
-    idx = np.searchsorted(edges, u, side="right")
-    counts: dict[FaultKind, int] = {}
-    for code in range(1, len(classes)):
-        counts[classes[code]] = counts.get(classes[code], 0) + int(np.sum(idx == code - 1))
-    return counts
+    idx = np.searchsorted(row.thresholds, u, side="right")
+    return {cls: int(np.count_nonzero(idx == i)) for i, cls in enumerate(row.classes)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .gadgets import Circuit, ScheduleViolation, check_schedule
-from .noise_model import (ErrorRateTable, FaultEvent, FaultKind, OpKind,
-                          sample_faults)
+from .gadgets import Circuit, assert_valid
+from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultRow,
+                          OpKind, sample_faults)
 from .streams import (TAG_FAULT, TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream,
                       uniform_vector)
 
@@ -80,17 +80,13 @@ class PauliFrame:
         self.leaked[q] = 0
 
     def inject(self, event: FaultEvent) -> None:
-        kind = event.error
-        if kind is FaultKind.Z:
-            self.multiply(event.qubit, 0, 1)
-        elif kind is FaultKind.X:
-            self.multiply(event.qubit, 1, 0)
-        elif kind is FaultKind.Y:
-            self.multiply(event.qubit, 1, 1)
-        elif kind is FaultKind.LEAK:
+        effect = EFFECTS[event.error]
+        if effect.flip:
+            raise ValueError(f"cannot inject {event.error} into a frame")
+        if effect.leak:
             self.set_leaked(event.qubit)
         else:
-            raise ValueError(f"cannot inject {kind} into a frame")
+            self.multiply(event.qubit, effect.x, effect.z)
 
     def digest(self) -> str:
         parts = [f"{q}:{'L' if self.leaked[q] else _STATES[(self.x[q], self.z[q])]}"
@@ -187,12 +183,8 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     (location, qubit) so they are independent of execution order.
     """
     if validate:
-        violations = check_schedule(circuit)
-        if violations:
-            raise ScheduleViolation(*violations[0])
-    rates.validate()
-    noiseless = all(r.total == 0.0 for r in rates.entries.values()) \
-        and not rates.cphase_zz
+        assert_valid(circuit)
+    faults = rates.faults()
     policy = LeakPolicy(leak_policy)
     stream = FaultStream(seed, trial)
     frame = PauliFrame(circuit.n_qubits)
@@ -202,43 +194,34 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     for ev in forced_faults:
         forced_by_loc.setdefault(ev.location_id, []).append(ev)
 
-    def location_faults(loc) -> list[FaultEvent]:
-        forced = forced_by_loc.get(loc.index, [])
-        if noiseless:
-            return forced
-        species = tuple(circuit.species_of(q) for q in loc.qubits)
-        return sample_faults(loc.kind, loc.qubits, species, loc.index,
-                             rates, stream) + forced
-
     for loc in circuit.locations:
-        if loc.kind is OpKind.PREP_PLUS:
+        kind = loc.kind
+        if kind is OpKind.PREP_PLUS:
             frame.reset(loc.qubits[0])
-            faults = location_faults(loc)
-            for ev in faults:
-                frame.inject(ev)
-        elif loc.kind is OpKind.CPHASE:
+        elif kind is OpKind.CPHASE:
             conjugate_through_cz(frame, *loc.qubits, policy=policy,
                                  stream=stream, location_id=loc.index)
-            faults = location_faults(loc)
-            for ev in faults:
+        events = forced_by_loc.get(loc.index, ())
+        if kind in faults:
+            species = [circuit.species_of(q) for q in loc.qubits]
+            events = [*sample_faults(kind, loc.qubits, species, loc.index,
+                                     rates, stream), *events]
+        flip = False
+        for ev in events:
+            if kind is OpKind.MEASURE_X and EFFECTS[ev.error].flip:
+                flip = not flip
+            else:
                 frame.inject(ev)
-        else:
+        if kind is OpKind.MEASURE_X:
             q = loc.qubits[0]
-            faults = location_faults(loc)
-            flip = False
-            for ev in faults:
-                if ev.error is FaultKind.MEAS_FLIP:
-                    flip = not flip
-                else:
-                    frame.inject(ev)  # forced pre-measurement Pauli/leak
             was_leaked = bool(frame.leaked[q])
             bit = measure_x(frame, q, 0, flip, stream=stream,
                             location_id=loc.index)
             record.bits[loc.index] = bit
             record.leaked_random[loc.index] = was_leaked
         if lines is not None:
-            fault_str = ",".join(f"{ev.qubit}:{ev.error.value}" for ev in faults) or "-"
-            lines.append(f"{loc.index}\t{loc.kind.value} {' '.join(map(str, loc.qubits))}"
+            fault_str = ",".join(f"{ev.qubit}:{ev.error.value}" for ev in events) or "-"
+            lines.append(f"{loc.index}\t{kind.value} {' '.join(map(str, loc.qubits))}"
                          f"\tfaults={fault_str}\tframe={frame.digest()}")
     return RunResult(record, frame, lines)
 
@@ -274,10 +257,8 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     by draw order.  Batch boundaries therefore never affect outcomes.
     """
     if validate:
-        violations = check_schedule(circuit)
-        if violations:
-            raise ScheduleViolation(*violations[0])
-    rates.validate()
+        assert_valid(circuit)
+    faults = rates.faults()
     policy = LeakPolicy(leak_policy)
     trials = np.asarray(trials, dtype=np.uint64)
     B = trials.shape[0]
@@ -291,35 +272,34 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     out_bits = np.zeros((len(meas_locs), B), dtype=bool)
     out_leakrand = np.zeros((len(meas_locs), B), dtype=bool)
 
-    def pauli_faults(loc_id: int, q: int, eps: float, half_other: float,
-                     y_width: float, leak: float) -> None:
-        """Categorical fault draw on qubit q: thresholds [Z, X, Y, LEAK]."""
-        if eps == 0.0 and half_other == 0.0 and y_width == 0.0 and leak == 0.0:
-            return
-        u = uniform_vector(seed, trials, loc_id, q, TAG_FAULT)
-        ok = ~lk[q]
-        zf = (u < eps) & ok
-        e1 = eps + half_other
-        xf = (u >= eps) & (u < e1) & ok
-        e2 = e1 + y_width
-        yf = (u >= e1) & (u < e2) & ok
-        leakf = (u >= e2) & (u < e2 + leak) & ok
-        z[q] ^= zf | yf
-        x[q] ^= xf | yf
-        lk[q] |= leakf
-        x[q] &= ~leakf
-        z[q] &= ~leakf
+    def apply(row: FaultRow, u: np.ndarray, targets: Sequence[int],
+              bit: np.ndarray | None) -> None:
+        """Give each trial whose draw ``u`` selects a class that class's
+        effect on every unleaked target; outcome flips go to ``bit``."""
+        hit = np.flatnonzero(u < row.thresholds[-1])
+        which = np.searchsorted(row.thresholds, u[hit], side="right")
+        for i, cls in enumerate(row.classes):
+            effect = EFFECTS[cls]
+            drawn = hit[which == i]
+            for q in targets:
+                t = drawn[~lk[q, drawn]]
+                x[q, t] ^= effect.x
+                z[q, t] ^= effect.z
+                if effect.leak:
+                    lk[q, t] = True
+                    x[q, t] = z[q, t] = False
+                if effect.flip:
+                    bit[t] ^= True
 
     for loc in circuit.locations:
-        if loc.kind is OpKind.PREP_PLUS:
+        kind = loc.kind
+        bit = None
+        if kind is OpKind.PREP_PLUS:
             q = loc.qubits[0]
             x[q] = False
             z[q] = False
             lk[q] = False
-            r = rates.get(loc.kind, circuit.species_of(q))
-            # Prep faults: Z, Y (X is trivial on |+>), leak.
-            pauli_faults(loc.index, q, r.eps, 0.0, r.eps_other, r.eps_leak)
-        elif loc.kind is OpKind.CPHASE:
+        elif kind is OpKind.CPHASE:
             q1, q2 = loc.qubits
             both_ok = ~lk[q1] & ~lk[q2]
             z[q2] ^= x[q1] & both_ok
@@ -333,30 +313,21 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                         z[normal_q] ^= one & draw
                     else:
                         z[normal_q] ^= one
-            for q in (q1, q2):
-                r = rates.get(loc.kind, circuit.species_of(q))
-                pauli_faults(loc.index, q, r.eps, r.eps_other / 2,
-                             r.eps_other / 2, r.eps_leak)
-            if rates.cphase_zz:
-                u = uniform_vector(seed, trials, loc.index, -1, TAG_FAULT)
-                zz = u < rates.cphase_zz
-                z[q1] ^= zz & ~lk[q1]
-                z[q2] ^= zz & ~lk[q2]
         else:
+            bit = out_bits[row_of[loc.index]]
+        op = faults.get(kind)
+        for row, slot, targets in op.draws(loc.qubits, circuit.species_of) if op else ():
+            apply(row, uniform_vector(seed, trials, loc.index, slot, TAG_FAULT),
+                  targets, bit)
+        if kind is OpKind.MEASURE_X:
             q = loc.qubits[0]
-            r = rates.get(loc.kind, circuit.species_of(q))
-            bit = z[q].copy()
-            if r.eps:
-                flip = uniform_vector(seed, trials, loc.index, q, TAG_FAULT) < r.eps
-                bit ^= flip
+            bit ^= z[q]
             leaked_now = lk[q]
             if leaked_now.any():
                 rnd = uniform_vector(seed, trials, loc.index, q,
                                      TAG_LEAK_OUTCOME) < 0.5
-                bit = np.where(leaked_now, rnd, bit)
-            row = row_of[loc.index]
-            out_bits[row] = bit
-            out_leakrand[row] = leaked_now
+                bit[leaked_now] = rnd[leaked_now]
+            out_leakrand[row_of[loc.index]] = leaked_now
             x[q] = False
             z[q] = False
             lk[q] = False

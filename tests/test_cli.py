@@ -4,7 +4,7 @@ import pytest
 
 from biasrep.cli import main
 from biasrep.gadgets import build_teleport_identity, circuit_to_text
-from biasrep.noise_model import default_rates
+from biasrep.noise_model import ErrorRateTable, Rates, default_rates
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +113,17 @@ class TestSimulate:
         assert code == 0
         assert float(csv_body(out)[1].split(",")[5]) >= 0.0
 
+    def test_incomplete_rate_table(self, capsys, tmp_path):
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps({"rates": [
+            {"operation": "cz", "species": "A", "eps": 1e-3}]}))
+        code, _, err = run_cli(capsys, "simulate", "--gadget", "teleport",
+                               "--n", "3", "--k", "1", "--rates", str(path),
+                               "--trials", "10")
+        assert code == 2
+        assert "(prep, A)" in err and "(cz, B)" in err
+        assert "(cz, A)" not in err
+
     def test_missing_rate_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--gadget", "teleport",
                                "--n", "3", "--k", "1", "--rates",
@@ -159,6 +170,12 @@ class TestOracleCommand:
         report = json.loads(out)
         assert report["result"]["prob_z"] == 0.0
 
+    def test_rates_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--gadget", "teleport", "--n", "3", "--k", "1"])
+        assert exc.value.code == 2
+        assert "--rates" in capsys.readouterr().err
+
     def test_leaky_table_rejected(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--gadget", "teleport",
                                "--n", "3", "--k", "1", "--rates", "table1",
@@ -190,3 +207,50 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--circuit", str(path))
         assert code == 3
         assert "violation" in err
+
+
+def scaled_table1(scale: float, phase_only: bool = False) -> ErrorRateTable:
+    keep = 0.0 if phase_only else scale
+    return ErrorRateTable(entries={
+        key: Rates(scale * r.eps, keep * r.eps_other, keep * r.eps_leak)
+        for key, r in default_rates().entries.items()})
+
+
+class TestGoldenOutputs:
+    """Exact outputs, pinned so that any change to the keyed draws, the
+    class thresholds or the class order shows up."""
+
+    def test_simulate_csv_body(self, capsys, tmp_path):
+        path = tmp_path / "x5.json"
+        path.write_text(scaled_table1(5.0).to_json())
+        code, out, _ = run_cli(capsys, "simulate", "--gadget", "cnot",
+                               "--n", "3", "--k", "3", "--rates", str(path),
+                               "--trials", "2e5", "--seed", "1")
+        assert code == 0
+        assert csv_body(out) == [
+            "gadget,n,k,trials,seed,eps_L,eps_L_stderr,epsp_L,epsp_L_stderr",
+            "cnot,3,3,200000,1,0.02745,0.0003653525523,0.141585,0.0007795469446"]
+
+    def test_oracle_json(self, capsys, tmp_path):
+        path = tmp_path / "phase.json"
+        path.write_text(scaled_table1(1.0, phase_only=True).to_json())
+        code, out, _ = run_cli(capsys, "oracle", "--gadget", "teleport",
+                               "--n", "3", "--k", "3", "--weight", "2",
+                               "--rates", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"] == {
+            "command": "oracle", "gadget": "teleport", "n": 3, "k": 3,
+            "rates": str(path), "weight": 2}
+        assert report["result"] == {
+            "by_weight_x": [0.0, 0.0, 0.00270828961616582],
+            "by_weight_z": [0.0, 0.0, 0.0003487031909469608],
+            "count_x": [0, 0, 192],
+            "count_z": [0, 0, 96],
+            "patterns_run": 1176,
+            "prob_either": 0.0030569928071127765,
+            "prob_x": 0.00270828961616582,
+            "prob_z": 0.0003487031909469608,
+            "remainder_bound": 0.0016835234559999998,
+            "sites": 48,
+        }

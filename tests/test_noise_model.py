@@ -78,6 +78,24 @@ class TestSampleFaults:
             sample_faults(OpKind.CPHASE, (0, 1), (Species.A, Species.B), 0,
                           bad, FaultStream(0, 0))
 
+    def test_table_change_after_use(self):
+        t = zero_rates()
+        args = ((3,), (Species.B,), 5, t, FaultStream(9, 0))
+        assert sample_faults(OpKind.PREP_PLUS, *args) == []
+        t.entries[(OpKind.PREP_PLUS, Species.B)] = Rates(eps_leak=1.0)
+        assert sample_faults(OpKind.PREP_PLUS, *args) == \
+            [FaultEvent(5, 3, FaultKind.LEAK)]
+        t.cphase_zz = 2.0
+        with pytest.raises(ValueError, match="cphase_zz"):
+            sample_faults(OpKind.PREP_PLUS, *args)
+
+    def test_incomplete_table_rejected(self):
+        doc = json.loads(default_rates().to_json())
+        doc["rates"] = [row for row in doc["rates"]
+                        if (row["operation"], row["species"]) != ("measx", "B")]
+        with pytest.raises(ValueError, match=r"missing rate rows: \(measx, B\)$"):
+            ErrorRateTable.from_json(json.dumps(doc))
+
     def test_measurement_flip_only(self):
         t = table_with(measx_A=Rates(eps=1.0))
         events = sample_faults(OpKind.MEASURE_X, (2,), (Species.A,), 7, t,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from biasrep.gadgets import (Block, Circuit, Location, Qubit,
-                             ScheduleViolation, build_teleport_identity)
+                             ScheduleViolation, build_gadget,
+                             build_teleport_identity)
 from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
                                  Species, default_rates, zero_rates)
 from biasrep.pauli_frame import (LeakPolicy, PauliFrame, conjugate_through_cz,
@@ -246,21 +247,26 @@ class TestRunCircuit:
 
 
 class TestBatchAgreement:
-    @pytest.mark.parametrize("leak_scale", [0.0, 3e4])
-    def test_scalar_batch_outcomes_and_frames(self, leak_scale):
-        tele = build_teleport_identity(3, 3)
+    @pytest.mark.parametrize("gadget,leak_scale,cphase_zz", [
+        pytest.param("teleport", 0.0, 0.0, id="0.0"),
+        pytest.param("teleport", 3e4, 0.0, id="30000.0"),
+        pytest.param("cnot", 3e4, 0.02, id="cnot-cphase_zz"),
+    ])
+    def test_scalar_batch_outcomes_and_frames(self, gadget, leak_scale,
+                                              cphase_zz):
+        circuit = build_gadget(gadget, 3, 3)
         base = default_rates()
         table = type(base)(entries={
             key: Rates(min(r.eps * 40, 0.3), min(r.eps_other * 1e4, 0.2),
                        min(r.eps_leak * leak_scale, 0.2))
-            for key, r in base.entries.items()})
+            for key, r in base.entries.items()}, cphase_zz=cphase_zz)
         trials = np.arange(400, dtype=np.uint64)
-        batch = run_circuit_batch(tele, table, 77, trials)
+        batch = run_circuit_batch(circuit, table, 77, trials)
         for t in (0, 3, 57, 211, 399):
-            scalar = run_circuit(tele, table, 77, trial=t)
+            scalar = run_circuit(circuit, table, 77, trial=t)
             for i, loc in enumerate(batch.meas_locations):
                 assert bool(batch.outcome_bits[i, t]) == bool(scalar.outcomes.bits[loc])
-            for q in range(tele.n_qubits):
+            for q in range(circuit.n_qubits):
                 assert bool(batch.frame_x[q, t]) == bool(scalar.frame.x[q])
                 assert bool(batch.frame_z[q, t]) == bool(scalar.frame.z[q])
                 assert bool(batch.frame_leaked[q, t]) == bool(scalar.frame.leaked[q])
