@@ -51,10 +51,16 @@ def _load_rates(source: str) -> ErrorRateTable:
 
 
 def _parse_trials(text: str) -> int:
-    value = int(float(text))
+    """A whole number of trials >= 1, also in float notation such as 1e6."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value.is_integer()):
+        raise ConfigError(f"--trials must be a whole number, got {text!r}")
     if value < 1:
-        raise ConfigError(f"trials must be >= 1, got {text}")
-    return value
+        raise ConfigError(f"--trials must be >= 1, got {text}")
+    return int(value)
 
 
 def _parse_grid(text: str) -> list[float]:

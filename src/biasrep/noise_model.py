@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .streams import TAG_FAULT, FaultStream, uniform_vector
+from .streams import TAG_FAULT, FaultStream, TrialHashes, to_uniform
 
 
 class Species(str, Enum):
@@ -129,6 +129,16 @@ class FaultRow(NamedTuple):
     def draw(self, u: float) -> FaultKind | None:
         i = bisect_right(self.thresholds, u)
         return self.classes[i] if i < len(self.classes) else None
+
+    def select(self, hashes: TrialHashes, location: int, qubit: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`draw` at one (location, qubit slot) for every
+        trial of ``hashes``: the positions of the trials that draw a fault
+        and the index into ``classes`` of each one's fault."""
+        h = hashes.hash(location, qubit, TAG_FAULT)
+        hit = hashes.below(self.thresholds[-1])
+        return hit, np.searchsorted(self.thresholds, to_uniform(h[hit]),
+                                    side="right")
 
 
 class OpFaults(NamedTuple):
@@ -281,10 +291,10 @@ def fault_class_counts(kind: OpKind, species: Species, rates: ErrorRateTable,
     row = op.rows.get(species) if op else None
     if row is None:
         return {}
-    u = uniform_vector(seed, np.arange(trials, dtype=np.uint64),
-                       location_id, qubit, TAG_FAULT)
-    idx = np.searchsorted(row.thresholds, u, side="right")
-    return {cls: int(np.count_nonzero(idx == i)) for i, cls in enumerate(row.classes)}
+    _, which = row.select(TrialHashes(seed, np.arange(trials, dtype=np.uint64)),
+                          location_id, qubit)
+    counts = np.bincount(which, minlength=len(row.classes))
+    return {cls: int(n) for cls, n in zip(row.classes, counts)}
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .gadgets import Circuit, assert_valid
-from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultRow,
-                          OpKind, sample_faults)
-from .streams import (TAG_FAULT, TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream,
+from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, OpKind,
+                          sample_faults)
+from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, TrialHashes,
                       uniform_vector)
 
 
@@ -254,7 +254,10 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
 
     Per-trial results are bit-identical to :func:`run_circuit` because every
     random decision is keyed by (seed, trial, location, qubit, purpose), not
-    by draw order.  Batch boundaries therefore never affect outcomes.
+    by draw order.  Batch boundaries therefore never affect outcomes, and a
+    draw that can matter only to leaked trials (the random Z on a leaked
+    qubit's partner, the outcome of a leaked measurement) is made for those
+    trials alone.  All working arrays are allocated once per batch.
     """
     if validate:
         assert_valid(circuit)
@@ -265,31 +268,23 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     N = circuit.n_qubits
     meas_locs = circuit.measure_locations
     row_of = {loc: i for i, loc in enumerate(meas_locs)}
+    hashes = TrialHashes(seed, trials)
 
     x = np.zeros((N, B), dtype=bool)
     z = np.zeros((N, B), dtype=bool)
     lk = np.zeros((N, B), dtype=bool)
     out_bits = np.zeros((len(meas_locs), B), dtype=bool)
     out_leakrand = np.zeros((len(meas_locs), B), dtype=bool)
+    ok = np.empty(B, dtype=bool)     # CPHASE scratch rows
+    one = np.empty(B, dtype=bool)
+    any_leaked = False               # has any trial leaked in this batch?
 
-    def apply(row: FaultRow, u: np.ndarray, targets: Sequence[int],
-              bit: np.ndarray | None) -> None:
-        """Give each trial whose draw ``u`` selects a class that class's
-        effect on every unleaked target; outcome flips go to ``bit``."""
-        hit = np.flatnonzero(u < row.thresholds[-1])
-        which = np.searchsorted(row.thresholds, u[hit], side="right")
-        for i, cls in enumerate(row.classes):
-            effect = EFFECTS[cls]
-            drawn = hit[which == i]
-            for q in targets:
-                t = drawn[~lk[q, drawn]]
-                x[q, t] ^= effect.x
-                z[q, t] ^= effect.z
-                if effect.leak:
-                    lk[q, t] = True
-                    x[q, t] = z[q, t] = False
-                if effect.flip:
-                    bit[t] ^= True
+    def leak_draw(idx: np.ndarray, location: int, q: int, tag: int) -> np.ndarray:
+        """The trials among ``idx`` whose keyed coin at (location, q, tag)
+        comes up heads (uniform below 1/2)."""
+        if idx.size == 0:
+            return idx
+        return idx[uniform_vector(seed, trials[idx], location, q, tag) < 0.5]
 
     for loc in circuit.locations:
         kind = loc.kind
@@ -301,33 +296,52 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
             lk[q] = False
         elif kind is OpKind.CPHASE:
             q1, q2 = loc.qubits
-            both_ok = ~lk[q1] & ~lk[q2]
-            z[q2] ^= x[q1] & both_ok
-            z[q1] ^= x[q2] & both_ok
-            if policy is not LeakPolicy.NEVER_Z:
-                for leaked_q, normal_q in ((q1, q2), (q2, q1)):
-                    one = lk[leaked_q] & ~lk[normal_q]
-                    if policy is LeakPolicy.RANDOM_Z:
-                        draw = uniform_vector(seed, trials, loc.index, normal_q,
-                                              TAG_LEAK_CZ) < 0.5
-                        z[normal_q] ^= one & draw
-                    else:
-                        z[normal_q] ^= one
+            if not any_leaked:
+                z[q2] ^= x[q1]
+                z[q1] ^= x[q2]
+            else:
+                np.logical_or(lk[q1], lk[q2], out=ok)
+                np.logical_not(ok, out=ok)
+                np.logical_and(x[q1], ok, out=one)
+                z[q2] ^= one
+                np.logical_and(x[q2], ok, out=one)
+                z[q1] ^= one
+                if policy is not LeakPolicy.NEVER_Z:
+                    for leaked_q, normal_q in ((q1, q2), (q2, q1)):
+                        # trials where leaked_q is leaked and normal_q is not
+                        np.greater(lk[leaked_q], lk[normal_q], out=one)
+                        idx = np.flatnonzero(one)
+                        if policy is LeakPolicy.RANDOM_Z:
+                            idx = leak_draw(idx, loc.index, normal_q, TAG_LEAK_CZ)
+                        z[normal_q, idx] ^= True
         else:
             bit = out_bits[row_of[loc.index]]
         op = faults.get(kind)
         for row, slot, targets in op.draws(loc.qubits, circuit.species_of) if op else ():
-            apply(row, uniform_vector(seed, trials, loc.index, slot, TAG_FAULT),
-                  targets, bit)
+            hit, which = row.select(hashes, loc.index, slot)
+            for i, cls in enumerate(row.classes):
+                # Each trial whose draw selects this class gets its effect on
+                # every unleaked target; outcome flips go to ``bit``.
+                effect = EFFECTS[cls]
+                drawn = hit[which == i]
+                for q in targets:
+                    t = drawn[~lk[q, drawn]]
+                    x[q, t] ^= effect.x
+                    z[q, t] ^= effect.z
+                    if effect.leak:
+                        lk[q, t] = True
+                        x[q, t] = z[q, t] = False
+                        any_leaked = any_leaked or t.size > 0
+                    if effect.flip:
+                        bit[t] ^= True
         if kind is OpKind.MEASURE_X:
             q = loc.qubits[0]
             bit ^= z[q]
-            leaked_now = lk[q]
-            if leaked_now.any():
-                rnd = uniform_vector(seed, trials, loc.index, q,
-                                     TAG_LEAK_OUTCOME) < 0.5
-                bit[leaked_now] = rnd[leaked_now]
-            out_leakrand[row_of[loc.index]] = leaked_now
+            if any_leaked:
+                idx = np.flatnonzero(lk[q])
+                bit[idx] = False
+                bit[leak_draw(idx, loc.index, q, TAG_LEAK_OUTCOME)] = True
+                out_leakrand[row_of[loc.index]] = lk[q]
             x[q] = False
             z[q] = False
             lk[q] = False

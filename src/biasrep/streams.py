@@ -9,6 +9,8 @@ alone, inside a vectorized batch, or on another process.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -37,22 +39,68 @@ def stream_key(seed: int, location: int, qubit: int, tag: int) -> int:
     return _mix(h ^ tag)
 
 
+def to_uniform(h):
+    """The double in [0, 1) that a 64-bit hash (int or uint64 array) stands
+    for: its top 53 bits."""
+    return (h >> 11) * 2.0**-53
+
+
+def hash_bound(t: float) -> int:
+    """The integer b such that a hash h is below b exactly when
+    ``to_uniform(h) < t``: h >> 11 is an integer, so it is below t·2^53
+    exactly when it is below the ceiling.  A threshold t >= 1 gives 2^64,
+    above every hash."""
+    return math.ceil(min(t, 1.0) * 2.0**53) << 11
+
+
 def uniform(seed: int, trial: int, location: int, qubit: int, tag: int = TAG_FAULT) -> float:
     """One double in [0, 1) for the addressed decision."""
     key = stream_key(seed, location, qubit, tag)
-    x = _mix((key + trial * _GOLDEN) & _MASK)
-    return (x >> 11) * 2.0**-53
+    return to_uniform(_mix((key + trial * _GOLDEN) & _MASK))
+
+
+class TrialHashes:
+    """Keyed hashes of one fixed array of trial indices, for one address at
+    a time.  ``trials * GOLDEN`` is computed once, and every hash and hit
+    test is written into buffers allocated once, so a batch that draws at
+    many addresses allocates its hashing memory only here."""
+
+    def __init__(self, seed: int, trials: np.ndarray):
+        self.seed = int(seed)
+        self._base = np.asarray(trials, dtype=np.uint64) * np.uint64(_GOLDEN)
+        self._h = np.empty_like(self._base)
+        self._tmp = np.empty_like(self._base)
+        self._mask = np.empty(self._base.shape, dtype=bool)
+
+    def hash(self, location: int, qubit: int, tag: int = TAG_FAULT) -> np.ndarray:
+        """The hash of every trial at this address, the vectorized
+        counterpart of the hash inside :func:`uniform`.  The array returned
+        is overwritten by the next call."""
+        h, tmp = self._h, self._tmp
+        np.add(self._base, np.uint64(stream_key(self.seed, location, qubit, tag)),
+               out=h)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(h, shift, out=tmp)
+            h ^= tmp
+            h *= np.uint64(mult)
+        np.right_shift(h, 31, out=tmp)
+        h ^= tmp
+        return h
+
+    def below(self, t: float) -> np.ndarray:
+        """Positions of the trials whose last hash stands for a uniform
+        below ``t``."""
+        bound = hash_bound(t)
+        if bound > _MASK:
+            return np.arange(self._h.shape[0])
+        np.less(self._h, np.uint64(bound), out=self._mask)
+        return np.flatnonzero(self._mask)
 
 
 def uniform_vector(seed: int, trials: np.ndarray, location: int, qubit: int,
                    tag: int = TAG_FAULT) -> np.ndarray:
     """Vectorized :func:`uniform` over an array of trial indices."""
-    key = stream_key(seed, location, qubit, tag)
-    x = trials.astype(np.uint64) * np.uint64(_GOLDEN) + np.uint64(key)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    x = x ^ (x >> np.uint64(31))
-    return (x >> np.uint64(11)) * 2.0**-53
+    return to_uniform(TrialHashes(seed, trials).hash(location, qubit, tag))
 
 
 class FaultStream:

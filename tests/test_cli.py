@@ -95,6 +95,15 @@ class TestSimulate:
         assert code == 0
         assert csv_body(out)[1].split(",")[3] == "1000"
 
+    @pytest.mark.parametrize("trials", ["inf", "nan", "2.5", "1e6x"])
+    def test_bad_trials_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "simulate", "--gadget", "teleport",
+                                 "--n", "1", "--k", "1", "--rates", "zero",
+                                 "--trials", trials)
+        assert code == 2
+        assert "--trials" in err
+        assert out == ""
+
     def test_worker_invariance(self, capsys, tmp_path):
         args = ["simulate", "--gadget", "teleport", "--n", "3", "--k", "3",
                 "--rates", "table1", "--trials", "20000", "--seed", "9"]

@@ -16,6 +16,15 @@ from conftest import table_with, uniform_table
 from oracles import PAULIS, kron_all
 
 
+def leaky_table(leak_scale, cphase_zz=0.0):
+    """table1 with phase rates x40, non-phase x1e4 and leakage x leak_scale."""
+    base = default_rates()
+    return type(base)(entries={
+        key: Rates(min(r.eps * 40, 0.3), min(r.eps_other * 1e4, 0.2),
+                   min(r.eps_leak * leak_scale, 0.2))
+        for key, r in base.entries.items()}, cphase_zz=cphase_zz)
+
+
 def frame_with(n, **states):
     frame = PauliFrame(n)
     for key, q in states.items():
@@ -247,23 +256,22 @@ class TestRunCircuit:
 
 
 class TestBatchAgreement:
-    @pytest.mark.parametrize("gadget,leak_scale,cphase_zz", [
-        pytest.param("teleport", 0.0, 0.0, id="0.0"),
-        pytest.param("teleport", 3e4, 0.0, id="30000.0"),
-        pytest.param("cnot", 3e4, 0.02, id="cnot-cphase_zz"),
+    @pytest.mark.parametrize("gadget,leak_scale,cphase_zz,policy", [
+        pytest.param("teleport", 0.0, 0.0, "random-z", id="0.0"),
+        pytest.param("teleport", 3e4, 0.0, "random-z", id="30000.0"),
+        pytest.param("teleport", 3e4, 0.0, "always-z", id="30000.0-always-z"),
+        pytest.param("teleport", 3e4, 0.0, "never-z", id="30000.0-never-z"),
+        pytest.param("cnot", 3e4, 0.02, "random-z", id="cnot-cphase_zz"),
     ])
     def test_scalar_batch_outcomes_and_frames(self, gadget, leak_scale,
-                                              cphase_zz):
+                                              cphase_zz, policy):
         circuit = build_gadget(gadget, 3, 3)
-        base = default_rates()
-        table = type(base)(entries={
-            key: Rates(min(r.eps * 40, 0.3), min(r.eps_other * 1e4, 0.2),
-                       min(r.eps_leak * leak_scale, 0.2))
-            for key, r in base.entries.items()}, cphase_zz=cphase_zz)
+        table = leaky_table(leak_scale, cphase_zz)
         trials = np.arange(400, dtype=np.uint64)
-        batch = run_circuit_batch(circuit, table, 77, trials)
+        batch = run_circuit_batch(circuit, table, 77, trials, leak_policy=policy)
+        assert batch.leaked_random.any() == (leak_scale > 0)
         for t in (0, 3, 57, 211, 399):
-            scalar = run_circuit(circuit, table, 77, trial=t)
+            scalar = run_circuit(circuit, table, 77, trial=t, leak_policy=policy)
             for i, loc in enumerate(batch.meas_locations):
                 assert bool(batch.outcome_bits[i, t]) == bool(scalar.outcomes.bits[loc])
             for q in range(circuit.n_qubits):
@@ -279,6 +287,19 @@ class TestBatchAgreement:
         second = run_circuit_batch(tele, table, 5, np.arange(37, 100, dtype=np.uint64))
         merged = np.concatenate([first.outcome_bits, second.outcome_bits], axis=1)
         assert np.array_equal(whole.outcome_bits, merged)
+
+    def test_leaky_batch_independent_of_partition(self):
+        # Leak draws are made for the leaked trials only, so they must be
+        # keyed by trial index, not by position among the drawn trials.
+        tele = build_teleport_identity(3, 3)
+        table = leaky_table(3e4)
+        parts = [run_circuit_batch(tele, table, 5, np.arange(lo, hi, dtype=np.uint64))
+                 for lo, hi in ((0, 100), (0, 37), (37, 100))]
+        assert parts[0].leaked_random[:, 37:].any()
+        for name in ("outcome_bits", "leaked_random", "frame_x", "frame_z",
+                     "frame_leaked"):
+            whole, first, second = (getattr(p, name) for p in parts)
+            assert np.array_equal(whole, np.concatenate([first, second], axis=1)), name
 
 
 class TestStateVectorEquivalence:
