@@ -136,7 +136,7 @@ class FaultRow(NamedTuple):
         trial of ``hashes``: the positions of the trials that draw a fault
         and the index into ``classes`` of each one's fault."""
         h = hashes.hash(location, qubit, TAG_FAULT)
-        hit = hashes.below(self.thresholds[-1])
+        hit = hashes.below(h, self.thresholds[-1])
         return hit, np.searchsorted(self.thresholds, to_uniform(h[hit]),
                                     side="right")
 

@@ -277,7 +277,6 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     out_leakrand = np.zeros((len(meas_locs), B), dtype=bool)
     ok = np.empty(B, dtype=bool)     # CPHASE scratch rows
     one = np.empty(B, dtype=bool)
-    any_leaked = False               # has any trial leaked in this batch?
 
     def leak_draw(idx: np.ndarray, location: int, q: int, tag: int) -> np.ndarray:
         """The trials among ``idx`` whose keyed coin at (location, q, tag)
@@ -296,24 +295,20 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
             lk[q] = False
         elif kind is OpKind.CPHASE:
             q1, q2 = loc.qubits
-            if not any_leaked:
-                z[q2] ^= x[q1]
-                z[q1] ^= x[q2]
-            else:
-                np.logical_or(lk[q1], lk[q2], out=ok)
-                np.logical_not(ok, out=ok)
-                np.logical_and(x[q1], ok, out=one)
-                z[q2] ^= one
-                np.logical_and(x[q2], ok, out=one)
-                z[q1] ^= one
-                if policy is not LeakPolicy.NEVER_Z:
-                    for leaked_q, normal_q in ((q1, q2), (q2, q1)):
-                        # trials where leaked_q is leaked and normal_q is not
-                        np.greater(lk[leaked_q], lk[normal_q], out=one)
-                        idx = np.flatnonzero(one)
-                        if policy is LeakPolicy.RANDOM_Z:
-                            idx = leak_draw(idx, loc.index, normal_q, TAG_LEAK_CZ)
-                        z[normal_q, idx] ^= True
+            np.logical_or(lk[q1], lk[q2], out=ok)
+            np.logical_not(ok, out=ok)
+            np.logical_and(x[q1], ok, out=one)
+            z[q2] ^= one
+            np.logical_and(x[q2], ok, out=one)
+            z[q1] ^= one
+            if policy is not LeakPolicy.NEVER_Z:
+                for leaked_q, normal_q in ((q1, q2), (q2, q1)):
+                    # trials where leaked_q is leaked and normal_q is not
+                    np.greater(lk[leaked_q], lk[normal_q], out=one)
+                    idx = np.flatnonzero(one)
+                    if policy is LeakPolicy.RANDOM_Z:
+                        idx = leak_draw(idx, loc.index, normal_q, TAG_LEAK_CZ)
+                    z[normal_q, idx] ^= True
         else:
             bit = out_bits[row_of[loc.index]]
         op = faults.get(kind)
@@ -331,17 +326,15 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                     if effect.leak:
                         lk[q, t] = True
                         x[q, t] = z[q, t] = False
-                        any_leaked = any_leaked or t.size > 0
                     if effect.flip:
                         bit[t] ^= True
         if kind is OpKind.MEASURE_X:
             q = loc.qubits[0]
             bit ^= z[q]
-            if any_leaked:
-                idx = np.flatnonzero(lk[q])
-                bit[idx] = False
-                bit[leak_draw(idx, loc.index, q, TAG_LEAK_OUTCOME)] = True
-                out_leakrand[row_of[loc.index]] = lk[q]
+            idx = np.flatnonzero(lk[q])
+            bit[idx] = False
+            bit[leak_draw(idx, loc.index, q, TAG_LEAK_OUTCOME)] = True
+            out_leakrand[row_of[loc.index]] = lk[q]
             x[q] = False
             z[q] = False
             lk[q] = False

@@ -87,13 +87,13 @@ class TrialHashes:
         h ^= tmp
         return h
 
-    def below(self, t: float) -> np.ndarray:
-        """Positions of the trials whose last hash stands for a uniform
-        below ``t``."""
+    def below(self, h: np.ndarray, t: float) -> np.ndarray:
+        """Positions of the trials whose hash in ``h`` (as returned by
+        :meth:`hash`) stands for a uniform below ``t``."""
         bound = hash_bound(t)
         if bound > _MASK:
-            return np.arange(self._h.shape[0])
-        np.less(self._h, np.uint64(bound), out=self._mask)
+            return np.arange(h.shape[0])
+        np.less(h, np.uint64(bound), out=self._mask)
         return np.flatnonzero(self._mask)
 
 

@@ -50,10 +50,11 @@ def test_bound_test_matches_uniform(t):
     targets = edges + [int(h) for h in spread] + near
     trials = np.array([trial_with_hash(h) for h in targets], dtype=np.uint64)
     hashes = TrialHashes(SEED, trials)
-    assert [int(h) for h in hashes.hash(LOC, QUBIT)] == targets
+    h = hashes.hash(LOC, QUBIT)
+    assert [int(x) for x in h] == targets
     expected = [i for i, trial in enumerate(trials)
                 if uniform(SEED, int(trial), LOC, QUBIT) < t]
-    assert hashes.below(t).tolist() == expected
+    assert hashes.below(h, t).tolist() == expected
     for h in edges:
         assert (h < bound) == ((h >> 11) * 2.0**-53 < t)
 
@@ -63,14 +64,13 @@ def test_threshold_at_least_one_selects_everything(t):
     trials = np.array([trial_with_hash(h) for h in (0, _MASK - 1, _MASK)]
                       + list(range(100)), dtype=np.uint64)
     hashes = TrialHashes(SEED, trials)
-    hashes.hash(LOC, QUBIT)
-    assert hashes.below(t).tolist() == list(range(len(trials)))
+    h = hashes.hash(LOC, QUBIT)
+    assert hashes.below(h, t).tolist() == list(range(len(trials)))
 
 
 def test_zero_threshold_selects_nothing():
     hashes = TrialHashes(SEED, np.array([trial_with_hash(0), 5], dtype=np.uint64))
-    hashes.hash(LOC, QUBIT)
-    assert hashes.below(0.0).size == 0
+    assert hashes.below(hashes.hash(LOC, QUBIT), 0.0).size == 0
 
 
 def test_uniform_vector_on_fancy_indexed_trials():
