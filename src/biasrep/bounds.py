@@ -54,8 +54,10 @@ class BiasPoint:
     t: float | None = None
 
     def __post_init__(self):
-        if self.bias <= 0:
-            raise ValueError("bias must be positive")
+        if not self.eps >= 0:
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not self.bias > 0:
+            raise ValueError(f"bias must be positive, got {self.bias}")
         if self.n < 1 or self.n % 2 == 0 or self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"n and k must be odd, got ({self.n}, {self.k})")
 
@@ -167,8 +169,7 @@ class OptimizeResult:
 
 def optimize_nk(eps: float | None = None, bias: float | None = None,
                 c: float = 3.0, n_max: int = 15, constraint: str = "n=k",
-                table: ErrorRateTable | None = None,
-                k_max: int | None = None) -> OptimizeResult:
+                table: ErrorRateTable | None = None) -> OptimizeResult:
     """Exhaustive search over odd (n, k) minimizing max(eps_L, epsp_L), with
     ties broken by the total and then by the smaller (n, k).
 
@@ -182,12 +183,11 @@ def optimize_nk(eps: float | None = None, bias: float | None = None,
         raise ValueError(f"constraint must be 'n=k' or 'free', got {constraint!r}")
     if table is None and (eps is None or bias is None):
         raise ValueError("need either (eps, bias) or a rate table")
-    k_max = n_max if k_max is None else k_max
 
     ns = range(1, n_max + 1, 2)
     best: tuple | None = None
     for n in ns:
-        ks = (n,) if constraint == "n=k" else range(1, k_max + 1, 2)
+        ks = (n,) if constraint == "n=k" else ns
         for k in ks:
             point = BiasPoint(eps if eps is not None else 0.0,
                               bias if bias is not None else 1.0, n, k, c)

@@ -179,10 +179,16 @@ def diamond_lower_bound(channel: PairMap,
                         inputs: Iterable[tuple[np.ndarray, int]] | None = None,
                         random_restarts: int = 0, seed: int = 0) -> float:
     """Heuristic diamond-norm estimate: the maximum of
-    :func:`input_distance` over the supplied inputs (canonical probes by
-    default) and optionally over random pure states on the doubled space.
-    Always a lower bound on the true diamond norm."""
-    probes = list(inputs) if inputs is not None else canonical_inputs(channel.dim)
+    :func:`input_distance` over the supplied inputs (by default the
+    canonical probes, plus the Bell input :func:`bell_phi0` on the 16-dim
+    two-qubit space) and optionally over random pure states on the doubled
+    space.  Always a lower bound on the true diamond norm."""
+    if inputs is None:
+        probes = canonical_inputs(channel.dim)
+        if channel.dim == 16:
+            probes.append((bell_phi0(), 1))
+    else:
+        probes = list(inputs)
     best = 0.0
     for x, ref_dim in probes:
         best = max(best, input_distance(channel, x, ref_dim))

@@ -148,6 +148,18 @@ def _bound_row(eps: float, bias: float, c: float, n: int, k: int,
                      _fmt(eps_L), _fmt(epsp_L), _fmt(eps_L + epsp_L)])
 
 
+def _optimum_row(eps: float | None, bias: float | None,
+                 table: ErrorRateTable | None, c: float, n_max: int,
+                 constraint: str) -> str:
+    """The optimal (n, k) as a bounds row; eps and bias print as nan when
+    the rate table alone fixes the rates."""
+    result = optimize_nk(eps=eps, bias=bias, table=table, c=c, n_max=n_max,
+                         constraint=constraint)
+    return _bound_row(float("nan") if eps is None else eps,
+                      float("nan") if bias is None else bias,
+                      c, result.n, result.k, result.eps_L, result.epsp_L)
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     config = {"command": "bounds", "c": args.c, "n_max": args.n_max}
     lines: list[str] = []
@@ -156,12 +168,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.optimize:
         constraint = args.optimize
         if table is not None:
-            result = optimize_nk(table=table, c=args.c, n_max=args.n_max,
-                                 constraint=constraint)
             config.update({"rates": args.rates, "optimize": constraint})
-            lines.append(_bound_row(float("nan"), float("nan"), args.c,
-                                    result.n, result.k, result.eps_L,
-                                    result.epsp_L))
+            lines.append(_optimum_row(None, None, table, args.c, args.n_max,
+                                      constraint))
         else:
             if not args.bias or not args.eps_grid:
                 raise ConfigError("optimizing sweeps need --bias and --eps-grid")
@@ -179,14 +188,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         n = args.n
         k = args.k if args.k is not None else 1
         bias = args.bias[0] if args.bias else float("inf")
-        point = BiasPoint(args.eps, bias if math.isfinite(bias) else 1.0,
-                          n, k, args.c, t=args.t)
-        report = cnot_bound(point, table)
-        epsp = report.epsp_L if (table is not None or math.isfinite(bias)) else 0.0
+        report = cnot_bound(BiasPoint(args.eps, bias, n, k, args.c, t=args.t),
+                            table)
         config.update({"n": n, "k": k, "t": args.t, "eps": args.eps,
                        "bias": bias, "rates": args.rates})
         lines.append(_bound_row(args.eps, bias, args.c, n, k,
-                                report.eps_L, epsp))
+                                report.eps_L, report.epsp_L))
     out = _header(config) + [_BOUNDS_COLUMNS] + lines
     _emit(out, args.output)
     return EXIT_OK
@@ -199,19 +206,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     bias = args.bias[0] if args.bias else None
     if table is None and bias is None:
         raise ConfigError("optimize without a rate table needs --bias")
-    result = optimize_nk(eps=args.eps, bias=bias, table=table, c=args.c,
-                         n_max=args.n_max, constraint=args.constraint)
+    row = _optimum_row(args.eps, bias, table, args.c, args.n_max,
+                       args.constraint)
     config = {"command": "optimize", "rates": args.rates, "eps": args.eps,
               "bias": bias, "c": args.c, "n_max": args.n_max,
               "constraint": args.constraint}
-    lines = _header(config) + [_BOUNDS_COLUMNS,
-                               _bound_row(args.eps if args.eps is not None
-                                          else float("nan"),
-                                          bias if bias is not None
-                                          else float("nan"),
-                                          args.c, result.n, result.k,
-                                          result.eps_L, result.epsp_L)]
-    _emit(lines, args.output)
+    _emit(_header(config) + [_BOUNDS_COLUMNS, row], args.output)
     return EXIT_OK
 
 
@@ -419,10 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # invariant violations and internal failures

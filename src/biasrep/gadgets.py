@@ -422,6 +422,14 @@ def circuit_to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Fields a line needs, its keyword included ("#tag" for an annotation):
+# "# qubit i species role", "# block name kind", "# group name",
+# "# correction pauli block", "# meta key", "# rep r", "PREP q", "CZ q1 q2",
+# "MEASX q".  Other comments are free text.
+_MIN_FIELDS = {"#qubit": 4, "#block": 3, "#group": 2, "#correction": 3,
+               "#meta": 2, "#rep": 2, "PREP": 2, "CZ": 3, "MEASX": 2}
+
+
 def circuit_from_text(text: str) -> Circuit:
     qubits: list[Qubit] = []
     blocks: list[Block] = []
@@ -430,14 +438,15 @@ def circuit_from_text(text: str) -> Circuit:
     meta: dict[str, int | str] = {}
     locations: list[Location] = []
     note = ""
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line:
+        comment = line.startswith("#")
+        fields = line.removeprefix("#").split()
+        if not fields:
             continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if not fields:
-                continue
+        if len(fields) < _MIN_FIELDS.get(("#" if comment else "") + fields[0], 0):
+            raise ValueError(f"line {lineno}: too few fields in {raw!r}")
+        if comment:
             tag = fields[0]
             if tag == "qubit":
                 idx, species, role = int(fields[1]), Species(fields[2]), fields[3]
@@ -448,6 +457,9 @@ def circuit_from_text(text: str) -> Circuit:
             elif tag == "group":
                 groups[fields[1]] = tuple(map(int, fields[2:]))
             elif tag == "correction":
+                if fields[1] not in ("X", "Z"):
+                    raise ValueError(f"line {lineno}: correction Pauli must be "
+                                     f"X or Z in {raw!r}")
                 corrections.append(Correction(fields[1], fields[2], tuple(fields[3:])))
             elif tag == "meta":
                 value = " ".join(fields[2:])
@@ -455,7 +467,6 @@ def circuit_from_text(text: str) -> Circuit:
             elif tag == "rep":
                 note = f"rep {fields[1]}"
             continue
-        fields = line.split()
         idx = len(locations)
         if fields[0] == "PREP":
             locations.append(Location(idx, OpKind.PREP_PLUS, (int(fields[1]),), 0.0, note))

@@ -31,11 +31,13 @@ from .pauli_frame import (BatchRunResult, LeakPolicy, RunResult,
                           run_circuit, run_circuit_batch)
 
 
-def majority(bits: Sequence[int]) -> int:
-    """Majority value of an odd-length bit list."""
+def majority(bits: Sequence) -> bool | np.ndarray:
+    """Majority value of an odd-length list of bits.  The bits may also be
+    equal-shape boolean arrays (one per bit, over trials); the majority is
+    then taken elementwise."""
     if len(bits) % 2 == 0:
         raise ValueError(f"majority needs an odd number of bits, got {len(bits)}")
-    return int(sum(bits) * 2 > len(bits))
+    return sum(bits) * 2 > len(bits)
 
 
 @dataclass(frozen=True)
@@ -63,73 +65,50 @@ class RateEstimate:
 # Classification
 # ---------------------------------------------------------------------------
 
-def _majority_bits_batch(circuit: Circuit, result: BatchRunResult
-                         ) -> dict[str, np.ndarray]:
-    out = {}
-    for name, loc_ids in circuit.groups.items():
-        rows = np.stack([result.outcome_row(loc) for loc in loc_ids])
-        out[name] = rows.sum(axis=0) * 2 > rows.shape[0]
-    return out
+def _decode(circuit: Circuit, bits, x, z, leaked):
+    """The logical-error rule, for one trial or for a batch.
+
+    ``bits[location]`` is a measurement outcome and ``x[q]``, ``z[q]``,
+    ``leaked[q]`` the output frame of qubit q; each is either a bit (one
+    trial) or a boolean array over the trials of a batch.  Only operations
+    that mean the same for both are used.  Returns the flags (logical_z,
+    logical_x, leaked_output).
+    """
+    maj = {name: majority([bits[loc] for loc in ids])
+           for name, ids in circuit.groups.items()}
+    corr = {}
+    for c in circuit.corrections:
+        for src in c.sources:
+            corr[c.pauli, c.block] = corr.get((c.pauli, c.block), False) ^ maj[src]
+    lz = lx = lk = False
+    for block in circuit.output_blocks:
+        z_corr = corr.get(("Z", block.name), False)
+        xpar = corr.get(("X", block.name), False)
+        weight = 0
+        for q in block.qubits:
+            xpar = xpar ^ x[q]
+            weight = weight + (z[q] ^ z_corr)   # Z pattern after Z on all n
+            lk = lk | leaked[q]
+        lz = lz | (weight * 2 > len(block.qubits))
+        lx = lx | xpar
+    return lz, lx, lk
 
 
 def classify_batch(circuit: Circuit, result: BatchRunResult
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized trial classification; returns boolean arrays
     (logical_z, logical_x, leaked_output), each of shape [B]."""
-    B = result.outcome_bits.shape[1]
-    maj = _majority_bits_batch(circuit, result)
-    x_corr = {b.name: np.zeros(B, dtype=bool) for b in circuit.output_blocks}
-    z_corr = {b.name: np.zeros(B, dtype=bool) for b in circuit.output_blocks}
-    for corr in circuit.corrections:
-        bit = np.zeros(B, dtype=bool)
-        for src in corr.sources:
-            bit ^= maj[src]
-        (x_corr if corr.pauli == "X" else z_corr)[corr.block] ^= bit
-
-    logical_z = np.zeros(B, dtype=bool)
-    logical_x = np.zeros(B, dtype=bool)
-    leaked = np.zeros(B, dtype=bool)
-    for block in circuit.output_blocks:
-        ids = list(block.qubits)
-        n = len(ids)
-        xpar = np.logical_xor.reduce(result.frame_x[ids], axis=0)
-        logical_x |= xpar ^ x_corr[block.name]
-        weight = result.frame_z[ids].sum(axis=0)
-        weight = np.where(z_corr[block.name], n - weight, weight)
-        logical_z |= weight * 2 > n
-        leaked |= result.frame_leaked[ids].any(axis=0)
-    return logical_z, logical_x, leaked
+    unflagged = np.zeros(result.frame_x.shape[1], dtype=bool)
+    return tuple(unflagged | flag for flag in _decode(
+        circuit, dict(zip(result.meas_locations, result.outcome_bits)),
+        result.frame_x, result.frame_z, result.frame_leaked))
 
 
 def classify_run(circuit: Circuit, result: RunResult) -> TrialResult:
     """Scalar counterpart of :func:`classify_batch`."""
-    maj = {name: majority([result.outcomes.bits[loc] for loc in ids])
-           for name, ids in circuit.groups.items()}
-    x_corr = {b.name: 0 for b in circuit.output_blocks}
-    z_corr = {b.name: 0 for b in circuit.output_blocks}
-    for corr in circuit.corrections:
-        bit = 0
-        for src in corr.sources:
-            bit ^= maj[src]
-        if corr.pauli == "X":
-            x_corr[corr.block] ^= bit
-        else:
-            z_corr[corr.block] ^= bit
-    lz = lx = leaked = False
     frame = result.frame
-    for block in circuit.output_blocks:
-        n = len(block.qubits)
-        xpar = 0
-        weight = 0
-        for q in block.qubits:
-            xpar ^= frame.x[q]
-            weight += frame.z[q]
-            leaked = leaked or bool(frame.leaked[q])
-        if z_corr[block.name]:
-            weight = n - weight
-        lz = lz or (weight * 2 > n)
-        lx = lx or bool(xpar ^ x_corr[block.name])
-    return TrialResult(lz, lx, leaked)
+    return TrialResult(*map(bool, _decode(circuit, result.outcomes.bits,
+                                          frame.x, frame.z, frame.leaked)))
 
 
 def run_trial(gadget: Circuit, rates: ErrorRateTable, seed: int,
@@ -268,6 +247,8 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     The result is exact up to patterns of weight > weight_max, whose total
     probability is bounded by ``remainder_bound``.
     """
+    if weight_max < 0:
+        raise ValueError(f"weight_max must be >= 0, got {weight_max}")
     assert_valid(gadget)
     sites = fault_sites(gadget, rates)
     L = len(sites)

@@ -242,9 +242,6 @@ class BatchRunResult:
     frame_z: np.ndarray                # bool [N, B]
     frame_leaked: np.ndarray           # bool [N, B]
 
-    def outcome_row(self, location_id: int) -> np.ndarray:
-        return self.outcome_bits[self.meas_locations.index(location_id)]
-
 
 def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                       trials: np.ndarray, *,

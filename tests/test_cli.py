@@ -72,6 +72,32 @@ class TestOptimize:
         assert "error" in err
 
 
+class TestOptimizeRow:
+    @pytest.mark.parametrize("constraint", ["free", "n=k"])
+    def test_bounds_optimize_equals_optimize(self, capsys, constraint):
+        code_b, out_b, _ = run_cli(capsys, "bounds", "--optimize", constraint,
+                                   "--rates", "table1")
+        code_o, out_o, _ = run_cli(capsys, "optimize", "--rates", "table1",
+                                   "--constraint", constraint)
+        assert code_b == code_o == 0
+        assert csv_body(out_b) == csv_body(out_o)
+        assert len(csv_body(out_b)) == 2
+
+    def test_infinite_bias_has_no_non_phase_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--n", "5", "--k", "7",
+                               "--eps", "0.001")
+        assert code == 0
+        assert csv_body(out)[1] == "0.001,inf,3,5,7,9.261e-05,0,9.261e-05"
+
+    @pytest.mark.parametrize("extra", [["--bias", "nan"], ["--bias", "-1"],
+                                       ["--eps", "-0.001"]])
+    def test_bad_point_rejected(self, capsys, extra):
+        argv = ["bounds", "--n", "5", "--k", "7", "--eps", "0.001"] + extra
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "must be" in err
+
+
 class TestSimulate:
     def test_zero_rates(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--gadget", "teleport",
@@ -169,6 +195,17 @@ class TestChannel:
         code, _, err = run_cli(capsys, "channel")
         assert code == 2
 
+    @pytest.mark.parametrize("qubit", [None, "A", "B"])
+    def test_search_never_below_bell(self, capsys, qubit):
+        extra = ["--qubit", qubit] if qubit else []
+        rates = {}
+        for probe in ("bell", "search"):
+            code, out, _ = run_cli(capsys, "channel", "--builtin", "cphase",
+                                   "--input", probe, *extra)
+            assert code == 0
+            rates[probe] = json.loads(out)["result"]["phase_rate"]
+        assert rates["search"] >= rates["bell"]
+
 
 class TestOracleCommand:
     def test_teleport_weight_one(self, capsys):
@@ -184,6 +221,15 @@ class TestOracleCommand:
             main(["oracle", "--gadget", "teleport", "--n", "3", "--k", "1"])
         assert exc.value.code == 2
         assert "--rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["-1", "-3"])
+    def test_negative_weight_rejected(self, capsys, weight):
+        code, out, err = run_cli(capsys, "oracle", "--gadget", "teleport",
+                                 "--n", "3", "--k", "1", "--rates", "zero",
+                                 "--weight", weight)
+        assert code == 2
+        assert out == ""
+        assert "weight" in err
 
     def test_leaky_table_rejected(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--gadget", "teleport",
@@ -216,6 +262,14 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--circuit", str(path))
         assert code == 3
         assert "violation" in err
+
+    @pytest.mark.parametrize("line", ["CZ 1", "MEASX", "# qubit 1"])
+    def test_short_line_is_config_error(self, capsys, tmp_path, line):
+        path = tmp_path / "short.txt"
+        path.write_text(f"# qubit 0 A data d\n{line}\n")
+        code, _, err = run_cli(capsys, "validate", "--circuit", str(path))
+        assert code == 2
+        assert "line 2" in err
 
 
 def scaled_table1(scale: float, phase_only: bool = False) -> ErrorRateTable:

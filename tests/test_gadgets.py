@@ -403,3 +403,19 @@ class TestSerialization:
     def test_unrecognized_line_rejected(self):
         with pytest.raises(ValueError):
             circuit_from_text("# qubit 0 A data d\nHADAMARD 0\n")
+
+    @pytest.mark.parametrize("line", ["CZ 1", "MEASX", "PREP", "# qubit 0",
+                                      "# block out", "# correction X",
+                                      "# group", "# meta", "# rep"])
+    def test_short_line_rejected_with_its_number(self, line):
+        text = f"# qubit 0 A data d\n{line}\n"
+        with pytest.raises(ValueError, match=f"line 2: .*{line!r}"):
+            circuit_from_text(text)
+
+    def test_correction_pauli_checked(self):
+        with pytest.raises(ValueError, match="line 2: .*X or Z"):
+            circuit_from_text("# qubit 0 A data d\n# correction Y d m\n")
+
+    def test_free_comment_accepted(self):
+        circ = circuit_from_text("# qubit 0 A data d\n# CZ\n#\nPREP 0\n")
+        assert len(circ.locations) == 1

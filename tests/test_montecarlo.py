@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from biasrep.gadgets import build_logical_cnot, build_teleport_identity
 from biasrep.montecarlo import (RateEstimate, brute_force_oracle,
-                                classify_batch, count_trials,
+                                classify_batch, classify_run, count_trials,
                                 estimate_logical_rates, fault_sites,
                                 majority, run_trial)
 from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
                                  zero_rates)
-from biasrep.pauli_frame import run_circuit_batch
+from biasrep.pauli_frame import (BatchRunResult, OutcomeRecord, PauliFrame,
+                                 RunResult, run_circuit_batch)
 
 from conftest import table_with, uniform_table
 
@@ -25,6 +27,69 @@ class TestMajority:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             majority([0, 1])
+
+    def test_elementwise_on_arrays(self):
+        rows = [np.array([1, 1, 0, 0], dtype=bool),
+                np.array([1, 0, 1, 0], dtype=bool),
+                np.array([0, 1, 1, 1], dtype=bool)]
+        assert majority(rows).tolist() == [True, True, True, False]
+        with pytest.raises(ValueError):
+            majority(rows[:2])
+
+
+def random_batch(circuit, trials: int, seed: int) -> BatchRunResult:
+    """Uniformly random outcome bits and output frames: every combination
+    the decoder can meet, not only those a noise model makes likely."""
+    rng = np.random.default_rng(seed)
+    meas = circuit.measure_locations
+    rows = lambda m: rng.random((m, trials)) < 0.5
+    return BatchRunResult(np.arange(trials, dtype=np.uint64), meas,
+                          rows(len(meas)), np.zeros((len(meas), trials), bool),
+                          rows(circuit.n_qubits), rows(circuit.n_qubits),
+                          rng.random((circuit.n_qubits, trials)) < 0.05)
+
+
+def column_run(batch: BatchRunResult, t: int) -> RunResult:
+    """The scalar run result of trial column t."""
+    frame = PauliFrame(batch.frame_x.shape[0])
+    frame.x[:] = batch.frame_x[:, t].tobytes()
+    frame.z[:] = batch.frame_z[:, t].tobytes()
+    frame.leaked[:] = batch.frame_leaked[:, t].tobytes()
+    bits = {loc: int(row[t]) for loc, row in
+            zip(batch.meas_locations, batch.outcome_bits)}
+    return RunResult(OutcomeRecord(bits), frame)
+
+
+class TestDecoder:
+    """One rule decodes a single trial and a batch: every column of
+    ``classify_batch`` equals ``classify_run`` on that column."""
+
+    @pytest.mark.parametrize("circuit", [
+        build_teleport_identity(3, 3), build_logical_cnot(3, 3),
+        build_logical_cnot(3, 3, pre_teleport=True)],
+        ids=["teleport33", "cnot33", "cnot33-pre-teleport"])
+    def test_batch_columns_equal_scalar(self, circuit):
+        trials = 600
+        batch = random_batch(circuit, trials, seed=5)
+        flags = classify_batch(circuit, batch)
+        assert all(f.dtype == bool and f.shape == (trials,) for f in flags)
+        for t in range(trials):
+            trial = classify_run(circuit, column_run(batch, t))
+            assert (trial.logical_z_error, trial.logical_x_error,
+                    trial.leaked_output) == tuple(bool(f[t]) for f in flags)
+        # the random inputs reach every outcome of each flag
+        assert all(0 < f.sum() < trials for f in flags)
+
+    def test_even_majority_group_rejected(self):
+        circuit = build_teleport_identity(3, 3)
+        name, ids = next(iter(circuit.groups.items()))
+        even = dataclasses.replace(circuit,
+                                   groups={**circuit.groups, name: ids[:2]})
+        batch = random_batch(even, 8, seed=1)
+        with pytest.raises(ValueError, match="odd"):
+            classify_batch(even, batch)
+        with pytest.raises(ValueError, match="odd"):
+            classify_run(even, column_run(batch, 0))
 
 
 class TestRateEstimate:
