@@ -20,8 +20,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import BiasPoint, cnot_bound, optimize_nk, sweep
-from .channels import (amplitude_damping, bell_phi0, builtin_cphase_kraus,
-                       diamond_lower_bound, kraus_from_json, split_channel)
+from .channels import (ClassifiedKraus, amplitude_damping, bell_phi0,
+                       builtin_cphase_kraus, diamond_lower_bound,
+                       kraus_from_json, split_channel)
 from .gadgets import build_gadget, check_schedule, circuit_from_text
 from .montecarlo import RateEstimate, brute_force_oracle, count_trials
 from .noise_model import ErrorRateTable, default_rates, zero_rates
@@ -48,6 +49,16 @@ def _load_rates(source: str) -> ErrorRateTable:
         raise ConfigError(f"cannot read rate table {source!r}: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad rate table {source!r}: {exc}") from exc
+
+
+def _load_kraus(path: str) -> list[ClassifiedKraus]:
+    try:
+        with open(path) as fh:
+            return kraus_from_json(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read Kraus file {path!r}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad Kraus file {path!r}: {exc}") from exc
 
 
 def _parse_trials(text: str) -> int:
@@ -238,19 +249,14 @@ def cmd_channel(args: argparse.Namespace) -> int:
             "completeness_error": ad.kraus.completeness_defect(),
         }
     elif args.builtin == "cphase" or args.kraus_json:
-        if args.kraus_json:
-            with open(args.kraus_json) as fh:
-                classified = kraus_from_json(fh.read())
-        else:
-            classified = builtin_cphase_kraus()
+        classified = (_load_kraus(args.kraus_json) if args.kraus_json
+                      else builtin_cphase_kraus())
         parts = split_channel(classified, resolve=args.qubit)
-        if args.input == "bell" and parts.full.dim == 16:
-            probes = [(bell_phi0(), 1)]
-        elif args.input == "search":
-            probes = None
-        else:
-            raise ConfigError(f"unknown input {args.input!r} "
-                              "(expected 'bell' or 'search')")
+        if args.input == "bell" and parts.full.dim != 16:
+            raise ConfigError("--input bell needs the 16-dimensional two-qubit "
+                              "space; these Kraus operators act on dimension "
+                              f"{parts.full.dim} (use --input search)")
+        probes = [(bell_phi0(), 1)] if args.input == "bell" else None
         result = {
             "phase_rate": diamond_lower_bound(parts.e_phase, probes,
                                               random_restarts=args.restarts,
@@ -384,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     chan.add_argument("--builtin", choices=("cphase",), default=None)
     chan.add_argument("--kraus-json", default=None)
     chan.add_argument("--amplitude-damping", type=float, default=None)
-    chan.add_argument("--input", default="bell",
-                      help="'bell' or 'search' (canonical + random probes)")
+    chan.add_argument("--input", choices=("bell", "search"), default="bell",
+                      help="'search' maximizes over canonical and random "
+                           "probes, and the Bell input on two qubits")
     chan.add_argument("--qubit", choices=("A", "B"), default=None)
     chan.add_argument("--restarts", type=int, default=0)
     chan.add_argument("--seed", type=int, default=0)

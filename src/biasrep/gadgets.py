@@ -323,7 +323,9 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
     different species and never two data qubits; data qubits are species A
     and ancillas species B; prepared qubits are not used before their
     preparation; within each ancilla chain, output-block couplings precede
-    input-block couplings.
+    input-block couplings; majority groups have odd size and name
+    measurement locations; corrections name existing groups and target
+    output blocks.
     """
     violations: list[tuple[int, str]] = []
     n = circuit.n_qubits
@@ -374,6 +376,28 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
                 violations.append(
                     (loc.index, f"qubit {q} used before its preparation at "
                                 f"location {first_prep}"))
+
+    measured = set(circuit.measure_locations)
+    for name, ids in circuit.groups.items():
+        if len(ids) % 2 == 0:
+            violations.append(
+                (-1, f"majority group {name!r} has even size {len(ids)}"))
+        for loc_id in ids:
+            if loc_id not in measured:
+                violations.append(
+                    (loc_id, f"majority group {name!r} names a location "
+                             f"that is not a measurement"))
+    outputs = {b.name for b in circuit.output_blocks}
+    for c in circuit.corrections:
+        if c.block not in outputs:
+            violations.append(
+                (-1, f"{c.pauli} correction targets block {c.block!r}, "
+                     f"which is not an output block"))
+        for src in c.sources:
+            if src not in circuit.groups:
+                violations.append(
+                    (-1, f"{c.pauli} correction on block {c.block!r} names "
+                         f"no group {src!r}"))
     return violations
 
 

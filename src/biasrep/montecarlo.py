@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -235,17 +235,77 @@ def fault_sites(circuit: Circuit, rates: ErrorRateTable) -> list[FaultSite]:
     return sites
 
 
+def _fault_effects(circuit: Circuit, faults: Sequence[FaultEvent],
+                   zero: ErrorRateTable) -> np.ndarray:
+    """The effect of each single fault: the outcome bits (in
+    ``measure_locations`` order), output frame x bits and z bits of a run on
+    the zero table under ``never-z`` with that fault forced.  Returned as
+    the columns of a bool array [outcomes + 2 * qubits, faults]."""
+    rows = []
+    for fault in faults:
+        run = run_circuit(circuit, zero, 0, forced_faults=[fault],
+                          leak_policy=LeakPolicy.NEVER_Z, validate=False)
+        rows.append([*(run.outcomes.bits[loc] for loc in circuit.measure_locations),
+                     *run.frame.x, *run.frame.z])
+    width = len(circuit.measure_locations) + 2 * circuit.n_qubits
+    return np.array(rows, dtype=bool).reshape(-1, width).T
+
+
+# Patterns decoded per numpy pass of the oracle; it bounds the pass's memory
+# (a few times outcomes + 2 * qubits bytes per pattern).
+_ORACLE_CHUNK = 1 << 15
+
+
+def _pattern_chunks(n_classes: np.ndarray, w: int):
+    """Every weight-``w`` fault pattern over sites with ``n_classes[i]``
+    fault classes each, numbered site by site and class by class, as
+    arrays [patterns, w] of those numbers.  Patterns come in enumeration
+    order: ``combinations`` of sites, then the ``product`` of their classes
+    with the last site fastest.  A chunk holds at most ``_ORACLE_CHUNK``
+    patterns, or one combination's."""
+    first = np.cumsum(n_classes) - n_classes
+    per_chunk = max(1, _ORACLE_CHUNK // int(n_classes.max()) ** w)
+    combos = combinations(range(len(n_classes)), w)
+    while True:
+        site = np.fromiter(chain.from_iterable(islice(combos, per_chunk)),
+                           dtype=np.intp).reshape(-1, w)
+        if not site.size:
+            return
+        radix = n_classes[site]
+        counts = radix.prod(axis=1)
+        combo = np.repeat(np.arange(len(site)), counts)
+        rest = np.arange(len(combo)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows, radix = first[site[combo]], radix[combo]
+        for j in range(w - 1, -1, -1):
+            rest, cls = np.divmod(rest, radix[:, j])
+            rows[:, j] += cls
+        yield rows
+
+
+def _carried_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...`` added left to right, as a
+    Python loop would (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+
+
 def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
                        weight_max: int, *,
                        max_patterns: int = 2_000_000) -> OracleResult:
     """Exact logical-error probability from exhaustive fault patterns up to
     the given weight.
 
-    Every pattern is propagated deterministically through the frame backend
-    (zero sampled rates, forced faults only) and weighted by the product of
-    its fault probabilities and the no-fault survival of all other sites.
-    The result is exact up to patterns of weight > weight_max, whose total
-    probability is bounded by ``remainder_bound``.
+    Each pattern is weighted by the product of its fault probabilities and
+    the no-fault survival of all other sites.  The result is exact up to
+    patterns of weight > weight_max, whose total probability is bounded by
+    ``remainder_bound``.
+
+    Without leakage (:func:`fault_sites` rejects it) and with zero sampled
+    rates, frame propagation is linear over GF(2): a pattern's outcomes and
+    output frame are the XOR of the effects of its single faults.  Each
+    single fault is propagated once through the frame backend; patterns are
+    then formed and decoded in batches.  For every weight, the first pattern
+    decoded as a logical error and the first decoded as clean are replayed
+    through :func:`run_trial`; a disagreement raises ``RuntimeError``.
     """
     if weight_max < 0:
         raise ValueError(f"weight_max must be >= 0, got {weight_max}")
@@ -261,10 +321,18 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
                          f"for {L} sites at weight {weight_max} "
                          f"(limit {max_patterns})")
 
-    zero = zero_rates()
     survival_all = 1.0
     for s in sites:
         survival_all *= 1.0 - s.total
+    # One entry per (site, fault class), in enumeration order.
+    faults = [FaultEvent(s.location_id, s.qubit, kind)
+              for s in sites for kind, _ in s.choices]
+    factor = np.array([p / (1.0 - s.total) for s in sites for _, p in s.choices])
+    n_classes = np.array([len(s.choices) for s in sites], dtype=np.intp)
+    zero = zero_rates()
+    effects = _fault_effects(gadget, faults, zero)
+    M = len(gadget.measure_locations)
+    N = gadget.n_qubits
 
     by_z = [0.0] * (weight_max + 1)
     by_x = [0.0] * (weight_max + 1)
@@ -273,26 +341,38 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     prob_either = 0.0
     patterns_run = 0
     for w in range(1, weight_max + 1):
-        for combo in combinations(range(L), w):
-            chosen = [sites[i] for i in combo]
-            for picks in product(*(s.choices for s in chosen)):
-                weight = survival_all
-                events = []
-                for site, (kind, p) in zip(chosen, picks):
-                    weight *= p / (1.0 - site.total)
-                    events.append(FaultEvent(site.location_id, site.qubit, kind))
-                trial = run_trial(gadget, zero, 0, 0, forced_faults=events,
-                                  leak_policy=LeakPolicy.NEVER_Z,
-                                  validate=False)
-                patterns_run += 1
-                if trial.logical_z_error:
-                    by_z[w] += weight
-                    cnt_z[w] += 1
-                if trial.logical_x_error:
-                    by_x[w] += weight
-                    cnt_x[w] += 1
-                if trial.logical_z_error or trial.logical_x_error:
-                    prob_either += weight
+        replay = {}     # first pattern decoded as an error (True) / as clean
+        for rows in _pattern_chunks(n_classes, w) if L >= w else ():
+            weight = survival_all * factor[rows[:, 0]]
+            pattern = effects[:, rows[:, 0]]
+            for j in range(1, w):
+                weight *= factor[rows[:, j]]
+                pattern ^= effects[:, rows[:, j]]
+            B = len(rows)
+            lz, lx, _ = classify_batch(gadget, BatchRunResult(
+                np.arange(patterns_run, patterns_run + B, dtype=np.uint64),
+                gadget.measure_locations, pattern[:M], np.zeros((M, B), bool),
+                pattern[M:M + N], pattern[M + N:], np.zeros((N, B), bool)))
+            patterns_run += B
+            either = lz | lx
+            by_z[w] = _carried_sum(by_z[w], weight[lz])
+            by_x[w] = _carried_sum(by_x[w], weight[lx])
+            prob_either = _carried_sum(prob_either, weight[either])
+            cnt_z[w] += int(lz.sum())
+            cnt_x[w] += int(lx.sum())
+            for flag in {True, False} - replay.keys():
+                hits = np.flatnonzero(either == flag)
+                if hits.size:
+                    i = hits[0]
+                    replay[flag] = ([faults[r] for r in rows[i]],
+                                    TrialResult(bool(lz[i]), bool(lx[i]), False))
+        for events, expected in replay.values():
+            trial = run_trial(gadget, zero, 0, 0, forced_faults=events,
+                              leak_policy=LeakPolicy.NEVER_Z, validate=False)
+            if trial != expected:
+                raise RuntimeError(
+                    f"linear fault enumeration gives {expected} for {events}, "
+                    f"but propagating the pattern gives {trial}")
 
     # P(more than weight_max faults) via the binomial tail union bound.
     p_max = max((s.total for s in sites), default=0.0)

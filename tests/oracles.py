@@ -4,18 +4,24 @@ Nothing here shares code with the package's frame backend: the state-vector
 simulator enumerates measurement branches exactly, the stabilizer tableau
 implements the textbook binary-symplectic algorithm, and the diamond-norm
 maximizer does brute multistart optimization.  These are the referees the
-fast implementations are checked against.
+fast implementations are checked against.  The one exception is
+:func:`replay_oracle`, which propagates every fault pattern through the
+package's scalar engine; it is the reference for the linear enumeration in
+``brute_force_oracle``, not for the engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
 from biasrep.gadgets import Circuit
-from biasrep.noise_model import OpKind
+from biasrep.montecarlo import OracleResult, fault_sites, run_trial
+from biasrep.noise_model import ErrorRateTable, FaultEvent, OpKind, zero_rates
+from biasrep.pauli_frame import LeakPolicy
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -394,3 +400,54 @@ def diamond_norm_1q_exact(apply_map, restarts: int = 60, seed: int = 5,
                                     "fatol": 1e-13})
             best = max(best, -res.fun)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Fault enumeration, one scalar run per pattern
+# ---------------------------------------------------------------------------
+
+def replay_oracle(gadget: Circuit, rates: ErrorRateTable,
+                  weight_max: int) -> OracleResult:
+    """``brute_force_oracle`` without the linearity premise: every pattern
+    of weight <= weight_max is propagated through ``run_trial`` with its
+    faults forced, and its weight and the sums are formed pattern by
+    pattern in enumeration order."""
+    sites = fault_sites(gadget, rates)
+    L = len(sites)
+    zero = zero_rates()
+    survival_all = 1.0
+    for s in sites:
+        survival_all *= 1.0 - s.total
+    by_z = [0.0] * (weight_max + 1)
+    by_x = [0.0] * (weight_max + 1)
+    cnt_z = [0] * (weight_max + 1)
+    cnt_x = [0] * (weight_max + 1)
+    prob_either = 0.0
+    patterns_run = 0
+    for w in range(1, weight_max + 1):
+        for combo in combinations(range(L), w):
+            chosen = [sites[i] for i in combo]
+            for picks in product(*(s.choices for s in chosen)):
+                weight = survival_all
+                events = []
+                for site, (kind, p) in zip(chosen, picks):
+                    weight *= p / (1.0 - site.total)
+                    events.append(FaultEvent(site.location_id, site.qubit, kind))
+                trial = run_trial(gadget, zero, 0, 0, forced_faults=events,
+                                  leak_policy=LeakPolicy.NEVER_Z,
+                                  validate=False)
+                patterns_run += 1
+                if trial.logical_z_error:
+                    by_z[w] += weight
+                    cnt_z[w] += 1
+                if trial.logical_x_error:
+                    by_x[w] += weight
+                    cnt_x[w] += 1
+                if trial.logical_z_error or trial.logical_x_error:
+                    prob_either += weight
+    p_max = max((s.total for s in sites), default=0.0)
+    remainder = math.comb(L, weight_max + 1) * p_max**(weight_max + 1) \
+        if L > weight_max else 0.0
+    return OracleResult(weight_max, L, sum(by_z), sum(by_x), prob_either,
+                        tuple(by_z), tuple(by_x), tuple(cnt_z), tuple(cnt_x),
+                        remainder, patterns_run)

@@ -195,6 +195,43 @@ class TestChannel:
         code, _, err = run_cli(capsys, "channel")
         assert code == 2
 
+    def test_unknown_input_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["channel", "--builtin", "cphase", "--input", "ghz"])
+        assert exc.value.code == 2
+        assert "--input" in capsys.readouterr().err
+
+    def test_missing_kraus_file_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run_cli(capsys, "channel", "--kraus-json", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot read Kraus file" in err and str(path) in err
+
+    def test_kraus_entry_not_a_pair_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(
+            {"dim": 2, "operators": [{"identity": [[1, 0], [0, 1]]}]}))
+        code, out, err = run_cli(capsys, "channel", "--kraus-json", str(path))
+        assert code == 2
+        assert out == ""
+        assert "bad Kraus file" in err and str(path) in err
+
+    def test_bell_input_needs_two_qubit_space(self, capsys, tmp_path):
+        identity = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
+                    for i in range(4)]
+        path = tmp_path / "id4.json"
+        path.write_text(json.dumps(
+            {"dim": 4, "operators": [{"identity": identity}]}))
+        code, out, err = run_cli(capsys, "channel", "--kraus-json", str(path))
+        assert code == 2
+        assert out == ""
+        assert "16-dimensional" in err and "dimension 4" in err
+        assert "unknown input" not in err
+        code, _, _ = run_cli(capsys, "channel", "--kraus-json", str(path),
+                             "--input", "search", "--restarts", "2")
+        assert code == 0
+
     @pytest.mark.parametrize("qubit", [None, "A", "B"])
     def test_search_never_below_bell(self, capsys, qubit):
         extra = ["--qubit", qubit] if qubit else []
@@ -262,6 +299,15 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--circuit", str(path))
         assert code == 3
         assert "violation" in err
+
+    def test_even_majority_group_is_violation(self, capsys, tmp_path):
+        text = circuit_to_text(build_teleport_identity(1, 1)).replace(
+            "# group xread_in 5", "# group xread_in 4 5")
+        path = tmp_path / "even.txt"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "validate", "--circuit", str(path))
+        assert code == 3
+        assert "even size" in err
 
     @pytest.mark.parametrize("line", ["CZ 1", "MEASX", "# qubit 1"])
     def test_short_line_is_config_error(self, capsys, tmp_path, line):

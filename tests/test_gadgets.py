@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from biasrep.gadgets import (Block, Circuit, Location, Qubit,
+from biasrep.gadgets import (Block, Circuit, Correction, Location, Qubit,
                              GadgetParams, build_logical_cnot,
                              build_parity_measurement,
                              build_teleport_identity, check_schedule,
@@ -82,6 +83,55 @@ class TestSchedule:
                        Location(2, OpKind.MEASURE_X, (1,))),
             blocks=(Block("d", (0,), "input"),))
         assert any("before its preparation" in msg
+                   for _, msg in check_schedule(bad))
+
+    @pytest.mark.parametrize("name,build", [
+        ("teleport-1-1", lambda: build_teleport_identity(1, 1)),
+        ("teleport-3-1", lambda: build_teleport_identity(3, 1)),
+        ("teleport-3-3", lambda: build_teleport_identity(3, 3)),
+        ("teleport-5-3", lambda: build_teleport_identity(5, 3)),
+        ("teleport-5-7", lambda: build_teleport_identity(5, 7)),
+        ("cnot-1-1", lambda: build_logical_cnot(1, 1)),
+        ("cnot-3-1", lambda: build_logical_cnot(3, 1)),
+        ("cnot-3-3", lambda: build_logical_cnot(3, 3)),
+        ("cnot-5-7", lambda: build_logical_cnot(5, 7)),
+        ("cnot-1-1-pre", lambda: build_logical_cnot(1, 1, pre_teleport=True)),
+        ("cnot-3-3-pre", lambda: build_logical_cnot(3, 3, pre_teleport=True)),
+        ("parity-1-k1", lambda: build_parity_measurement([1], 1)),
+        ("parity-1-1-k1", lambda: build_parity_measurement([1, 1], 1)),
+        ("parity-2-k5", lambda: build_parity_measurement([2], 5)),
+        ("parity-2-2-k3", lambda: build_parity_measurement([2, 2], 3)),
+    ])
+    def test_built_gadgets_satisfy_group_and_correction_rules(self, name, build):
+        assert check_schedule(build()) == []
+
+    def test_even_majority_group_flagged(self):
+        tele = build_teleport_identity(3, 1)
+        bad = dataclasses.replace(tele, groups={**tele.groups,
+                                                "xread_in": (11, 12)})
+        assert any("'xread_in' has even size 2" in msg
+                   for _, msg in check_schedule(bad))
+
+    def test_group_naming_non_measurement_flagged(self):
+        tele = build_teleport_identity(3, 1)
+        assert tele.locations[4].kind is OpKind.CPHASE
+        bad = dataclasses.replace(tele, groups={**tele.groups,
+                                                "xread_in": (4, 12, 13)})
+        assert (4, "majority group 'xread_in' names a location that is not "
+                   "a measurement") in check_schedule(bad)
+
+    def test_correction_source_without_group_flagged(self):
+        tele = build_teleport_identity(3, 1)
+        bad = dataclasses.replace(tele, corrections=(
+            *tele.corrections, Correction("X", "out", ("missing",))))
+        assert any("names no group 'missing'" in msg
+                   for _, msg in check_schedule(bad))
+
+    def test_correction_on_input_block_flagged(self):
+        tele = build_teleport_identity(3, 1)
+        bad = dataclasses.replace(tele, corrections=(
+            *tele.corrections, Correction("Z", "in", ("zz",))))
+        assert any("block 'in', which is not an output block" in msg
                    for _, msg in check_schedule(bad))
 
     def test_ancillas_fresh_per_round(self):

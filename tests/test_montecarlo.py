@@ -1,20 +1,25 @@
 import dataclasses
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from biasrep import montecarlo
+from biasrep.cli import main
 from biasrep.gadgets import build_logical_cnot, build_teleport_identity
 from biasrep.montecarlo import (RateEstimate, brute_force_oracle,
                                 classify_batch, classify_run, count_trials,
                                 estimate_logical_rates, fault_sites,
                                 majority, run_trial)
-from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
-                                 zero_rates)
-from biasrep.pauli_frame import (BatchRunResult, OutcomeRecord, PauliFrame,
-                                 RunResult, run_circuit_batch)
+from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
+                                 OpKind, Rates, default_rates, zero_rates)
+from biasrep.pauli_frame import (BatchRunResult, LeakPolicy, OutcomeRecord,
+                                 PauliFrame, RunResult, run_circuit,
+                                 run_circuit_batch)
 
 from conftest import table_with, uniform_table
+from oracles import replay_oracle
 
 
 class TestMajority:
@@ -292,3 +297,119 @@ class TestBruteForceOracle:
         expected = {(loc.index, q) for loc in tele.locations
                     for q in loc.qubits}
         assert qubit_sites == expected
+
+
+def table1_without(*fields: str) -> ErrorRateTable:
+    """The built-in rates with the named ``Rates`` fields set to zero."""
+    return ErrorRateTable(entries={
+        key: dataclasses.replace(r, **dict.fromkeys(fields, 0.0))
+        for key, r in default_rates().entries.items()})
+
+
+PHASE_ONLY = ("eps_other", "eps_leak")
+LEAK_FREE = ("eps_leak",)
+
+
+class TestLinearOracle:
+    """``brute_force_oracle`` XORs single-fault effects and decodes patterns
+    in batches; these tests hold it to one scalar run per pattern."""
+
+    @pytest.mark.parametrize("build,rates,weight", [
+        (lambda: build_teleport_identity(3, 1), PHASE_ONLY, 3),
+        (lambda: build_teleport_identity(3, 1), LEAK_FREE, 3),
+        (lambda: build_teleport_identity(3, 3), PHASE_ONLY, 3),
+        (lambda: build_teleport_identity(3, 3), LEAK_FREE, 2),
+        (lambda: build_logical_cnot(3, 3), PHASE_ONLY, 2),
+        (lambda: build_logical_cnot(3, 3), LEAK_FREE, 1),
+    ], ids=["teleport31-phase", "teleport31-leakfree", "teleport33-phase",
+            "teleport33-leakfree", "cnot33-phase", "cnot33-leakfree"])
+    def test_equals_replay_per_pattern(self, build, rates, weight):
+        circuit, table = build(), table1_without(*rates)
+        for w in range(1, weight + 1):
+            assert brute_force_oracle(circuit, table, w) == \
+                replay_oracle(circuit, table, w)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 15])
+    def test_patterns_in_enumeration_order(self, monkeypatch, chunk):
+        # combinations of sites, then the product of their classes with the
+        # last site fastest; rows number the classes site by site
+        monkeypatch.setattr(montecarlo, "_ORACLE_CHUNK", chunk)
+        n_classes = [2, 1, 3, 2, 1]
+        first = np.cumsum(n_classes) - n_classes
+        for w in (1, 2, 3):
+            expected = [rows for combo in combinations(range(5), w)
+                        for rows in product(*(range(first[i], first[i] + n_classes[i])
+                                              for i in combo))]
+            chunks = list(montecarlo._pattern_chunks(np.array(n_classes), w))
+            assert [tuple(r) for c in chunks for r in c.tolist()] == expected
+            assert max(map(len, chunks)) <= max(chunk, 3**w)
+
+    def test_chunk_boundaries_change_nothing(self, monkeypatch):
+        # one site combination per chunk: carried sums, counts and the
+        # replay choice all cross chunk boundaries
+        tele, table = build_teleport_identity(3, 1), table1_without(*LEAK_FREE)
+        monkeypatch.setattr(montecarlo, "_ORACLE_CHUNK", 5)
+        assert brute_force_oracle(tele, table, 3) == \
+            replay_oracle(tele, table, 3)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_logical_cnot(3, 3),
+        lambda: build_teleport_identity(3, 3),
+        lambda: build_logical_cnot(3, 3, pre_teleport=True),
+    ], ids=["cnot33", "teleport33", "cnot33-pre-teleport"])
+    def test_pattern_effect_is_xor_of_single_effects(self, build):
+        circuit = build()
+        sites = fault_sites(circuit, table1_without(*LEAK_FREE))
+        faults = [FaultEvent(s.location_id, s.qubit, kind)
+                  for s in sites for kind, _ in s.choices]
+        effects = montecarlo._fault_effects(circuit, faults, zero_rates())
+        n_classes = [len(s.choices) for s in sites]
+        first = np.cumsum(n_classes) - n_classes
+        rng = np.random.default_rng(7)
+        for w in (2, 2, 3, 3) * 25:
+            chosen = rng.choice(len(sites), size=w, replace=False)
+            rows = [first[i] + rng.integers(n_classes[i]) for i in chosen]
+            run = run_circuit(circuit, zero_rates(), 0,
+                              forced_faults=[faults[r] for r in rows],
+                              leak_policy=LeakPolicy.NEVER_Z)
+            whole = [run.outcomes.bits[loc] for loc in circuit.measure_locations]
+            whole += [*run.frame.x, *run.frame.z]
+            assert not any(run.frame.leaked)
+            assert np.bitwise_xor.reduce(effects[:, rows], axis=1).tolist() \
+                == [bool(b) for b in whole]
+
+    def test_replays_a_few_patterns_per_weight(self, monkeypatch):
+        calls = []
+        real = montecarlo.run_trial
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["forced_faults"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run_trial", counted)
+        tele = build_teleport_identity(3, 3)
+        result = brute_force_oracle(tele, table1_without(*PHASE_ONLY), 2)
+        # weight 1 has no logical error to replay; weight 2 has both kinds
+        assert result.count_z[1] == result.count_x[1] == 0
+        assert [len(events) for events in calls] == [1, 2, 2]
+
+    def test_replay_disagreement_raises(self, monkeypatch, capsys, tmp_path):
+        real = montecarlo.run_trial
+
+        def flipped(*args, **kwargs):
+            trial = real(*args, **kwargs)
+            return dataclasses.replace(
+                trial, logical_z_error=not trial.logical_z_error)
+
+        monkeypatch.setattr(montecarlo, "run_trial", flipped)
+        tele, table = build_teleport_identity(3, 1), table1_without(*PHASE_ONLY)
+        with pytest.raises(RuntimeError, match="linear fault enumeration"):
+            brute_force_oracle(tele, table, 2)
+        path = tmp_path / "phase.json"
+        path.write_text(table.to_json())
+        code = main(["oracle", "--gadget", "teleport", "--n", "3", "--k", "1",
+                     "--weight", "2", "--rates", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "invariant violation" in err
