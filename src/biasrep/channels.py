@@ -1,6 +1,6 @@
-"""Dense-matrix superoperator toolkit: Kraus sets, trace and diamond norms,
-the identity/phase/other/leakage channel decomposition, amplitude damping,
-and preparation-state error rates.
+"""Superoperator toolkit: Kraus sets, trace and diamond norms, the
+identity/phase/other/leakage channel decomposition, amplitude damping, and
+preparation-state error rates.
 
 Single-qubit operators live on the 4-dimensional space
 
@@ -14,11 +14,13 @@ product.
 
 Channels that are differences of completely positive maps are represented
 as signed operator-pair sums E(X) = sum_j s_j A_j X B_j^dagger, which keeps
-the decomposition algebra exact.
+the decomposition algebra exact.  A probe's reference-extended output is
+never formed as a matrix, only as a factor (see :func:`input_distance`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,17 +45,11 @@ KET_P1 = np.array([0, 1], dtype=complex)       # 1-photon
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
+    return functools.reduce(np.kron, ops, np.array([[1.0 + 0j]]))
 
 
 def ket(*factors: np.ndarray) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
+    return functools.reduce(np.kron, factors, np.array([1.0 + 0j]))
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -76,11 +72,14 @@ def two_qubit(op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
     return np.kron(op_a, op_b)
 
 
+# (|0~ 0~> + |1~ 1~>)/sqrt(2) on the 16-dim two-qubit space, the worst-case
+# phase-noise input.
+KET_BELL = (ket(KET_0T, KET_0T) + ket(KET_1T, KET_1T)) / math.sqrt(2)
+
+
 def bell_phi0() -> np.ndarray:
-    """Density matrix of (|0~ 0~> + |1~ 1~>)/sqrt(2) on the 16-dim two-qubit
-    space, the worst-case phase-noise input."""
-    vec = (ket(KET_0T, KET_0T) + ket(KET_1T, KET_1T)) / math.sqrt(2)
-    return projector(vec)
+    """Density matrix of :data:`KET_BELL`."""
+    return projector(KET_BELL)
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +98,11 @@ def apply_channel(kraus: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(a, dtype=complex),
-                               compute_uv=False).sum())
-
-
-def operator_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(np.asarray(a, dtype=complex),
-                               compute_uv=False).max())
+    """Sum of singular values; a 1-D ket v stands for |v><v|."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 1:
+        return float(np.vdot(a, a).real)
+    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 @dataclass(frozen=True)
@@ -137,42 +133,60 @@ class PairMap:
     def __add__(self, other: "PairMap") -> "PairMap":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return PairMap(self.terms + other.terms, self.dim)
+        merged: list[list] = []
+        for s, a, b in self.terms + other.terms:
+            for term in merged:
+                if np.array_equal(term[1], a) and np.array_equal(term[2], b):
+                    term[0] += s
+                    break
+            else:
+                merged.append([s, a, b])
+        return PairMap(tuple((s, a, b) for s, a, b in merged
+                             if s != 0 and a.any() and b.any()), self.dim)
 
     def __sub__(self, other: "PairMap") -> "PairMap":
-        flipped = tuple((-s, a, b) for s, a, b in other.terms)
-        return PairMap(self.terms + flipped, self.dim)
-
-    def extended(self, ref_dim: int) -> "PairMap":
-        """I_ref (x) E, for entangled inputs on a doubled space."""
-        if ref_dim == 1:
-            return self
-        eye = np.eye(ref_dim, dtype=complex)
-        return PairMap(tuple((s, np.kron(eye, a), np.kron(eye, b))
-                             for s, a, b in self.terms), self.dim * ref_dim)
+        return self + PairMap(tuple((-s, a, b) for s, a, b in other.terms),
+                              other.dim)
 
 
 def input_distance(channel: PairMap, x: np.ndarray, ref_dim: int = 1) -> float:
-    """Trace norm of the (reference-extended) channel output for one input;
-    a lower bound on the diamond norm when x has unit trace norm."""
-    return trace_norm(channel.extended(ref_dim)(np.asarray(x, dtype=complex)))
+    """|| (I_ref (x) E)(x) ||_tr, a lower bound on the diamond norm when x
+    has unit trace norm.  A 1-D ``x`` is a ket v standing for |v><v|; a 2-D
+    ``x`` is factored once by SVD, x = sum_i sigma_i p_i q_i^dagger.
+
+    The output is U diag(c) W^dagger with D-row columns u = (I (x) A_j) p_i
+    = vec(P A_j^T) for P = p reshaped to (ref_dim, dim), w likewise from
+    B_j and q_i, and c = s_j sigma_i.  With W = Q R its trace norm is that
+    of the D x (terms * rank) factor U diag(c) R^dagger."""
+    if not channel.terms:
+        return 0.0
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 1:
+        left = right = x
+        sigma = np.ones(1)
+    else:
+        left, sigma, right = np.linalg.svd(x)
+        right = right.conj().T
+    signs, a_ops, b_ops = (np.array(t) for t in zip(*channel.terms))
+
+    def columns(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        # (I (x) op_j) vecs_i as a D x (terms * rank) matrix, term-major
+        out = ops[:, None] @ vecs.reshape(ref_dim, channel.dim, -1)
+        return out.transpose(1, 2, 0, 3).reshape(len(x), -1)
+
+    r = np.linalg.qr(columns(b_ops, right), mode="r")
+    weights = np.outer(signs, sigma).ravel()
+    return trace_norm((columns(a_ops, left) * weights) @ r.conj().T)
 
 
 def canonical_inputs(dim: int) -> list[tuple[np.ndarray, int]]:
-    """Standard probe inputs as (state, ref_dim) pairs: computational basis
+    """Standard probe kets as (state, ref_dim) pairs: computational basis
     states, the uniform superposition, and the maximally entangled state on
     the doubled space."""
-    inputs: list[tuple[np.ndarray, int]] = []
-    for i in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[i] = 1.0
-        inputs.append((projector(v), 1))
-    inputs.append((projector(np.full(dim, 1 / math.sqrt(dim), dtype=complex)), 1))
-    me = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        me[i * dim + i] = 1 / math.sqrt(dim)
-    inputs.append((projector(me), dim))
-    return inputs
+    eye = np.eye(dim, dtype=complex)
+    return [(v, 1) for v in eye] + [
+        (np.full(dim, 1 / math.sqrt(dim), dtype=complex), 1),
+        (eye.ravel() / math.sqrt(dim), dim)]
 
 
 def diamond_lower_bound(channel: PairMap,
@@ -180,26 +194,22 @@ def diamond_lower_bound(channel: PairMap,
                         random_restarts: int = 0, seed: int = 0) -> float:
     """Heuristic diamond-norm estimate: the maximum of
     :func:`input_distance` over the supplied inputs (by default the
-    canonical probes, plus the Bell input :func:`bell_phi0` on the 16-dim
+    canonical probes, plus the Bell input :data:`KET_BELL` on the 16-dim
     two-qubit space) and optionally over random pure states on the doubled
     space.  Always a lower bound on the true diamond norm."""
     if inputs is None:
         probes = canonical_inputs(channel.dim)
         if channel.dim == 16:
-            probes.append((bell_phi0(), 1))
+            probes.append((KET_BELL, 1))
     else:
         probes = list(inputs)
-    best = 0.0
-    for x, ref_dim in probes:
-        best = max(best, input_distance(channel, x, ref_dim))
-    if random_restarts:
-        rng = np.random.default_rng(seed)
-        d2 = channel.dim * channel.dim
-        for _ in range(random_restarts):
-            v = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
-            v /= np.linalg.norm(v)
-            best = max(best, input_distance(channel, projector(v), channel.dim))
-    return best
+    rng = np.random.default_rng(seed)
+    d2 = channel.dim * channel.dim
+    for _ in range(random_restarts):
+        v = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+        probes.append((v / np.linalg.norm(v), channel.dim))
+    return max((input_distance(channel, x, ref_dim) for x, ref_dim in probes),
+               default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +231,8 @@ class ClassifiedKraus:
     def build(cls, dim: int, identity=None, diagonal=None, nondiagonal=None,
               leakage=None) -> "ClassifiedKraus":
         zero = np.zeros((dim, dim), dtype=complex)
-
-        def arr(x):
-            return zero if x is None else np.asarray(x, dtype=complex)
-
-        return cls(arr(identity), arr(diagonal), arr(nondiagonal), arr(leakage))
+        return cls(*(zero if x is None else np.asarray(x, dtype=complex)
+                     for x in (identity, diagonal, nondiagonal, leakage)))
 
     @property
     def dim(self) -> int:
@@ -260,21 +267,14 @@ class KrausSet:
             raise ValueError(f"Kraus completeness violated by {excess:.3e}")
 
     def gram(self) -> np.ndarray:
-        dim = self.operators[0].shape[0]
-        g = np.zeros((dim, dim), dtype=complex)
-        for m in self.operators:
-            g += m.conj().T @ m
-        return g
+        return sum(m.conj().T @ m for m in self.operators)
 
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
     def completeness_defect(self) -> float:
-        return operator_norm(self.gram() - np.eye(self.dim))
-
-    def as_map(self) -> PairMap:
-        return PairMap.from_kraus(self.operators)
+        return float(np.linalg.norm(self.gram() - np.eye(self.dim), 2))
 
 
 @dataclass(frozen=True)
@@ -297,11 +297,9 @@ class ChannelParts:
         dim = self.full.dim
         if probes is None:
             rng = np.random.default_rng(seed)
-            probes = []
-            for _ in range(samples):
-                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                v /= np.linalg.norm(v)
-                probes.append(projector(v))
+            vs = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                  for _ in range(samples))
+            probes = [projector(v / np.linalg.norm(v)) for v in vs]
         worst = 0.0
         for x in probes:
             recomposed = self.ihat(x) + self.e_phase(x) + self.e_other(x) \

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BiasPoint, cnot_bound, optimize_nk, sweep
-from .channels import (ClassifiedKraus, amplitude_damping, bell_phi0,
+from .channels import (KET_BELL, ClassifiedKraus, amplitude_damping,
                        builtin_cphase_kraus, diamond_lower_bound,
                        kraus_from_json, split_channel)
 from .gadgets import build_gadget, check_schedule, circuit_from_text
@@ -237,6 +237,8 @@ def cmd_channel(args: argparse.Namespace) -> int:
               "input": args.input, "qubit": args.qubit,
               "restarts": args.restarts, "seed": args.seed}
     report: dict = {"version": __version__, "config": config}
+    if args.restarts < 0:
+        raise ConfigError(f"--restarts must be >= 0, got {args.restarts}")
 
     if args.amplitude_damping is not None:
         ad = amplitude_damping(args.amplitude_damping,
@@ -256,19 +258,17 @@ def cmd_channel(args: argparse.Namespace) -> int:
             raise ConfigError("--input bell needs the 16-dimensional two-qubit "
                               "space; these Kraus operators act on dimension "
                               f"{parts.full.dim} (use --input search)")
-        probes = [(bell_phi0(), 1)] if args.input == "bell" else None
-        result = {
-            "phase_rate": diamond_lower_bound(parts.e_phase, probes,
-                                              random_restarts=args.restarts,
-                                              seed=args.seed),
-            "other_rate": diamond_lower_bound(parts.e_other, probes,
-                                              random_restarts=args.restarts,
-                                              seed=args.seed),
-            "leak_rate": diamond_lower_bound(parts.e_leak, probes,
-                                             random_restarts=args.restarts,
-                                             seed=args.seed),
-            "decomposition_error": parts.decomposition_error(),
-        }
+        if args.input == "bell" and args.restarts:
+            raise ConfigError(f"--restarts {args.restarts} needs --input search;"
+                              " --input bell evaluates the Bell input alone")
+        probes = [(KET_BELL, 1)] if args.input == "bell" else None
+        result = {name: diamond_lower_bound(part, probes,
+                                            random_restarts=args.restarts,
+                                            seed=args.seed)
+                  for name, part in (("phase_rate", parts.e_phase),
+                                     ("other_rate", parts.e_other),
+                                     ("leak_rate", parts.e_leak))}
+        result["decomposition_error"] = parts.decomposition_error()
         if parts.ihat_coeff is not None:
             result["identity_coefficient"] = parts.ihat_coeff
         if args.qubit:
@@ -394,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="'search' maximizes over canonical and random "
                            "probes, and the Bell input on two qubits")
     chan.add_argument("--qubit", choices=("A", "B"), default=None)
-    chan.add_argument("--restarts", type=int, default=0)
+    chan.add_argument("--restarts", type=int, default=0,
+                      help="random pure probes on the doubled space, >= 0; "
+                           "with --input search or --amplitude-damping")
     chan.add_argument("--seed", type=int, default=0)
     chan.add_argument("--output", default=None)
     chan.set_defaults(func=cmd_channel)

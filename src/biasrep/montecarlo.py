@@ -312,12 +312,15 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     assert_valid(gadget)
     sites = fault_sites(gadget, rates)
     L = len(sites)
-    budget = 0
-    for w in range(weight_max + 1):
-        per_site = max((len(s.choices) for s in sites), default=1)
-        budget += math.comb(L, w) * per_site**w
+    # by_w[w] = patterns of weight w: the elementary symmetric sum of the
+    # per-site class counts, built up one site at a time.
+    by_w = [1] + [0] * weight_max
+    for s in sites:
+        for w in range(weight_max, 0, -1):
+            by_w[w] += by_w[w - 1] * len(s.choices)
+    budget = sum(by_w[1:])
     if budget > max_patterns:
-        raise ValueError(f"enumeration budget exceeded: about {budget} patterns "
+        raise ValueError(f"enumeration budget exceeded: {budget} patterns "
                          f"for {L} sites at weight {weight_max} "
                          f"(limit {max_patterns})")
 

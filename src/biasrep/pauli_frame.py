@@ -94,13 +94,6 @@ class PauliFrame:
                  if self.leaked[q] or self.x[q] or self.z[q]]
         return " ".join(parts) if parts else "-"
 
-    def copy(self) -> "PauliFrame":
-        other = PauliFrame(len(self))
-        other.x[:] = self.x
-        other.z[:] = self.z
-        other.leaked[:] = self.leaked
-        return other
-
 
 def conjugate_through_cz(frame: PauliFrame, q1: int, q2: int, *,
                          policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,

@@ -2,8 +2,10 @@
 
 Nothing here shares code with the package's frame backend: the state-vector
 simulator enumerates measurement branches exactly, the stabilizer tableau
-implements the textbook binary-symplectic algorithm, and the diamond-norm
-maximizer does brute multistart optimization.  These are the referees the
+implements the textbook binary-symplectic algorithm, the diamond-norm
+maximizer does brute multistart optimization, and the dense channel
+evaluator forms every reference-extended term as a full Kronecker product
+where ``input_distance`` works on a factor.  These are the referees the
 fast implementations are checked against.  The one exception is
 :func:`replay_oracle`, which propagates every fault pattern through the
 package's scalar engine; it is the reference for the linear enumeration in
@@ -357,6 +359,20 @@ class Tableau:
 
 def trace_norm_exact(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def input_distance_dense(channel, x: np.ndarray, ref_dim: int = 1) -> float:
+    """|| (I_ref (x) E)(x) ||_tr from dense Kronecker products: every term
+    sum_j s_j (I (x) A_j) x (I (x) B_j)^dagger is formed as a full matrix.
+    A 1-D ``x`` is a ket v standing for |v><v|."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 1:
+        x = np.outer(x, x.conj())
+    eye = np.eye(ref_dim)
+    out = np.zeros_like(x)
+    for s, a, b in channel.terms:
+        out += s * (np.kron(eye, a) @ x @ np.kron(eye, b).conj().T)
+    return trace_norm_exact(out)
 
 
 def diamond_norm_1q_exact(apply_map, restarts: int = 60, seed: int = 5,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biasrep.channels import (IQ, SZQ, ClassifiedKraus, KrausSet,
+from biasrep.channels import (IQ, KET_BELL, SZQ, ClassifiedKraus, KrausSet,
                               PairMap, amplitude_damping, apply_channel,
                               bell_phi0, builtin_cphase_kraus,
                               builtin_cphase_kraus_set, canonical_inputs,
@@ -13,7 +13,17 @@ from biasrep.channels import (IQ, SZQ, ClassifiedKraus, KrausSet,
                               split_channel, trace_norm, two_qubit,
                               KET_A, KET_P0, KET_PLUS_T, I2, SZ)
 
-from oracles import diamond_norm_1q_exact
+from oracles import (diamond_norm_1q_exact, input_distance_dense,
+                     trace_norm_exact)
+
+
+def random_pair_map(dim: int, rng: np.random.Generator,
+                    terms: int = 4) -> PairMap:
+    """Signed operator-pair map whose terms have independent A_j != B_j."""
+    def op():
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return PairMap(tuple((float(rng.standard_normal()), op(), op())
+                         for _ in range(terms)), dim)
 
 
 class TestApplyChannel:
@@ -81,6 +91,72 @@ class TestInputDistance:
         best = diamond_lower_bound(parts.e_phase,
                                    list(canonical_inputs(16)) + [(bell_phi0(), 1)])
         assert single <= best + 1e-15
+
+
+class TestFactoredInputDistance:
+    KINDS = ("ket", "mixed", "non-hermitian")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_matches_dense_kronecker_reference(self, dim, extended, kind):
+        ref_dim = dim if extended else 1
+        rng = np.random.default_rng([dim, ref_dim, self.KINDS.index(kind)])
+        channel = random_pair_map(dim, rng)
+        big = ref_dim * dim
+        g = rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))
+        if kind == "ket":
+            x = g[0] / np.linalg.norm(g[0])
+        elif kind == "mixed":
+            x = g @ g.conj().T
+            x /= np.trace(x).real
+        else:
+            x = g / trace_norm_exact(g)
+        assert input_distance(channel, x, ref_dim) == pytest.approx(
+            input_distance_dense(channel, x, ref_dim), rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("qubit", [None, "A", "B"])
+    def test_builtin_probes_match_dense_reference(self, qubit):
+        e_phase = split_channel(builtin_cphase_kraus(), resolve=qubit).e_phase
+        probes = canonical_inputs(16) + [(KET_BELL, 1), (bell_phi0(), 1)]
+        for x, ref_dim in probes:
+            assert input_distance(e_phase, x, ref_dim) == pytest.approx(
+                input_distance_dense(e_phase, x, ref_dim), rel=1e-10, abs=1e-14)
+
+    def test_ket_and_its_projector_agree(self):
+        rng = np.random.default_rng(4)
+        channel = random_pair_map(4, rng)
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        v /= np.linalg.norm(v)
+        assert input_distance(channel, v, 4) == pytest.approx(
+            input_distance(channel, projector(v), 4), rel=1e-10)
+
+
+class TestPairMapArithmetic:
+    def test_identical_pairs_merge(self):
+        m = PairMap.from_kraus([SZ, I2])
+        assert [s for s, _, _ in (m + m).terms] == [2.0, 2.0]
+        assert (m - m).terms == ()
+        assert input_distance(m - m, projector(KET_P0)) == 0.0
+
+    def test_distinct_pairs_kept(self):
+        m = PairMap(((1.0, SZ, I2), (1.0, I2, SZ)), 2)
+        assert len((m + PairMap.zero(2)).terms) == 2
+
+    def test_zero_operators_dropped(self):
+        # the identity parts of three of the four builtin Kraus operators
+        # are zero
+        e_phase = split_channel(builtin_cphase_kraus()).e_phase
+        assert len(e_phase.terms) == 5
+        assert all(a.any() and b.any() for _, a, b in e_phase.terms)
+
+    @pytest.mark.parametrize("qubit", [None, "A", "B"])
+    def test_builtin_non_phase_parts_exactly_zero(self, qubit):
+        parts = split_channel(builtin_cphase_kraus(), resolve=qubit)
+        for part in (parts.e_other, parts.e_leak):
+            assert part.terms == ()
+            assert diamond_lower_bound(part, random_restarts=2) == 0.0
+        assert parts.decomposition_error() <= 1e-15
 
 
 class TestDephasingDifferenceMap:

@@ -232,16 +232,46 @@ class TestChannel:
                              "--input", "search", "--restarts", "2")
         assert code == 0
 
-    @pytest.mark.parametrize("qubit", [None, "A", "B"])
-    def test_search_never_below_bell(self, capsys, qubit):
+    @pytest.mark.parametrize("qubit, restarts", [
+        pytest.param(q, r, id=str(q) + (f"-restarts{r}" if r else ""))
+        for r in (0, 2) for q in (None, "A", "B")])
+    def test_search_never_below_bell(self, capsys, qubit, restarts):
         extra = ["--qubit", qubit] if qubit else []
         rates = {}
         for probe in ("bell", "search"):
+            search = ["--restarts", str(restarts)] if probe == "search" else []
             code, out, _ = run_cli(capsys, "channel", "--builtin", "cphase",
-                                   "--input", probe, *extra)
+                                   "--input", probe, *search, *extra)
             assert code == 0
             rates[probe] = json.loads(out)["result"]["phase_rate"]
         assert rates["search"] >= rates["bell"]
+
+    @pytest.mark.parametrize("probe", [["--input", "bell"],
+                                       ["--input", "search", "--restarts", "2"]])
+    def test_builtin_non_phase_rates_exactly_zero(self, capsys, probe):
+        code, out, _ = run_cli(capsys, "channel", "--builtin", "cphase", *probe)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["other_rate"] == 0.0
+        assert result["leak_rate"] == 0.0
+        assert result["decomposition_error"] <= 1e-15
+
+    @pytest.mark.parametrize("source", [["--builtin", "cphase", "--input",
+                                         "search"],
+                                        ["--amplitude-damping", "1e-3"]])
+    def test_negative_restarts_rejected(self, capsys, source):
+        code, out, err = run_cli(capsys, "channel", *source,
+                                 "--restarts", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--restarts" in err and "-3" in err
+
+    def test_restarts_with_bell_input_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "channel", "--builtin", "cphase",
+                                 "--input", "bell", "--restarts", "2")
+        assert code == 2
+        assert out == ""
+        assert "--restarts" in err and "--input search" in err
 
 
 class TestOracleCommand:

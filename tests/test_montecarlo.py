@@ -229,6 +229,17 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="budget"):
             brute_force_oracle(tele, uniform_table(1e-3), 3, max_patterns=10)
 
+    def test_budget_is_exact_pattern_count(self):
+        # prep, CPHASE and measurement sites carry 2, 3 and 1 fault classes
+        tele = build_teleport_identity(3, 3)
+        table = uniform_table(1e-3, 1e-4)
+        assert {len(s.choices) for s in fault_sites(tele, table)} == {1, 2, 3}
+        run = brute_force_oracle(tele, table, 2).patterns_run
+        assert brute_force_oracle(tele, table, 2,
+                                  max_patterns=run).patterns_run == run
+        with pytest.raises(ValueError, match=f"budget exceeded: {run} patterns"):
+            brute_force_oracle(tele, table, 2, max_patterns=run - 1)
+
     def test_leak_rates_rejected(self):
         tele = build_teleport_identity(3, 1)
         table = table_with(prep_A=Rates(eps_leak=1e-4))
