@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .gadgets import GadgetParams
 from .noise_model import ErrorRateTable, OpKind, Species
 
 
@@ -42,9 +43,9 @@ def logical_other_bound(n: int, t: float, eps_other: float) -> float:
 
 @dataclass(frozen=True)
 class BiasPoint:
-    """One operating point: phase rate eps, noise bias eps/eps_other, the
-    step constant c, and odd code parameters (n, k).  The per-qubit step
-    count ``t`` defaults to c*k but may be pinned directly."""
+    """One operating point: phase rate eps, noise bias eps/eps_other, and
+    the step constant c and odd code parameters (n, k) of a GadgetParams.
+    The per-qubit step count ``steps`` is c*k unless ``t`` pins it."""
 
     eps: float
     bias: float
@@ -52,18 +53,17 @@ class BiasPoint:
     k: int
     c: float = 3.0
     t: float | None = None
+    steps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.eps >= 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
         if not self.bias > 0:
             raise ValueError(f"bias must be positive, got {self.bias}")
-        if self.n < 1 or self.n % 2 == 0 or self.k < 1 or self.k % 2 == 0:
-            raise ValueError(f"n and k must be odd, got ({self.n}, {self.k})")
-
-    @property
-    def steps(self) -> float:
-        return self.c * self.k if self.t is None else self.t
+        if self.t is not None and not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        params = GadgetParams(self.n, self.k, self.c)
+        object.__setattr__(self, "steps", params.t if self.t is None else self.t)
 
     @property
     def eps_other(self) -> float:

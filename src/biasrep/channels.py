@@ -88,13 +88,7 @@ def bell_phi0() -> np.ndarray:
 
 def apply_channel(kraus: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Kraus-sum action sum_k M_k X M_k^dagger."""
-    x = np.asarray(x, dtype=complex)
-    out = np.zeros_like(x)
-    for m in kraus:
-        if m.shape[1] != x.shape[0]:
-            raise ValueError(f"dimension mismatch: {m.shape} vs {x.shape}")
-        out += m @ x @ m.conj().T
-    return out
+    return PairMap.from_kraus(kraus)(x)
 
 
 def trace_norm(a: np.ndarray) -> float:

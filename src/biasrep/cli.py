@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .channels import (KET_BELL, ClassifiedKraus, amplitude_damping,
                        builtin_cphase_kraus, diamond_lower_bound,
                        kraus_from_json, split_channel)
 from .gadgets import build_gadget, check_schedule, circuit_from_text
-from .montecarlo import RateEstimate, brute_force_oracle, count_trials
+from .montecarlo import brute_force_oracle, estimate_logical_rates
 from .noise_model import ErrorRateTable, default_rates, zero_rates
 from .pauli_frame import LeakPolicy
 
@@ -47,7 +46,7 @@ def _load_rates(source: str) -> ErrorRateTable:
             return ErrorRateTable.from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read rate table {source!r}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad rate table {source!r}: {exc}") from exc
 
 
@@ -88,6 +87,14 @@ def _parse_grid(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _single_bias(values: list[float], default: float | None) -> float | None:
+    """The value of a --bias that the command takes at most once."""
+    if len(values) > 1:
+        raise ConfigError(f"--bias given {len(values)} times; only an "
+                          "optimizing bounds sweep takes several")
+    return values[0] if values else default
+
+
 def _header(config: dict) -> list[str]:
     return [f"# biasrep {__version__}",
             "# config: " + json.dumps(config, sort_keys=True, default=str)]
@@ -115,28 +122,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trials = _parse_trials(args.trials)
     gadget = build_gadget(args.gadget, args.n, args.k,
                           pre_teleport=args.pre_teleport)
-    workers = max(1, args.workers)
-    chunk_edges = [trials * i // workers for i in range(workers + 1)]
-    spans = [(lo, hi) for lo, hi in zip(chunk_edges, chunk_edges[1:]) if hi > lo]
-    if len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [pool.submit(count_trials, gadget, rates, args.seed, lo, hi,
-                                   leak_policy=args.leak_policy)
-                       for lo, hi in spans]
-            parts = [f.result() for f in futures]
-    else:
-        parts = [count_trials(gadget, rates, args.seed, lo, hi,
-                              leak_policy=args.leak_policy) for lo, hi in spans]
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    eps = RateEstimate.from_counts(total.logical_z, trials, args.seed)
-    epsp = RateEstimate.from_counts(total.logical_other, trials, args.seed)
+    eps, epsp = estimate_logical_rates(gadget, rates, trials, args.seed,
+                                       leak_policy=args.leak_policy,
+                                       workers=args.workers)
 
     config = {"command": "simulate", "gadget": args.gadget, "n": args.n,
               "k": args.k, "rates": args.rates, "trials": trials,
               "seed": args.seed, "leak_policy": args.leak_policy.value,
-              "pre_teleport": args.pre_teleport, "workers": workers}
+              "pre_teleport": args.pre_teleport, "workers": args.workers}
     lines = _header(config)
     lines.append("gadget,n,k,trials,seed,eps_L,eps_L_stderr,epsp_L,epsp_L_stderr")
     lines.append(",".join([args.gadget, str(args.n), str(args.k), str(trials),
@@ -198,7 +191,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                               "(plus --t or --k), or use --optimize")
         n = args.n
         k = args.k if args.k is not None else 1
-        bias = args.bias[0] if args.bias else float("inf")
+        bias = _single_bias(args.bias, float("inf"))
         report = cnot_bound(BiasPoint(args.eps, bias, n, k, args.c, t=args.t),
                             table)
         config.update({"n": n, "k": k, "t": args.t, "eps": args.eps,
@@ -214,7 +207,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     table = _load_rates(args.rates) if args.rates else None
     if table is None and args.eps is None:
         raise ConfigError("optimize needs --rates or (--eps and --bias)")
-    bias = args.bias[0] if args.bias else None
+    bias = _single_bias(args.bias, None)
     if table is None and bias is None:
         raise ConfigError("optimize without a rate table needs --bias")
     row = _optimum_row(args.eps, bias, table, args.c, args.n_max,
@@ -239,6 +232,14 @@ def cmd_channel(args: argparse.Namespace) -> int:
     report: dict = {"version": __version__, "config": config}
     if args.restarts < 0:
         raise ConfigError(f"--restarts must be >= 0, got {args.restarts}")
+    sources = [flag for flag, value in (("--builtin", args.builtin),
+                                        ("--kraus-json", args.kraus_json),
+                                        ("--amplitude-damping",
+                                         args.amplitude_damping))
+               if value is not None]
+    if len(sources) > 1:
+        raise ConfigError("channel takes one channel source, got "
+                          + " and ".join(sources))
 
     if args.amplitude_damping is not None:
         ad = amplitude_damping(args.amplitude_damping,

@@ -16,7 +16,9 @@ reach an output block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .noise_model import OpKind, Species
@@ -79,11 +81,11 @@ class Circuit:
     def input_blocks(self) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.kind == "input")
 
-    @property
+    @cached_property
     def output_blocks(self) -> tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.kind == "output")
 
-    @property
+    @cached_property
     def measure_locations(self) -> tuple[int, ...]:
         return tuple(loc.index for loc in self.locations
                      if loc.kind is OpKind.MEASURE_X)
@@ -113,8 +115,8 @@ class GadgetParams:
             raise ValueError(f"n must be odd and >= 1, got {self.n}")
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"k must be odd and >= 1, got {self.k}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
     @property
     def t(self) -> float:
@@ -336,8 +338,9 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
             violations.append((-1, f"ancilla qubit {q.index} must be species B"))
 
     block_kind = {b.name: b.kind for b in circuit.blocks}
-    prep_pending = {loc.qubits[0]: loc.index for loc in circuit.locations
-                    if loc.kind is OpKind.PREP_PLUS}
+    # reversed, so that a qubit's first preparation is the one kept
+    first_preps = {loc.qubits[0]: loc.index for loc in reversed(circuit.locations)
+                   if loc.kind is OpKind.PREP_PLUS}
     anc_touched_input: dict[int, int] = {}  # ancilla -> first input-coupling loc
 
     for loc in circuit.locations:
@@ -371,7 +374,7 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
                          f"touching an input block at location "
                          f"{anc_touched_input[anc]}"))
         for q in loc.qubits:
-            first_prep = prep_pending.get(q)
+            first_prep = first_preps.get(q)
             if first_prep is not None and loc.index < first_prep:
                 violations.append(
                     (loc.index, f"qubit {q} used before its preparation at "

@@ -165,7 +165,8 @@ class ErrorRateTable:
     """Per-(operation, species) rates, plus an optional correlated Z(x)Z rate
     for CPHASE locations (``cphase_zz``, default 0: the stochastic table does
     not assign the two-qubit dephasing term its own rate).  A valid table
-    has a row for every (operation, species) pair."""
+    has a row for every (operation, species) pair, and its measurement rows
+    set ``eps`` alone."""
 
     entries: dict[tuple[OpKind, Species], Rates] = field(default_factory=dict)
     cphase_zz: float = 0.0
@@ -179,8 +180,13 @@ class ErrorRateTable:
             raise KeyError(f"no rates for ({kind.value}, {species.value})") from None
 
     def validate(self) -> None:
-        for rates in self.entries.values():
+        for (kind, species), rates in self.entries.items():
             rates.validate()
+            if kind is OpKind.MEASURE_X and (rates.eps_other or rates.eps_leak):
+                raise ValueError(
+                    f"({kind.value}, {species.value}): a measurement takes eps "
+                    f"(the outcome-flip rate) only, got eps_other="
+                    f"{rates.eps_other}, eps_leak={rates.eps_leak}")
         if not 0.0 <= self.cphase_zz <= 1.0:
             raise ValueError(f"cphase_zz={self.cphase_zz} outside [0, 1]")
         missing = [f"({kind.value}, {species.value})" for kind in OpKind

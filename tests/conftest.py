@@ -9,6 +9,14 @@ from biasrep.noise_model import (ErrorRateTable, OpKind, Rates, Species,
                                  zero_rates)
 
 
+# circuit text in which ancilla 1 is measured, then prepared and used again
+REPREPARED_ANCILLA = ("# qubit 0 A data d\n"
+                      "# qubit 1 B ancilla\n"
+                      "# block d input 0\n"
+                      "PREP 1\nCZ 1 0\nMEASX 1\n"
+                      "PREP 1\nCZ 1 0\nMEASX 1\n")
+
+
 def table_with(**overrides) -> ErrorRateTable:
     """Zero table with selected entries overridden, e.g.
     table_with(cz_A=Rates(eps=1e-3), prep_B=Rates(eps_leak=1e-4))."""

@@ -83,6 +83,17 @@ class TestCnotBound:
         with pytest.raises(ValueError):
             BiasPoint(1e-3, -1.0, 3, 3)
 
+    @pytest.mark.parametrize("c", [-3.0, 0.0, math.nan, math.inf])
+    def test_step_constant_checked_like_gadget_params(self, c):
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            BiasPoint(1e-3, 1e3, 3, 3, c=c)
+
+    @pytest.mark.parametrize("t", [-2.0, math.nan, math.inf])
+    def test_pinned_steps_finite_and_non_negative(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            BiasPoint(1e-3, 1e3, 3, 3, t=t)
+        assert BiasPoint(1e-3, 1e3, 3, 3, t=0.0).steps == 0.0
+
 
 class TestOptimizer:
     def test_zero_noise_prefers_no_encoding(self):
@@ -135,6 +146,8 @@ class TestOptimizer:
             optimize_nk(eps=1e-3, bias=1e3, constraint="diagonal")
         with pytest.raises(ValueError):
             optimize_nk()
+        with pytest.raises(ValueError, match="c must be"):
+            optimize_nk(table=default_rates(), c=-3.0)
 
 
 class TestBoundDominatesSimulation:

@@ -6,6 +6,8 @@ from biasrep.cli import main
 from biasrep.gadgets import build_teleport_identity, circuit_to_text
 from biasrep.noise_model import ErrorRateTable, Rates, default_rates
 
+from conftest import REPREPARED_ANCILLA
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -71,6 +73,24 @@ class TestOptimize:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("c", ["-3", "0", "nan"])
+    def test_bad_step_constant_rejected(self, capsys, c):
+        code, out, err = run_cli(capsys, "optimize", "--rates", "table1",
+                                 "--c", c)
+        assert code == 2
+        assert "c must be finite and positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--eps", "1e-3"],
+        ["bounds", "--n", "5", "--k", "7", "--eps", "1e-3"]])
+    def test_repeated_bias_rejected(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--bias", "1e3",
+                                 "--bias", "10")
+        assert code == 2
+        assert "--bias given 2 times" in err
+        assert out == ""
+
 
 class TestOptimizeRow:
     @pytest.mark.parametrize("constraint", ["free", "n=k"])
@@ -90,7 +110,7 @@ class TestOptimizeRow:
         assert csv_body(out)[1] == "0.001,inf,3,5,7,9.261e-05,0,9.261e-05"
 
     @pytest.mark.parametrize("extra", [["--bias", "nan"], ["--bias", "-1"],
-                                       ["--eps", "-0.001"]])
+                                       ["--eps", "-0.001"], ["--t", "-2"]])
     def test_bad_point_rejected(self, capsys, extra):
         argv = ["bounds", "--n", "5", "--k", "7", "--eps", "0.001"] + extra
         code, _, err = run_cli(capsys, *argv)
@@ -130,6 +150,15 @@ class TestSimulate:
         assert "--trials" in err
         assert out == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        code, out, err = run_cli(capsys, "simulate", "--gadget", "teleport",
+                                 "--n", "1", "--k", "1", "--rates", "zero",
+                                 "--trials", "10", "--workers", workers)
+        assert code == 2
+        assert "workers must be >= 1" in err
+        assert out == ""
+
     def test_worker_invariance(self, capsys, tmp_path):
         args = ["simulate", "--gadget", "teleport", "--n", "3", "--k", "3",
                 "--rates", "table1", "--trials", "20000", "--seed", "9"]
@@ -158,6 +187,26 @@ class TestSimulate:
         assert code == 2
         assert "(prep, A)" in err and "(cz, B)" in err
         assert "(cz, A)" not in err
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "bad rate table"),
+        ({"rates": [{"operation": "cz", "species": "A", "eps": None}]},
+         "bad rate table"),
+        ({"rates": [dict(row, eps_other=0.3, eps_leak=0.2)
+                    if row["operation"] == "measx" else row
+                    for row in json.loads(default_rates().to_json())["rates"]]},
+         "a measurement takes eps"),
+    ], ids=["list", "null-eps", "measx-other-and-leak"])
+    def test_malformed_rate_table_is_config_error(self, capsys, tmp_path,
+                                                  doc, message):
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--gadget", "teleport",
+                                 "--n", "3", "--k", "1", "--rates", str(path),
+                                 "--trials", "10")
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     def test_missing_rate_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--gadget", "teleport",
@@ -194,6 +243,17 @@ class TestChannel:
     def test_no_source_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "channel")
         assert code == 2
+
+    @pytest.mark.parametrize("sources", [
+        ["--builtin", "cphase", "--amplitude-damping", "1e-3"],
+        ["--kraus-json", "k.json", "--amplitude-damping", "1e-3"],
+        ["--builtin", "cphase", "--kraus-json", "k.json"]])
+    def test_two_sources_rejected(self, capsys, sources):
+        code, out, err = run_cli(capsys, "channel", *sources)
+        assert code == 2
+        assert "channel takes one channel source" in err
+        assert all(flag in err for flag in sources if flag.startswith("--"))
+        assert out == ""
 
     def test_unknown_input_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -338,6 +398,13 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--circuit", str(path))
         assert code == 3
         assert "even size" in err
+
+    def test_reprepared_ancilla_ok(self, capsys, tmp_path):
+        path = tmp_path / "reprep.txt"
+        path.write_text(REPREPARED_ANCILLA)
+        code, out, err = run_cli(capsys, "validate", "--circuit", str(path))
+        assert code == 0
+        assert err == ""
 
     @pytest.mark.parametrize("line", ["CZ 1", "MEASX", "# qubit 1"])
     def test_short_line_is_config_error(self, capsys, tmp_path, line):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
                                  Species, zero_rates)
 from biasrep.pauli_frame import run_circuit
 
-from conftest import table_with
+from conftest import REPREPARED_ANCILLA, table_with
 from oracles import (Tableau, apply_corrections, decode_corrections,
                      kron_all, one_logical, plus_logical, reduced_state,
                      run_statevector, state_fidelity, zero_logical, KET0)
@@ -29,6 +30,11 @@ class TestParams:
 
     def test_t_is_c_times_k(self):
         assert GadgetParams(3, 5, c=2.0).t == 10.0
+
+    @pytest.mark.parametrize("c", [-3.0, 0.0, math.nan, math.inf])
+    def test_rejects_c_not_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="c must be"):
+            GadgetParams(3, 3, c=c)
 
 
 class TestSchedule:
@@ -84,6 +90,13 @@ class TestSchedule:
             blocks=(Block("d", (0,), "input"),))
         assert any("before its preparation" in msg
                    for _, msg in check_schedule(bad))
+
+    def test_reprepared_ancilla_is_clean(self):
+        circ = circuit_from_text(REPREPARED_ANCILLA)
+        assert check_schedule(circ) == []
+        # without the first preparation, the first round uses it too early
+        bad = circuit_from_text(REPREPARED_ANCILLA.replace("PREP 1\n", "", 1))
+        assert [loc for loc, _ in check_schedule(bad)] == [0, 1]
 
     @pytest.mark.parametrize("name,build", [
         ("teleport-1-1", lambda: build_teleport_identity(1, 1)),
@@ -435,6 +448,14 @@ class TestSerialization:
         a = run_circuit(circ, table, 12, trial=3)
         b = run_circuit(back, table, 12, trial=3)
         assert a.outcomes.bits == b.outcomes.bits
+
+    def test_derived_locations_cached_and_pickled(self):
+        circ = build_logical_cnot(3, 3)
+        assert circ.measure_locations is circ.measure_locations
+        assert circ.output_blocks is circ.output_blocks
+        back = pickle.loads(pickle.dumps(circ))
+        assert back.measure_locations == circ.measure_locations
+        assert back.output_blocks == circ.output_blocks
 
     def test_angle_survives_round_trip(self):
         circ = Circuit(

@@ -180,6 +180,20 @@ class TestEstimateLogicalRates:
             estimate_logical_rates(build_teleport_identity(3, 1),
                                    zero_rates(), 0, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_validated(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            estimate_logical_rates(build_teleport_identity(3, 1),
+                                   zero_rates(), 10, seed=0, workers=workers)
+
+    @pytest.mark.parametrize("trials", [2, 5000])
+    def test_worker_invariance(self, trials):
+        # 2 trials over 3 workers leaves one span empty
+        tele = build_teleport_identity(3, 3)
+        table = uniform_table(0.02, 0.005)
+        assert estimate_logical_rates(tele, table, trials, seed=8, workers=3) \
+            == estimate_logical_rates(tele, table, trials, seed=8)
+
     def test_leaked_output_folds_into_other_rate(self):
         table = table_with(prep_A=Rates(eps_leak=1.0))
         tele = build_teleport_identity(3, 1)

@@ -56,6 +56,12 @@ class TestDefaultRates:
         with pytest.raises(ValueError):
             ErrorRateTable(entries={}, cphase_zz=-0.1).validate()
 
+    @pytest.mark.parametrize("rates", [Rates(1e-3, eps_other=0.3),
+                                       Rates(1e-3, eps_leak=0.2)])
+    def test_measurement_row_takes_eps_only(self, rates):
+        with pytest.raises(ValueError, match=r"\(measx, B\): a measurement"):
+            table_with(measx_B=rates).validate()
+
 
 class TestSampleFaults:
     def test_zero_rates_empty(self):
