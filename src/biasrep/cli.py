@@ -95,6 +95,20 @@ def _single_bias(values: list[float], default: float | None) -> float | None:
     return values[0] if values else default
 
 
+def _rates_alone(args: argparse.Namespace) -> ErrorRateTable | None:
+    """The ``--rates`` table, if given.  It fixes every rate, so a rate
+    point given beside it (--eps, --bias, --eps-grid) would be ignored."""
+    if not args.rates:
+        return None
+    point = (("--eps", args.eps), ("--bias", args.bias),
+             ("--eps-grid", getattr(args, "eps_grid", None)))
+    ignored = [flag for flag, value in point if value not in (None, [])]
+    if ignored:
+        raise ConfigError("--rates fixes every rate; drop "
+                          + " and ".join(ignored))
+    return _load_rates(args.rates)
+
+
 def _header(config: dict) -> list[str]:
     return [f"# biasrep {__version__}",
             "# config: " + json.dumps(config, sort_keys=True, default=str)]
@@ -146,8 +160,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 _BOUNDS_COLUMNS = "eps,bias,c,n,k,eps_L,epsp_L,total"
 
 
-def _bound_row(eps: float, bias: float, c: float, n: int, k: int,
-               eps_L: float, epsp_L: float) -> str:
+def _bound_row(eps: float | None, bias: float | None, c: float, n: int,
+               k: int, eps_L: float, epsp_L: float) -> str:
+    """One bounds row; eps and bias print as nan when a rate table alone
+    fixes the rates."""
+    eps, bias = (math.nan if v is None else v for v in (eps, bias))
     return ",".join([_fmt(eps), _fmt(bias), _fmt(c), str(n), str(k),
                      _fmt(eps_L), _fmt(epsp_L), _fmt(eps_L + epsp_L)])
 
@@ -155,19 +172,17 @@ def _bound_row(eps: float, bias: float, c: float, n: int, k: int,
 def _optimum_row(eps: float | None, bias: float | None,
                  table: ErrorRateTable | None, c: float, n_max: int,
                  constraint: str) -> str:
-    """The optimal (n, k) as a bounds row; eps and bias print as nan when
-    the rate table alone fixes the rates."""
+    """The optimal (n, k) as a bounds row."""
     result = optimize_nk(eps=eps, bias=bias, table=table, c=c, n_max=n_max,
                          constraint=constraint)
-    return _bound_row(float("nan") if eps is None else eps,
-                      float("nan") if bias is None else bias,
-                      c, result.n, result.k, result.eps_L, result.epsp_L)
+    return _bound_row(eps, bias, c, result.n, result.k, result.eps_L,
+                      result.epsp_L)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     config = {"command": "bounds", "c": args.c, "n_max": args.n_max}
     lines: list[str] = []
-    table = _load_rates(args.rates) if args.rates else None
+    table = _rates_alone(args)
 
     if args.optimize:
         constraint = args.optimize
@@ -186,17 +201,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 lines.append(_bound_row(eps, bias, args.c, r.n, r.k,
                                         r.eps_L, r.epsp_L))
     else:
-        if args.eps is None or args.n is None:
-            raise ConfigError("direct evaluation needs --n and --eps "
-                              "(plus --t or --k), or use --optimize")
+        if args.n is None or (table is None and args.eps is None):
+            raise ConfigError("direct evaluation needs --n and --eps or "
+                              "--rates (plus --t or --k), or use --optimize")
         n = args.n
         k = args.k if args.k is not None else 1
-        bias = _single_bias(args.bias, float("inf"))
-        report = cnot_bound(BiasPoint(args.eps, bias, n, k, args.c, t=args.t),
-                            table)
-        config.update({"n": n, "k": k, "t": args.t, "eps": args.eps,
+        if table is None:
+            eps, bias = args.eps, _single_bias(args.bias, float("inf"))
+            point = BiasPoint(eps, bias, n, k, args.c, t=args.t)
+        else:   # the table fixes the rates; the point gives n, k, c and t
+            eps = bias = None
+            point = BiasPoint(0.0, 1.0, n, k, args.c, t=args.t)
+        report = cnot_bound(point, table)
+        config.update({"n": n, "k": k, "t": args.t, "eps": eps,
                        "bias": bias, "rates": args.rates})
-        lines.append(_bound_row(args.eps, bias, args.c, n, k,
+        lines.append(_bound_row(eps, bias, args.c, n, k,
                                 report.eps_L, report.epsp_L))
     out = _header(config) + [_BOUNDS_COLUMNS] + lines
     _emit(out, args.output)
@@ -204,7 +223,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    table = _load_rates(args.rates) if args.rates else None
+    table = _rates_alone(args)
     if table is None and args.eps is None:
         raise ConfigError("optimize needs --rates or (--eps and --bias)")
     bias = _single_bias(args.bias, None)

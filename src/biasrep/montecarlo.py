@@ -18,6 +18,7 @@ corrections derived from the (majority-decoded) measurement outcomes:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Sequence
@@ -169,8 +170,9 @@ def estimate_logical_rates(gadget: Circuit, rates: ErrorRateTable,
                            ) -> tuple[RateEstimate, RateEstimate]:
     """Monte Carlo estimates of the logical phase-error rate and the logical
     non-phase rate (X/Y-type, plus leaked outputs unless disabled).  More
-    than one worker counts the trials in that many processes, one span each;
-    draws are keyed by trial index, so the estimates do not depend on it."""
+    than one worker splits the trials into that many spans, counted in a
+    pool of at most ``os.cpu_count()`` processes; draws are keyed by trial
+    index and counts add, so the estimates depend on neither."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
@@ -181,7 +183,8 @@ def estimate_logical_rates(gadget: Circuit, rates: ErrorRateTable,
         # imported on use: it costs 12-17 ms (2-core Xeon) that no import of
         # the package should pay
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(spans),
+                                                 os.cpu_count() or 1)) as pool:
             futures = [pool.submit(count_trials, gadget, rates, seed, lo, hi,
                                    leak_policy=leak_policy)
                        for lo, hi in spans]
@@ -252,18 +255,15 @@ def fault_sites(circuit: Circuit, rates: ErrorRateTable) -> list[FaultSite]:
 
 def _fault_effects(circuit: Circuit, faults: Sequence[FaultEvent],
                    zero: ErrorRateTable) -> np.ndarray:
-    """The effect of each single fault: the outcome bits (in
-    ``measure_locations`` order), output frame x bits and z bits of a run on
-    the zero table under ``never-z`` with that fault forced.  Returned as
-    the columns of a bool array [outcomes + 2 * qubits, faults]."""
-    rows = []
-    for fault in faults:
-        run = run_circuit(circuit, zero, 0, forced_faults=[fault],
-                          leak_policy=LeakPolicy.NEVER_Z, validate=False)
-        rows.append([*(run.outcomes.bits[loc] for loc in circuit.measure_locations),
-                     *run.frame.x, *run.frame.z])
-    width = len(circuit.measure_locations) + 2 * circuit.n_qubits
-    return np.array(rows, dtype=bool).reshape(-1, width).T
+    """The effect of each single fault, from one batched run on the zero
+    table under ``never-z`` with trial j forced with fault j: outcome bits
+    (in ``measure_locations`` order), then output frame x and z bits, in
+    the contiguous columns of a bool array [outcomes + 2 * qubits, faults]."""
+    run = run_circuit_batch(circuit, zero, 0, np.zeros(len(faults), np.uint64),
+                            forced_faults=[[f] for f in faults],
+                            leak_policy=LeakPolicy.NEVER_Z, validate=False)
+    return np.asfortranarray(np.concatenate([run.outcome_bits, run.frame_x,
+                                             run.frame_z]))
 
 
 # Patterns decoded per numpy pass of the oracle; it bounds the pass's memory
@@ -316,11 +316,11 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
 
     Without leakage (:func:`fault_sites` rejects it) and with zero sampled
     rates, frame propagation is linear over GF(2): a pattern's outcomes and
-    output frame are the XOR of the effects of its single faults.  Each
-    single fault is propagated once through the frame backend; patterns are
-    then formed and decoded in batches.  For every weight, the first pattern
-    decoded as a logical error and the first decoded as clean are replayed
-    through :func:`run_trial`; a disagreement raises ``RuntimeError``.
+    output frame are the XOR of the effects of its single faults.  One
+    batched run gives every single fault's effect, each in its own trial;
+    patterns are then formed and decoded in batches.  For every weight, the
+    first pattern decoded as an error and the first decoded as clean are
+    replayed by :func:`run_trial`; a disagreement raises ``RuntimeError``.
     """
     if weight_max < 0:
         raise ValueError(f"weight_max must be >= 0, got {weight_max}")

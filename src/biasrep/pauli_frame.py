@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .gadgets import Circuit, assert_valid
-from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, OpKind,
-                          sample_faults)
+from .noise_model import (EFFECTS, Effect, ErrorRateTable, FaultEvent,
+                          OpKind, sample_faults)
 from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, TrialHashes,
                       uniform_vector)
 
@@ -238,6 +238,7 @@ class BatchRunResult:
 
 def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                       trials: np.ndarray, *,
+                      forced_faults: Sequence[Sequence[FaultEvent]] = (),
                       leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
                       validate: bool = True) -> BatchRunResult:
     """Run a block of trials at once with numpy boolean arrays.
@@ -248,6 +249,9 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     draw that can matter only to leaked trials (the random Z on a leaked
     qubit's partner, the outcome of a leaked measurement) is made for those
     trials alone.  All working arrays are allocated once per batch.
+
+    ``forced_faults`` holds one event list per trial (or none); a location
+    applies them after its sampled faults, in list order, as run_circuit does.
     """
     if validate:
         assert_valid(circuit)
@@ -255,6 +259,15 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     policy = LeakPolicy(leak_policy)
     trials = np.asarray(trials, dtype=np.uint64)
     B = trials.shape[0]
+    if forced_faults and len(forced_faults) != B:
+        raise ValueError(f"{len(forced_faults)} forced-fault lists for {B} trials")
+    # location -> (rank in a trial's list, qubit, class) -> trials, each once
+    by_loc: dict[int, dict] = {}
+    for j, events in enumerate(forced_faults):
+        for r, ev in enumerate(events):
+            by_loc.setdefault(ev.location_id, {}).setdefault(
+                (r, ev.qubit, ev.error), []).append(j)
+    forced = {loc: sorted(groups.items()) for loc, groups in by_loc.items()}
     N = circuit.n_qubits
     meas_locs = circuit.measure_locations
     row_of = {loc: i for i, loc in enumerate(meas_locs)}
@@ -274,6 +287,19 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
         if idx.size == 0:
             return idx
         return idx[uniform_vector(seed, trials[idx], location, q, tag) < 0.5]
+
+    def apply(effect: Effect, q: int, t: np.ndarray, bit: np.ndarray | None) -> None:
+        """A fault on qubit q in the trials at positions ``t``, each once."""
+        t = t[~lk[q, t]]
+        x[q, t] ^= effect.x
+        z[q, t] ^= effect.z
+        if effect.leak:
+            lk[q, t] = True
+            x[q, t] = z[q, t] = False
+        if effect.flip:
+            if bit is None:
+                raise ValueError("an outcome flip needs a measurement location")
+            bit[t] ^= True
 
     for loc in circuit.locations:
         kind = loc.kind
@@ -305,19 +331,11 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
         for row, slot, targets in op.draws(loc.qubits, circuit.species_of) if op else ():
             hit, which = row.select(hashes, loc.index, slot)
             for i, cls in enumerate(row.classes):
-                # Each trial whose draw selects this class gets its effect on
-                # every unleaked target; outcome flips go to ``bit``.
-                effect = EFFECTS[cls]
                 drawn = hit[which == i]
                 for q in targets:
-                    t = drawn[~lk[q, drawn]]
-                    x[q, t] ^= effect.x
-                    z[q, t] ^= effect.z
-                    if effect.leak:
-                        lk[q, t] = True
-                        x[q, t] = z[q, t] = False
-                    if effect.flip:
-                        bit[t] ^= True
+                    apply(EFFECTS[cls], q, drawn, bit)
+        for (_, q, cls), t in forced.get(loc.index, ()):
+            apply(EFFECTS[cls], q, np.array(t), bit)
         if kind is OpKind.MEASURE_X:
             q = loc.qubits[0]
             bit ^= z[q]

@@ -6,10 +6,12 @@ implements the textbook binary-symplectic algorithm, the diamond-norm
 maximizer does brute multistart optimization, and the dense channel
 evaluator forms every reference-extended term as a full Kronecker product
 where ``input_distance`` works on a factor.  These are the referees the
-fast implementations are checked against.  The one exception is
+fast implementations are checked against.  The exceptions are
 :func:`replay_oracle`, which propagates every fault pattern through the
-package's scalar engine; it is the reference for the linear enumeration in
-``brute_force_oracle``, not for the engine.
+package's scalar engine, and :func:`fault_effects_by_scalar_runs`, which
+propagates every single fault through it; they are the references for the
+linear enumeration in ``brute_force_oracle`` and for its batched
+single-fault effects, not for the engine.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from biasrep.gadgets import Circuit
 from biasrep.montecarlo import OracleResult, fault_sites, run_trial
 from biasrep.noise_model import ErrorRateTable, FaultEvent, OpKind, zero_rates
-from biasrep.pauli_frame import LeakPolicy
+from biasrep.pauli_frame import LeakPolicy, run_circuit
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -419,8 +421,24 @@ def diamond_norm_1q_exact(apply_map, restarts: int = 60, seed: int = 5,
 
 
 # ---------------------------------------------------------------------------
-# Fault enumeration, one scalar run per pattern
+# Fault enumeration, one scalar run per fault or pattern
 # ---------------------------------------------------------------------------
+
+def fault_effects_by_scalar_runs(circuit: Circuit,
+                                  faults: list[FaultEvent]) -> np.ndarray:
+    """``montecarlo._fault_effects`` one scalar run per fault: the outcome
+    bits (in ``measure_locations`` order), output frame x bits and z bits
+    of a run on the zero table under ``never-z`` with that fault forced, as
+    the columns of a bool array [outcomes + 2 * qubits, faults]."""
+    rows = []
+    for fault in faults:
+        run = run_circuit(circuit, zero_rates(), 0, forced_faults=[fault],
+                          leak_policy=LeakPolicy.NEVER_Z, validate=False)
+        rows.append([*(run.outcomes.bits[loc] for loc in circuit.measure_locations),
+                     *run.frame.x, *run.frame.z])
+    width = len(circuit.measure_locations) + 2 * circuit.n_qubits
+    return np.array(rows, dtype=bool).reshape(-1, width).T
+
 
 def replay_oracle(gadget: Circuit, rates: ErrorRateTable,
                   weight_max: int) -> OracleResult:

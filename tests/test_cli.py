@@ -118,6 +118,48 @@ class TestOptimizeRow:
         assert "must be" in err
 
 
+class TestRatesFixEveryRate:
+    """A rate table fixes every rate, so a rate point beside it is refused
+    rather than printed or dropped."""
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["optimize", "--rates", "table1", "--eps", "1e-3", "--bias", "10"],
+         "--eps and --bias"),
+        (["bounds", "--n", "5", "--k", "7", "--eps", "1e-3",
+          "--rates", "table1"], "--eps"),
+        (["bounds", "--rates", "table1", "--optimize", "free", "--bias", "10",
+          "--eps-grid", "1e-3:1e-2"], "--bias and --eps-grid"),
+        (["bounds", "--rates", "table1", "--n", "5", "--k", "7",
+          "--bias", "10"], "--bias"),
+        (["optimize", "--rates", "table1", "--eps", "0"], "--eps")],
+        ids=["optimize", "bounds-direct", "bounds-sweep", "bounds-bias",
+             "optimize-zero-eps"])
+    def test_rate_point_beside_table_rejected(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"drop {flags}" in err
+        assert out == ""
+
+    def test_direct_bound_from_table_alone(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--rates", "table1",
+                               "--n", "5", "--k", "7")
+        assert code == 0
+        config = json.loads(out.splitlines()[1].removeprefix("# config: "))
+        assert config["eps"] is None and config["bias"] is None
+        row = csv_body(out)[1].split(",")
+        assert row[:5] == ["nan", "nan", "3", "5", "7"]
+        # the optimum at (5, 7) is the same table-derived bound
+        _, opt, _ = run_cli(capsys, "optimize", "--rates", "table1")
+        assert csv_body(opt)[1] == csv_body(out)[1]
+
+    def test_direct_bound_needs_n(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--rates", "table1",
+                                 "--k", "7")
+        assert code == 2
+        assert "needs --n" in err
+        assert out == ""
+
+
 class TestSimulate:
     def test_zero_rates(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--gadget", "teleport",

@@ -1,19 +1,29 @@
 """Differential checks on generated inputs: the batch engine against the
-scalar engine trial by trial, and a circuit against its text round trip.
+scalar engine trial by trial, with and without per-trial forced faults, and
+a circuit against its text round trip.  The oracle's batched single-fault
+effects are checked against one scalar run per fault.
 
 Inputs are small gadgets, leaky rate tables with a correlated CPHASE term,
 every leak policy and scattered trial indices.  Examples are derandomized,
 so a run is repeatable."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasrep.gadgets import (build_logical_cnot, build_parity_measurement,
                              build_teleport_identity, circuit_from_text,
                              circuit_to_text)
-from biasrep.noise_model import ErrorRateTable, OpKind, Rates, Species
+from biasrep.montecarlo import _fault_effects, fault_sites
+from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
+                                 OpKind, Rates, Species, default_rates,
+                                 zero_rates)
 from biasrep.pauli_frame import LeakPolicy, run_circuit, run_circuit_batch
+
+from oracles import fault_effects_by_scalar_runs
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -50,21 +60,115 @@ def batch_columns(batch) -> list[np.ndarray]:
             batch.frame_z, batch.frame_leaked]
 
 
-@SETTINGS
-@given(gadgets, leaky_tables(), seeds, trial_lists, policies)
-def test_batch_engine_matches_scalar_engine(circuit, table, seed, trials,
-                                            policy):
+def assert_batch_matches_scalar(circuit, table, seed, trials, policy,
+                                forced=None):
+    """Every result array of one batched run equals the scalar engine's,
+    trial by trial, with trial j forced with ``forced[j]`` if given."""
+    forced = forced or [[] for _ in trials]
     batch = run_circuit_batch(circuit, table, seed,
                               np.array(trials, dtype=np.uint64),
-                              leak_policy=policy)
+                              forced_faults=forced, leak_policy=policy)
     for j, trial in enumerate(trials):
-        run = run_circuit(circuit, table, seed, trial=trial, leak_policy=policy)
+        run = run_circuit(circuit, table, seed, trial=trial,
+                          forced_faults=forced[j], leak_policy=policy)
         meas = batch.meas_locations
         scalar = [[run.outcomes.bits[loc] for loc in meas],
                   [run.outcomes.leaked_random[loc] for loc in meas],
                   run.frame.x, run.frame.z, run.frame.leaked]
         for got, want in zip(batch_columns(batch), scalar):
             assert got[:, j].tolist() == [bool(b) for b in want]
+
+
+@SETTINGS
+@given(gadgets, leaky_tables(), seeds, trial_lists, policies)
+def test_batch_engine_matches_scalar_engine(circuit, table, seed, trials,
+                                            policy):
+    assert_batch_matches_scalar(circuit, table, seed, trials, policy)
+
+
+def event_lists(circuit, count: int):
+    """``count`` lists of forced events, drawn from at most three locations
+    so that several land on one (location, qubit) in either order.  Every
+    class may be forced; FLIP only at measurements."""
+    def events_at(loc):
+        kinds = list(FaultKind) if loc.kind is OpKind.MEASURE_X \
+            else [k for k in FaultKind if k is not FaultKind.MEAS_FLIP]
+        return st.builds(FaultEvent, st.just(loc.index),
+                         st.sampled_from(loc.qubits), st.sampled_from(kinds))
+
+    locations = st.lists(st.sampled_from(circuit.locations), min_size=1,
+                         max_size=3)
+    return locations.flatmap(lambda locs: st.lists(
+        st.lists(st.one_of([events_at(loc) for loc in locs]), max_size=5),
+        min_size=count, max_size=count))
+
+
+@SETTINGS
+@given(gadgets, leaky_tables(), seeds, trial_lists, policies, st.data())
+def test_forced_faults_match_scalar_engine(circuit, table, seed, trials,
+                                           policy, data):
+    forced = data.draw(event_lists(circuit, len(trials)))
+    assert_batch_matches_scalar(circuit, table, seed, trials, policy, forced)
+
+
+@pytest.mark.parametrize("policy", list(LeakPolicy))
+def test_forced_events_on_one_qubit_apply_in_list_order(policy):
+    # One location and qubit per trial, the events in different orders and
+    # repeated (Z twice cancels; it must not apply once).
+    circuit = build_teleport_identity(3, 3)
+    meas = next(loc for loc in circuit.locations
+                if loc.kind is OpKind.MEASURE_X)
+    cz = next(loc for loc in circuit.locations if loc.kind is OpKind.CPHASE)
+    q, m = cz.qubits[0], meas.qubits[0]
+    Z, X, LEAK, FLIP = (FaultKind.Z, FaultKind.X, FaultKind.LEAK,
+                        FaultKind.MEAS_FLIP)
+    forced = [[FaultEvent(cz.index, q, k) for k in ks] for ks in (
+        [LEAK, Z], [Z, LEAK], [Z, Z], [X, Z], [Z], [])]
+    forced += [[FaultEvent(meas.index, m, k) for k in ks] for ks in (
+        [FLIP, LEAK], [LEAK, FLIP], [FLIP, FLIP], [FLIP, Z])]
+    trials = [7 * j + 2**33 for j in range(len(forced))]
+    table = ErrorRateTable(default_rates().entries, cphase_zz=0.01)
+    assert_batch_matches_scalar(circuit, table, 5, trials, policy, forced)
+
+
+def test_forced_flip_off_a_measurement_raises():
+    circuit = build_teleport_identity(3, 1)
+    cz = next(loc for loc in circuit.locations if loc.kind is OpKind.CPHASE)
+    flip = FaultEvent(cz.index, cz.qubits[0], FaultKind.MEAS_FLIP)
+    with pytest.raises(ValueError, match="outcome flip"):
+        run_circuit_batch(circuit, zero_rates(), 0, np.arange(2),
+                          forced_faults=[[], [flip]])
+    with pytest.raises(ValueError):
+        run_circuit(circuit, zero_rates(), 0, forced_faults=[flip])
+
+
+def test_forced_faults_need_one_list_per_trial():
+    with pytest.raises(ValueError, match="2 forced-fault lists for 3 trials"):
+        run_circuit_batch(build_teleport_identity(3, 1), zero_rates(), 0,
+                          np.arange(3), forced_faults=[[], []])
+
+
+LEAK_FREE_TABLE1 = ErrorRateTable({
+    key: dataclasses.replace(r, eps_leak=0.0)
+    for key, r in default_rates().entries.items()})
+
+
+@pytest.mark.parametrize("circuit,table", [
+    (build_teleport_identity(3, 1), LEAK_FREE_TABLE1),
+    (build_logical_cnot(3, 3), LEAK_FREE_TABLE1),
+    (build_logical_cnot(3, 3, pre_teleport=True), LEAK_FREE_TABLE1),
+    (build_logical_cnot(5, 7), LEAK_FREE_TABLE1),
+    (build_logical_cnot(3, 3), zero_rates())],
+    ids=["teleport31", "cnot33", "cnot33-pre-teleport", "cnot57", "zero"])
+def test_fault_effects_equal_one_scalar_run_per_fault(circuit, table):
+    faults = [FaultEvent(s.location_id, s.qubit, kind)
+              for s in fault_sites(circuit, table) for kind, _ in s.choices]
+    got = _fault_effects(circuit, faults, zero_rates())
+    want = fault_effects_by_scalar_runs(circuit, faults)
+    assert got.dtype == want.dtype == bool
+    assert got.shape == want.shape == (
+        len(circuit.measure_locations) + 2 * circuit.n_qubits, len(faults))
+    assert (got == want).all()
 
 
 @SETTINGS

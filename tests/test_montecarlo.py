@@ -194,6 +194,44 @@ class TestEstimateLogicalRates:
         assert estimate_logical_rates(tele, table, trials, seed=8, workers=3) \
             == estimate_logical_rates(tele, table, trials, seed=8)
 
+    @pytest.mark.parametrize("workers,cpus,processes", [
+        (1000, 2, 2), (3, 8, 3), (5, None, 1)])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, workers, cpus,
+                                      processes):
+        # An inline executor stands in for the process pool: it records its
+        # size and runs each span in this process, so no process starts.
+        import concurrent.futures
+        sizes, spans = [], []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args, **kwargs):
+                spans.append(args[3:5])
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args, **kwargs))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        tele = build_teleport_identity(3, 3)
+        table = uniform_table(0.02, 0.005)
+        pooled = estimate_logical_rates(tele, table, 40, seed=8,
+                                        workers=workers)
+        assert sizes == [processes]
+        # the span split follows the requested worker count, not the pool
+        assert len(spans) == min(workers, 40)
+        assert spans[0][0] == 0 and spans[-1][1] == 40
+        assert pooled == estimate_logical_rates(tele, table, 40, seed=8)
+
     def test_leaked_output_folds_into_other_rate(self):
         table = table_with(prep_A=Rates(eps_leak=1.0))
         tele = build_teleport_identity(3, 1)
