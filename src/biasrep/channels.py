@@ -255,6 +255,8 @@ class KrausSet:
     tol: float = 1e-6
 
     def __post_init__(self):
+        if not self.operators:
+            raise ValueError("empty Kraus list")
         gram = self.gram()
         excess = np.linalg.eigvalsh(gram).max() - 1.0
         if excess > self.tol:
@@ -527,4 +529,5 @@ def kraus_from_json(text: str) -> list[ClassifiedKraus]:
         if unknown:
             raise ValueError(f"unclassified Kraus terms: {sorted(unknown)}")
         out.append(ClassifiedKraus.build(dim, **parts))
+    KrausSet(tuple(ck.total for ck in out))     # sum M^dagger M <= I
     return out

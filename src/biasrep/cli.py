@@ -261,6 +261,9 @@ def cmd_channel(args: argparse.Namespace) -> int:
                           + " and ".join(sources))
 
     if args.amplitude_damping is not None:
+        if args.qubit:
+            raise ConfigError("--qubit resolves a Kraus channel's qubit; "
+                              "--amplitude-damping takes none")
         ad = amplitude_damping(args.amplitude_damping,
                                random_restarts=args.restarts, seed=args.seed)
         report["result"] = {

@@ -307,6 +307,8 @@ def build_logical_cnot(n: int, k: int, pre_teleport: bool = False) -> Circuit:
 
 def build_gadget(name: str, n: int, k: int, pre_teleport: bool = False) -> Circuit:
     if name == "teleport":
+        if pre_teleport:
+            raise ValueError("pre-teleport applies to the cnot gadget only")
         return build_teleport_identity(n, k)
     if name == "cnot":
         return build_logical_cnot(n, k, pre_teleport=pre_teleport)

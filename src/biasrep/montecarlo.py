@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .gadgets import Circuit, assert_valid
-from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultKind,
+from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultSite,
                           zero_rates)
 from .pauli_frame import (BatchRunResult, LeakPolicy, RunResult,
                           run_circuit, run_circuit_batch)
@@ -144,15 +144,19 @@ class TrialCounts:
                            self.logical_other + other.logical_other)
 
 
+# Trials per vectorized batch of count_trials; it bounds the batch engine's
+# working arrays (a few bytes per qubit and trial).
+_BATCH_SIZE = 1 << 17
+
+
 def count_trials(gadget: Circuit, rates: ErrorRateTable, seed: int,
                  trial_start: int, trial_stop: int, *,
-                 leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
-                 batch_size: int = 1 << 17) -> TrialCounts:
+                 leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z) -> TrialCounts:
     """Classify trials [trial_start, trial_stop) in vectorized batches.
     Results depend only on absolute trial indices, never on batching."""
     total = TrialCounts(0, 0, 0, 0, 0)
-    for lo in range(trial_start, trial_stop, batch_size):
-        hi = min(lo + batch_size, trial_stop)
+    for lo in range(trial_start, trial_stop, _BATCH_SIZE):
+        hi = min(lo + _BATCH_SIZE, trial_stop)
         trials = np.arange(lo, hi, dtype=np.uint64)
         batch = run_circuit_batch(gadget, rates, seed, trials,
                                   leak_policy=leak_policy, validate=(lo == trial_start))
@@ -202,20 +206,6 @@ def estimate_logical_rates(gadget: Circuit, rates: ErrorRateTable,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FaultSite:
-    """One elementary fault opportunity: a (location, qubit) cell with its
-    possible fault classes and their probabilities."""
-
-    location_id: int
-    qubit: int
-    choices: tuple[tuple[FaultKind, float], ...]
-
-    @property
-    def total(self) -> float:
-        return sum(p for _, p in self.choices)
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Truncated exact logical-error probabilities from fault patterns of
     weight <= weight_max.  ``remainder_bound`` bounds the probability of any
@@ -235,21 +225,17 @@ class OracleResult:
 
 
 def fault_sites(circuit: Circuit, rates: ErrorRateTable) -> list[FaultSite]:
-    """Enumerate the fault opportunities of a circuit under a rate table.
-    Leakage rates are rejected: a leak makes downstream propagation random,
-    so exact enumeration only covers Pauli and outcome-flip faults."""
-    faults = rates.faults()
-    sites: list[FaultSite] = []
-    for loc in circuit.locations:
-        op = faults.get(loc.kind)
-        for row, slot, _ in op.draws(loc.qubits, circuit.species_of) if op else ():
-            if slot < 0:
-                raise ValueError("fault enumeration does not support cphase_zz")
-            if any(EFFECTS[cls].leak for cls in row.classes):
-                raise ValueError(
-                    "fault enumeration requires a leak-free rate table "
-                    f"(location {loc.index}, qubit {slot})")
-            sites.append(FaultSite(loc.index, slot, tuple(zip(row.classes, row.probs))))
+    """``rates.sites(circuit)`` flattened, checked for the oracle.  Leakage
+    rates are rejected: a leak makes downstream propagation random, so exact
+    enumeration only covers Pauli and outcome-flip faults."""
+    sites = [s for loc_sites in rates.sites(circuit) for s in loc_sites]
+    for s in sites:
+        if s.qubit < 0:
+            raise ValueError("fault enumeration does not support cphase_zz")
+        if any(EFFECTS[cls].leak for cls in s.row.classes):
+            raise ValueError(
+                "fault enumeration requires a leak-free rate table "
+                f"(location {s.location_id}, qubit {s.qubit})")
     return sites
 
 
@@ -339,9 +325,7 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
                          f"for {L} sites at weight {weight_max} "
                          f"(limit {max_patterns})")
 
-    survival_all = 1.0
-    for s in sites:
-        survival_all *= 1.0 - s.total
+    survival_all = math.prod((1.0 - s.total for s in sites), start=1.0)
     # One entry per (site, fault class), in enumeration order.
     faults = [FaultEvent(s.location_id, s.qubit, kind)
               for s in sites for kind, _ in s.choices]

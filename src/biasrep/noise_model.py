@@ -17,11 +17,14 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .streams import TAG_FAULT, FaultStream, TrialHashes, to_uniform
+
+if TYPE_CHECKING:
+    from .gadgets import Circuit
 
 
 class Species(str, Enum):
@@ -141,6 +144,29 @@ class FaultRow(NamedTuple):
                                     side="right")
 
 
+class FaultSite(NamedTuple):
+    """One keyed fault draw, at (location_id, qubit, ``TAG_FAULT``) with qubit
+    -1 for the pair draw; the class drawn from ``row`` hits each of ``targets``."""
+
+    location_id: int
+    qubit: int
+    targets: tuple[int, ...]
+    row: FaultRow
+
+    @property
+    def choices(self) -> tuple[tuple[FaultKind, float], ...]:
+        return tuple(zip(self.row.classes, self.row.probs))
+
+    @property
+    def total(self) -> float:
+        return sum(self.row.probs)
+
+    def draw(self, stream: FaultStream) -> list[FaultEvent]:
+        """This draw in the trial of ``stream``: one event per target, or none."""
+        fault = self.row.draw(stream.uniform(self.location_id, self.qubit, TAG_FAULT))
+        return [FaultEvent(self.location_id, q, fault) for q in self.targets if fault]
+
+
 class OpFaults(NamedTuple):
     """The fault draws of one operation kind: one per qubit whose species
     has a row, and the correlated ``pair`` draw, if any (the CPHASE Z(x)Z
@@ -149,14 +175,13 @@ class OpFaults(NamedTuple):
     rows: dict[Species, FaultRow]
     pair: FaultRow | None = None
 
-    def draws(self, qubits: Sequence[int], species_of: Callable[[int], Species]
-              ) -> list[tuple[FaultRow, int, tuple[int, ...]]]:
-        """(row, qubit slot of the draw's key, qubits the drawn class hits)
-        for each draw of one location; the pair draw is keyed to slot -1."""
-        out = [(self.rows[sp], q, (q,)) for q in qubits
+    def sites(self, location_id: int, qubits: Sequence[int],
+              species_of: Callable[[int], Species]) -> list[FaultSite]:
+        """One location's draws: per qubit in qubit order, then the pair draw."""
+        out = [FaultSite(location_id, q, (q,), self.rows[sp]) for q in qubits
                if (sp := species_of(q)) in self.rows]
         if self.pair is not None:
-            out.append((self.pair, -1, tuple(qubits)))
+            out.append(FaultSite(location_id, -1, tuple(qubits), self.pair))
         return out
 
 
@@ -213,6 +238,13 @@ class ErrorRateTable:
                 table[OpKind.CPHASE] = OpFaults(rows.get(OpKind.CPHASE, {}), pair)
             self._faults = (key, table)
         return self._faults[1]
+
+    def sites(self, circuit: Circuit) -> list[list[FaultSite]]:
+        """The :class:`FaultSite` draws of each location of ``circuit`` in time
+        order: a circuit's draws, resolved for both engines and the oracle."""
+        faults = self.faults()
+        return [op.sites(loc.index, loc.qubits, circuit.species_of)
+                if (op := faults.get(loc.kind)) else [] for loc in circuit.locations]
 
     def bias(self, kind: OpKind = OpKind.CPHASE, species: Species = Species.A) -> float:
         r = self.get(kind, species)
@@ -276,16 +308,11 @@ def zero_rates() -> ErrorRateTable:
 def sample_faults(kind: OpKind, qubits: Sequence[int], species: Sequence[Species],
                   location_id: int, rates: ErrorRateTable,
                   stream: FaultStream) -> list[FaultEvent]:
-    """Draw the faults for one circuit location: one keyed draw for each
-    draw :meth:`ErrorRateTable.faults` gives the location's operation."""
-    op = rates.faults().get(kind)
-    events: list[FaultEvent] = []
-    species_of = dict(zip(qubits, species)).__getitem__
-    for row, slot, targets in op.draws(qubits, species_of) if op else ():
-        fault = row.draw(stream.uniform(location_id, slot, TAG_FAULT))
-        if fault is not None:
-            events.extend(FaultEvent(location_id, q, fault) for q in targets)
-    return events
+    """Draw the faults for one circuit location: one keyed draw per
+    :class:`FaultSite` the location's operation has."""
+    op = rates.faults().get(kind, OpFaults({}))
+    sites = op.sites(location_id, qubits, dict(zip(qubits, species)).__getitem__)
+    return [ev for site in sites for ev in site.draw(stream)]
 
 
 def fault_class_counts(kind: OpKind, species: Species, rates: ErrorRateTable,
@@ -293,8 +320,7 @@ def fault_class_counts(kind: OpKind, species: Species, rates: ErrorRateTable,
                        trials: int) -> dict[FaultKind, int]:
     """Vectorized fault-class frequencies for one (location, qubit) cell,
     using exactly the draws :func:`sample_faults` would make per trial."""
-    op = rates.faults().get(kind)
-    row = op.rows.get(species) if op else None
+    row = rates.faults().get(kind, OpFaults({})).rows.get(species)
     if row is None:
         return {}
     _, which = row.select(TrialHashes(seed, np.arange(trials, dtype=np.uint64)),

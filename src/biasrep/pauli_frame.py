@@ -22,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .gadgets import Circuit, assert_valid
-from .noise_model import (EFFECTS, Effect, ErrorRateTable, FaultEvent,
-                          OpKind, sample_faults)
+from .noise_model import EFFECTS, Effect, ErrorRateTable, FaultEvent, OpKind
 from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, TrialHashes,
                       uniform_vector)
 
@@ -104,11 +103,10 @@ def conjugate_through_cz(frame: PauliFrame, q1: int, q2: int, *,
     X and Y components pick up a Z on the partner qubit; Z components
     commute.  If exactly one qubit is leaked the normal partner acquires a Z
     per the leak policy (the random-Z policy draws from ``stream``); if both
-    are leaked nothing happens.
+    are leaked nothing happens.  The policy is read only in the first case.
     """
     if q1 == q2:
         raise ValueError("CPHASE requires two distinct qubits")
-    policy = LeakPolicy(policy)
     l1, l2 = frame.leaked[q1], frame.leaked[q2]
     if not l1 and not l2:
         frame.z[q2] ^= frame.x[q1]
@@ -116,6 +114,7 @@ def conjugate_through_cz(frame: PauliFrame, q1: int, q2: int, *,
         return frame
     if l1 and l2:
         return frame
+    policy = LeakPolicy(policy)
     normal = q2 if l1 else q1
     if policy is LeakPolicy.ALWAYS_Z:
         frame.z[normal] ^= 1
@@ -177,7 +176,6 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     """
     if validate:
         assert_valid(circuit)
-    faults = rates.faults()
     policy = LeakPolicy(leak_policy)
     stream = FaultStream(seed, trial)
     frame = PauliFrame(circuit.n_qubits)
@@ -187,7 +185,7 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     for ev in forced_faults:
         forced_by_loc.setdefault(ev.location_id, []).append(ev)
 
-    for loc in circuit.locations:
+    for loc, sites in zip(circuit.locations, rates.sites(circuit)):
         kind = loc.kind
         if kind is OpKind.PREP_PLUS:
             frame.reset(loc.qubits[0])
@@ -195,10 +193,8 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
             conjugate_through_cz(frame, *loc.qubits, policy=policy,
                                  stream=stream, location_id=loc.index)
         events = forced_by_loc.get(loc.index, ())
-        if kind in faults:
-            species = [circuit.species_of(q) for q in loc.qubits]
-            events = [*sample_faults(kind, loc.qubits, species, loc.index,
-                                     rates, stream), *events]
+        if sites:
+            events = [*(ev for s in sites for ev in s.draw(stream)), *events]
         flip = False
         for ev in events:
             if kind is OpKind.MEASURE_X and EFFECTS[ev.error].flip:
@@ -255,7 +251,6 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     """
     if validate:
         assert_valid(circuit)
-    faults = rates.faults()
     policy = LeakPolicy(leak_policy)
     trials = np.asarray(trials, dtype=np.uint64)
     B = trials.shape[0]
@@ -301,7 +296,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                 raise ValueError("an outcome flip needs a measurement location")
             bit[t] ^= True
 
-    for loc in circuit.locations:
+    for loc, sites in zip(circuit.locations, rates.sites(circuit)):
         kind = loc.kind
         bit = None
         if kind is OpKind.PREP_PLUS:
@@ -327,12 +322,11 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                     z[normal_q, idx] ^= True
         else:
             bit = out_bits[row_of[loc.index]]
-        op = faults.get(kind)
-        for row, slot, targets in op.draws(loc.qubits, circuit.species_of) if op else ():
-            hit, which = row.select(hashes, loc.index, slot)
-            for i, cls in enumerate(row.classes):
+        for site in sites:
+            hit, which = site.row.select(hashes, loc.index, site.qubit)
+            for i, cls in enumerate(site.row.classes):
                 drawn = hit[which == i]
-                for q in targets:
+                for q in site.targets:
                     apply(EFFECTS[cls], q, drawn, bit)
         for (_, q, cls), t in forced.get(loc.index, ()):
             apply(EFFECTS[cls], q, np.array(t), bit)

@@ -257,6 +257,18 @@ class TestSplitChannel:
         assert input_distance(parts.e_phase, bell_phi0()) == pytest.approx(
             4.73e-3, rel=0.15)
 
+    @pytest.mark.parametrize("excess, accepted", [(0.0, True), (1e-7, True),
+                                                  (1e-5, False), (8.0, False)])
+    def test_json_completeness_enforced(self, excess, accepted):
+        # one operator sqrt(1 + excess) * I: sum M^dagger M = (1 + excess) I
+        doc = kraus_to_json([ClassifiedKraus.build(
+            4, identity=math.sqrt(1.0 + excess) * np.eye(4))])
+        if accepted:
+            assert len(kraus_from_json(doc)) == 1
+        else:
+            with pytest.raises(ValueError, match="completeness violated"):
+                kraus_from_json(doc)
+
     def test_unclassified_tags_rejected(self):
         doc = kraus_to_json(builtin_cphase_kraus())
         broken = doc.replace('"diagonal"', '"mystery"', 1)

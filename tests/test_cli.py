@@ -176,6 +176,14 @@ class TestSimulate:
         assert code == 2
         assert "odd" in err
 
+    def test_pre_teleport_needs_cnot(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--gadget", "teleport",
+                                 "--n", "3", "--k", "1", "--trials", "10",
+                                 "--pre-teleport")
+        assert code == 2
+        assert out == ""
+        assert "pre-teleport" in err and "cnot" in err
+
     def test_scientific_trials(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--gadget", "teleport",
                                "--n", "1", "--k", "1", "--rates", "zero",
@@ -282,6 +290,13 @@ class TestChannel:
         assert report["result"]["other_rate"] == pytest.approx(3.5e-6,
                                                                rel=1e-9)
 
+    def test_amplitude_damping_takes_no_qubit(self, capsys):
+        code, out, err = run_cli(capsys, "channel", "--amplitude-damping",
+                                 "3.5e-6", "--qubit", "A")
+        assert code == 2
+        assert out == ""
+        assert "--qubit" in err
+
     def test_no_source_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "channel")
         assert code == 2
@@ -318,6 +333,21 @@ class TestChannel:
         assert code == 2
         assert out == ""
         assert "bad Kraus file" in err and str(path) in err
+
+    def test_kraus_beyond_completeness_is_config_error(self, capsys, tmp_path):
+        # 3 I + 0.5 Z on one qubit of two: sum M^dagger M is far above I
+        z = [1.0, -1.0, 1.0, -1.0]
+        identity = [[[3.0 * (i == j), 0.0] for j in range(4)] for i in range(4)]
+        diagonal = [[[0.5 * z[i] * (i == j), 0.0] for j in range(4)]
+                    for i in range(4)]
+        path = tmp_path / "excess.json"
+        path.write_text(json.dumps({"dim": 4, "operators": [
+            {"identity": identity, "diagonal": diagonal}]}))
+        code, out, err = run_cli(capsys, "channel", "--kraus-json", str(path),
+                                 "--input", "search")
+        assert code == 2
+        assert out == ""
+        assert "bad Kraus file" in err and "completeness violated" in err
 
     def test_bell_input_needs_two_qubit_space(self, capsys, tmp_path):
         identity = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
@@ -414,6 +444,13 @@ class TestValidate:
                                "--n", "3", "--k", "3")
         assert code == 0
         assert "ok" in out
+
+    def test_pre_teleport_needs_cnot(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--gadget", "teleport",
+                                 "--pre-teleport")
+        assert code == 2
+        assert out == ""
+        assert "pre-teleport" in err and "cnot" in err
 
     def test_circuit_file(self, capsys, tmp_path):
         path = tmp_path / "circuit.txt"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from biasrep.gadgets import (Block, Circuit, Correction, Location, Qubit,
-                             GadgetParams, build_logical_cnot,
+                             GadgetParams, build_gadget, build_logical_cnot,
                              build_parity_measurement,
                              build_teleport_identity, check_schedule,
                              circuit_from_text, circuit_to_text)
@@ -201,6 +201,11 @@ class TestParityMeasurement:
 
 
 class TestTeleportIdentity:
+    def test_pre_teleport_rejected(self):
+        with pytest.raises(ValueError, match="cnot gadget only"):
+            build_gadget("teleport", 3, 1, pre_teleport=True)
+        assert build_gadget("teleport", 3, 1) == build_teleport_identity(3, 1)
+
     def test_noiseless_plus_is_fixed_point_with_zero_correction(self):
         tele = build_teleport_identity(3, 3)
         result = run_circuit(tele, zero_rates(), 0)

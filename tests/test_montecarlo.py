@@ -249,11 +249,13 @@ class TestEstimateLogicalRates:
             + count_trials(tele, table, 9, 11_000, 30_000)
         assert whole == split
 
-    def test_batch_size_invariance(self):
+    def test_batch_size_invariance(self, monkeypatch):
         tele = build_teleport_identity(3, 1)
         table = uniform_table(0.02, 0.005)
-        a = count_trials(tele, table, 9, 0, 5000, batch_size=512)
-        b = count_trials(tele, table, 9, 0, 5000, batch_size=4096)
+        monkeypatch.setattr(montecarlo, "_BATCH_SIZE", 512)
+        a = count_trials(tele, table, 9, 0, 5000)
+        monkeypatch.setattr(montecarlo, "_BATCH_SIZE", 4096)
+        b = count_trials(tele, table, 9, 0, 5000)
         assert a == b
 
     def test_scalar_trials_match_batch(self):
@@ -352,6 +354,15 @@ class TestBruteForceOracle:
             out, _ = estimate_logical_rates(tele, table_with(**bumped),
                                             trials, seed=53)
             assert out.mean > ref.mean + 3 * (ref.stderr + out.stderr), key
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_teleport_identity(3, 3),
+        lambda: build_logical_cnot(3, 3, pre_teleport=True),
+    ], ids=["teleport33", "cnot33-pre-teleport"])
+    def test_fault_sites_are_the_flattened_table(self, build):
+        circuit, table = build(), table1_without(*LEAK_FREE)
+        assert fault_sites(circuit, table) == \
+            [s for loc_sites in table.sites(circuit) for s in loc_sites]
 
     def test_fault_sites_cover_all_locations(self):
         tele = build_teleport_identity(3, 1)

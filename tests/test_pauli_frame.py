@@ -5,12 +5,12 @@ import pytest
 
 from biasrep.gadgets import (Block, Circuit, Location, Qubit,
                              ScheduleViolation, build_gadget,
-                             build_teleport_identity)
+                             build_logical_cnot, build_teleport_identity)
 from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
                                  Species, default_rates, zero_rates)
 from biasrep.pauli_frame import (LeakPolicy, PauliFrame, conjugate_through_cz,
                                  measure_x, run_circuit, run_circuit_batch)
-from biasrep.streams import FaultStream
+from biasrep.streams import TAG_FAULT, FaultStream, TrialHashes
 
 from conftest import table_with, uniform_table
 from oracles import PAULIS, kron_all
@@ -377,3 +377,59 @@ class TestLeakageContainment:
             for q in tele.block("out").qubits:
                 assert not result.frame.leaked[q]
                 assert result.frame.state(q) in ("I", "Z")
+
+
+class TestFaultSiteTable:
+    """``ErrorRateTable.sites`` resolves a circuit's keyed fault draws; both
+    engines draw exactly those, in table order."""
+
+    CIRCUITS = [lambda: build_teleport_identity(3, 1),
+                lambda: build_logical_cnot(3, 3, pre_teleport=True)]
+    TABLES = [default_rates, lambda: leaky_table(1e3, cphase_zz=0.01)]
+
+    @staticmethod
+    def record(monkeypatch, cls, name):
+        """Record the (location, qubit) of every TAG_FAULT call of
+        ``cls.name``."""
+        calls = []
+        original = getattr(cls, name)
+
+        def recorded(self, location, qubit, tag=TAG_FAULT):
+            if tag == TAG_FAULT:
+                calls.append((location, qubit))
+            return original(self, location, qubit, tag)
+        monkeypatch.setattr(cls, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("table", TABLES, ids=["table1", "leaky-zz"])
+    @pytest.mark.parametrize("build", CIRCUITS, ids=["teleport31", "cnot33-pre"])
+    def test_engines_draw_the_table(self, monkeypatch, build, table):
+        circuit, rates = build(), table()
+        sites = rates.sites(circuit)
+        assert len(sites) == len(circuit.locations)
+        flat = [(s.location_id, s.qubit) for loc_sites in sites for s in loc_sites]
+        assert (-1 in {q for _, q in flat}) == (rates.cphase_zz > 0)
+        batch = self.record(monkeypatch, TrialHashes, "hash")
+        scalar = self.record(monkeypatch, FaultStream, "uniform")
+        run_circuit_batch(circuit, rates, 5, np.arange(64, dtype=np.uint64))
+        run_circuit(circuit, rates, 5, trial=3)
+        assert batch == flat
+        assert scalar == flat
+
+    @pytest.mark.parametrize("build", CIRCUITS, ids=["teleport31", "cnot33-pre"])
+    def test_sites_per_location(self, build):
+        circuit, rates = build(), leaky_table(1e3, cphase_zz=0.01)
+        for loc, loc_sites in zip(circuit.locations, rates.sites(circuit)):
+            pair = [-1] if loc.kind is OpKind.CPHASE else []
+            assert [s.qubit for s in loc_sites] == [*loc.qubits, *pair]
+            for s in loc_sites:
+                assert s.location_id == loc.index
+                assert s.targets == (loc.qubits if s.qubit < 0 else (s.qubit,))
+                assert s.total == sum(p for _, p in s.choices)
+
+    def test_zero_table_draws_nothing(self, monkeypatch):
+        circuit = build_logical_cnot(3, 3)
+        assert zero_rates().sites(circuit) == [[]] * len(circuit.locations)
+        scalar = self.record(monkeypatch, FaultStream, "uniform")
+        run_circuit(circuit, zero_rates(), 5)
+        assert scalar == []
