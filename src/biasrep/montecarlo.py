@@ -29,16 +29,35 @@ from .gadgets import Circuit, assert_valid
 from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultSite,
                           zero_rates)
 from .pauli_frame import (BatchRunResult, LeakPolicy, RunResult,
-                          run_circuit, run_circuit_batch)
+                          run_circuit, run_circuit_batch, run_circuit_packed,
+                          unpack_words)
+
+
+def _at_least(bits: Sequence, k: int):
+    """Whether at least ``k`` of the bits are set, elementwise.  Each bit may
+    be a single bit, a boolean array or a row of packed uint64 words (all of
+    one kind); only ``&`` and ``|`` are used.  ``reach[j]`` says that at
+    least j + 1 of the bits seen so far are set; each new bit is sorted into
+    that column by compare-exchanges (``|`` keeps the larger, ``&`` carries
+    the smaller down), and levels past k are dropped."""
+    reach = []
+    for b in bits:
+        carry = b | False       # one read of b (a strided row is copied)
+        for j, level in enumerate(reach):
+            reach[j], carry = level | carry, level & carry
+        if len(reach) < k:
+            reach.append(carry)
+    return reach[k - 1] if len(reach) == k else False
 
 
 def majority(bits: Sequence) -> bool | np.ndarray:
     """Majority value of an odd-length list of bits.  The bits may also be
-    equal-shape boolean arrays (one per bit, over trials); the majority is
-    then taken elementwise."""
+    equal-shape boolean arrays or rows of packed words (one per bit, over
+    trials); the majority is then taken elementwise."""
     if len(bits) % 2 == 0:
         raise ValueError(f"majority needs an odd number of bits, got {len(bits)}")
-    return sum(bits) * 2 > len(bits)
+    maj = _at_least(bits, len(bits) // 2 + 1)
+    return maj if isinstance(maj, np.ndarray) else bool(maj)
 
 
 @dataclass(frozen=True)
@@ -70,10 +89,11 @@ def _decode(circuit: Circuit, bits, x, z, leaked):
     """The logical-error rule, for one trial or for a batch.
 
     ``bits[location]`` is a measurement outcome and ``x[q]``, ``z[q]``,
-    ``leaked[q]`` the output frame of qubit q; each is either a bit (one
-    trial) or a boolean array over the trials of a batch.  Only operations
-    that mean the same for both are used.  Returns the flags (logical_z,
-    logical_x, leaked_output).
+    ``leaked[q]`` the output frame of qubit q; each is a bit (one trial), a
+    boolean array over the trials of a batch or a row of packed words
+    (:func:`~biasrep.pauli_frame.unpack_words`).  Only ``^``, ``&`` and
+    ``|`` are used, which mean the same for all three.  Returns the flags
+    (logical_z, logical_x, leaked_output).
     """
     maj = {name: majority([bits[loc] for loc in ids])
            for name, ids in circuit.groups.items()}
@@ -85,12 +105,12 @@ def _decode(circuit: Circuit, bits, x, z, leaked):
     for block in circuit.output_blocks:
         z_corr = corr.get(("Z", block.name), False)
         xpar = corr.get(("X", block.name), False)
-        weight = 0
         for q in block.qubits:
             xpar = xpar ^ x[q]
-            weight = weight + (z[q] ^ z_corr)   # Z pattern after Z on all n
             lk = lk | leaked[q]
-        lz = lz | (weight * 2 > len(block.qubits))
+        # Z pattern after Z on all n, of weight above n/2
+        lz = lz | _at_least([z[q] ^ z_corr for q in block.qubits],
+                            len(block.qubits) // 2 + 1)
         lx = lx | xpar
     return lz, lx, lk
 
@@ -144,26 +164,40 @@ class TrialCounts:
                            self.logical_other + other.logical_other)
 
 
-# Trials per vectorized batch of count_trials; it bounds the batch engine's
-# working arrays (a few bytes per qubit and trial).
+# Trials per packed batch of count_trials; it bounds the batch's working
+# arrays (the keyed hashes and trial indices, about 35 bytes per trial).
 _BATCH_SIZE = 1 << 17
+
+
+def _count_batch(gadget: Circuit, rates: ErrorRateTable, seed: int,
+                 lo: int, hi: int, leak_policy: LeakPolicy | str,
+                 validate: bool) -> TrialCounts:
+    """Classify trials [lo, hi) as one packed batch.  Every array of the
+    batch is freed on return, before the next batch is built."""
+    n = hi - lo
+    run = run_circuit_packed(gadget, rates, seed,
+                             np.arange(lo, hi, dtype=np.uint64),
+                             leak_policy=leak_policy, validate=validate)
+    unflagged = np.zeros(run.frame_x.shape[1], dtype=np.uint64)
+    lz, lx, leaked = (unflagged | flag for flag in _decode(
+        gadget, dict(zip(gadget.measure_locations, run.outcome_bits)),
+        run.frame_x, run.frame_z, run.frame_leaked))
+    # unpack_words drops the last word's bits past the batch
+    return TrialCounts(n, *(int(np.count_nonzero(unpack_words(words, n)))
+                            for words in (lz, lx, leaked, lx | leaked)))
 
 
 def count_trials(gadget: Circuit, rates: ErrorRateTable, seed: int,
                  trial_start: int, trial_stop: int, *,
                  leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z) -> TrialCounts:
-    """Classify trials [trial_start, trial_stop) in vectorized batches.
-    Results depend only on absolute trial indices, never on batching."""
+    """Classify trials [trial_start, trial_stop) in packed batches, one
+    alive at a time.  Results depend only on absolute trial indices, never
+    on batching."""
     total = TrialCounts(0, 0, 0, 0, 0)
     for lo in range(trial_start, trial_stop, _BATCH_SIZE):
-        hi = min(lo + _BATCH_SIZE, trial_stop)
-        trials = np.arange(lo, hi, dtype=np.uint64)
-        batch = run_circuit_batch(gadget, rates, seed, trials,
-                                  leak_policy=leak_policy, validate=(lo == trial_start))
-        lz, lx, leaked = classify_batch(gadget, batch)
-        total = total + TrialCounts(hi - lo, int(lz.sum()), int(lx.sum()),
-                                    int(leaked.sum()),
-                                    int((lx | leaked).sum()))
+        total = total + _count_batch(gadget, rates, seed, lo,
+                                     min(lo + _BATCH_SIZE, trial_stop),
+                                     leak_policy, lo == trial_start)
     return total
 
 

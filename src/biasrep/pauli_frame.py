@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,8 +216,144 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch runner
+# Packed batch runner
 # ---------------------------------------------------------------------------
+
+# Batch state is packed 64 trials to a word: trial j of a batch is bit
+# j % 64 of word j // 64 of each row.  Words are read as bytes only through
+# this little-endian view, so the layout does not depend on the host.
+_WORD_BYTES = np.dtype("<u8")
+
+
+def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` trials of packed rows (trials along the last axis) as
+    booleans; the unused bits of the last word are dropped."""
+    return np.unpackbits(words.astype(_WORD_BYTES, copy=False).view(np.uint8),
+                         axis=-1, count=n, bitorder="little").view(bool)
+
+
+class PackedRun(NamedTuple):
+    """Trial-parallel run output as uint64 word rows [column, word], in the
+    layout of :func:`unpack_words`; bits past the batch are zero."""
+
+    outcome_bits: np.ndarray     # [M, W], rows in measure_locations order
+    leaked_random: np.ndarray    # [M, W]
+    frame_x: np.ndarray          # [N, W]
+    frame_z: np.ndarray          # [N, W]
+    frame_leaked: np.ndarray     # [N, W]
+
+
+def run_circuit_packed(circuit: Circuit, rates: ErrorRateTable, seed: int,
+                       trials: np.ndarray, *,
+                       forced_faults: Sequence[Sequence[FaultEvent]] = (),
+                       leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
+                       validate: bool = True) -> PackedRun:
+    """Run a block of trials at once, 64 to a machine word.
+
+    Per-trial results are bit-identical to :func:`run_circuit` because every
+    random decision is keyed by (seed, trial, location, qubit, purpose), not
+    by draw order.  Batch boundaries therefore never affect outcomes, and a
+    draw that can matter only to leaked trials (the random Z on a leaked
+    qubit's partner, the outcome of a leaked measurement) is made for those
+    trials alone.  Gates, resets and measurement are word operations; the
+    trials a keyed draw selects are set into a word mask.
+
+    ``forced_faults`` holds one event list per trial (or none); a location
+    applies them after its sampled faults, in list order, as run_circuit does.
+    """
+    if validate:
+        assert_valid(circuit)
+    policy = LeakPolicy(leak_policy)
+    trials = np.asarray(trials, dtype=np.uint64)
+    B = trials.shape[0]
+    if forced_faults and len(forced_faults) != B:
+        raise ValueError(f"{len(forced_faults)} forced-fault lists for {B} trials")
+    # location -> (rank in a trial's list, qubit, class) -> trials, each once
+    by_loc: dict[int, dict] = {}
+    for j, events in enumerate(forced_faults):
+        for r, ev in enumerate(events):
+            by_loc.setdefault(ev.location_id, {}).setdefault(
+                (r, ev.qubit, ev.error), []).append(j)
+    forced = {loc: sorted(groups.items()) for loc, groups in by_loc.items()}
+    W = (B + 63) >> 6
+    meas_locs = circuit.measure_locations
+    row_of = {loc: i for i, loc in enumerate(meas_locs)}
+    hashes = TrialHashes(seed, trials)
+    x, z, lk = np.zeros((3, circuit.n_qubits, W), dtype=np.uint64)
+    out_bits, out_leakrand = np.zeros((2, len(meas_locs), W), dtype=np.uint64)
+
+    def mask(pos: np.ndarray) -> np.ndarray:
+        """The word row with the bits at batch positions ``pos`` set."""
+        m = np.zeros(W, dtype=np.uint64)
+        pos = np.asarray(pos, dtype=np.intp)
+        np.bitwise_or.at(m, pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64))
+        return m
+
+    def heads(m: np.ndarray, location: int, q: int, tag: int) -> np.ndarray:
+        """The trials of ``m`` whose keyed coin at (location, q, tag) comes
+        up heads (uniform below 1/2)."""
+        words = np.flatnonzero(m)
+        if not words.size:
+            return m
+        bits = np.flatnonzero(unpack_words(m[words], 64 * words.size))
+        idx = words[bits >> 6] * 64 + (bits & 63)     # ascending positions
+        return mask(idx[uniform_vector(seed, trials[idx], location, q, tag) < 0.5])
+
+    def apply(effect: Effect, q: int, m: np.ndarray, bit: np.ndarray | None) -> None:
+        """A fault on qubit q in the trials of ``m``."""
+        m = m & ~lk[q]
+        if effect.x:
+            x[q] ^= m
+        if effect.z:
+            z[q] ^= m
+        if effect.leak:
+            lk[q] |= m
+            x[q] &= ~m
+            z[q] &= ~m
+        if effect.flip:
+            if bit is None:
+                raise ValueError("an outcome flip needs a measurement location")
+            bit ^= m
+
+    for loc, sites in zip(circuit.locations, rates.sites(circuit)):
+        kind = loc.kind
+        bit = None
+        if kind is OpKind.PREP_PLUS:
+            q = loc.qubits[0]
+            x[q] = z[q] = lk[q] = 0
+        elif kind is OpKind.CPHASE:
+            q1, q2 = loc.qubits
+            ok = ~(lk[q1] | lk[q2])
+            z[q2] ^= x[q1] & ok
+            z[q1] ^= x[q2] & ok
+            if policy is not LeakPolicy.NEVER_Z:
+                for leaked_q, normal_q in ((q1, q2), (q2, q1)):
+                    # trials where leaked_q is leaked and normal_q is not
+                    m = lk[leaked_q] & ~lk[normal_q]
+                    if policy is LeakPolicy.RANDOM_Z:
+                        m = heads(m, loc.index, normal_q, TAG_LEAK_CZ)
+                    z[normal_q] ^= m
+        else:
+            bit = out_bits[row_of[loc.index]]
+        for site in sites:
+            hit, which = site.row.select(hashes, loc.index, site.qubit)
+            for i, cls in enumerate(site.row.classes):
+                drawn = hit[which == i]
+                if drawn.size:
+                    m = mask(drawn)
+                    for q in site.targets:
+                        apply(EFFECTS[cls], q, m, bit)
+        for (_, q, cls), t in forced.get(loc.index, ()):
+            apply(EFFECTS[cls], q, mask(t), bit)
+        if kind is OpKind.MEASURE_X:
+            q = loc.qubits[0]
+            bit ^= z[q]
+            bit &= ~lk[q]
+            bit |= heads(lk[q], loc.index, q, TAG_LEAK_OUTCOME)
+            out_leakrand[row_of[loc.index]] = lk[q]
+            x[q] = z[q] = lk[q] = 0
+    return PackedRun(out_bits, out_leakrand, x, z, lk)
+
 
 @dataclass
 class BatchRunResult:
@@ -237,107 +373,11 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                       forced_faults: Sequence[Sequence[FaultEvent]] = (),
                       leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
                       validate: bool = True) -> BatchRunResult:
-    """Run a block of trials at once with numpy boolean arrays.
-
-    Per-trial results are bit-identical to :func:`run_circuit` because every
-    random decision is keyed by (seed, trial, location, qubit, purpose), not
-    by draw order.  Batch boundaries therefore never affect outcomes, and a
-    draw that can matter only to leaked trials (the random Z on a leaked
-    qubit's partner, the outcome of a leaked measurement) is made for those
-    trials alone.  All working arrays are allocated once per batch.
-
-    ``forced_faults`` holds one event list per trial (or none); a location
-    applies them after its sampled faults, in list order, as run_circuit does.
-    """
-    if validate:
-        assert_valid(circuit)
-    policy = LeakPolicy(leak_policy)
+    """:func:`run_circuit_packed` with its rows unpacked to one boolean per
+    trial."""
     trials = np.asarray(trials, dtype=np.uint64)
-    B = trials.shape[0]
-    if forced_faults and len(forced_faults) != B:
-        raise ValueError(f"{len(forced_faults)} forced-fault lists for {B} trials")
-    # location -> (rank in a trial's list, qubit, class) -> trials, each once
-    by_loc: dict[int, dict] = {}
-    for j, events in enumerate(forced_faults):
-        for r, ev in enumerate(events):
-            by_loc.setdefault(ev.location_id, {}).setdefault(
-                (r, ev.qubit, ev.error), []).append(j)
-    forced = {loc: sorted(groups.items()) for loc, groups in by_loc.items()}
-    N = circuit.n_qubits
-    meas_locs = circuit.measure_locations
-    row_of = {loc: i for i, loc in enumerate(meas_locs)}
-    hashes = TrialHashes(seed, trials)
-
-    x = np.zeros((N, B), dtype=bool)
-    z = np.zeros((N, B), dtype=bool)
-    lk = np.zeros((N, B), dtype=bool)
-    out_bits = np.zeros((len(meas_locs), B), dtype=bool)
-    out_leakrand = np.zeros((len(meas_locs), B), dtype=bool)
-    ok = np.empty(B, dtype=bool)     # CPHASE scratch rows
-    one = np.empty(B, dtype=bool)
-
-    def leak_draw(idx: np.ndarray, location: int, q: int, tag: int) -> np.ndarray:
-        """The trials among ``idx`` whose keyed coin at (location, q, tag)
-        comes up heads (uniform below 1/2)."""
-        if idx.size == 0:
-            return idx
-        return idx[uniform_vector(seed, trials[idx], location, q, tag) < 0.5]
-
-    def apply(effect: Effect, q: int, t: np.ndarray, bit: np.ndarray | None) -> None:
-        """A fault on qubit q in the trials at positions ``t``, each once."""
-        t = t[~lk[q, t]]
-        x[q, t] ^= effect.x
-        z[q, t] ^= effect.z
-        if effect.leak:
-            lk[q, t] = True
-            x[q, t] = z[q, t] = False
-        if effect.flip:
-            if bit is None:
-                raise ValueError("an outcome flip needs a measurement location")
-            bit[t] ^= True
-
-    for loc, sites in zip(circuit.locations, rates.sites(circuit)):
-        kind = loc.kind
-        bit = None
-        if kind is OpKind.PREP_PLUS:
-            q = loc.qubits[0]
-            x[q] = False
-            z[q] = False
-            lk[q] = False
-        elif kind is OpKind.CPHASE:
-            q1, q2 = loc.qubits
-            np.logical_or(lk[q1], lk[q2], out=ok)
-            np.logical_not(ok, out=ok)
-            np.logical_and(x[q1], ok, out=one)
-            z[q2] ^= one
-            np.logical_and(x[q2], ok, out=one)
-            z[q1] ^= one
-            if policy is not LeakPolicy.NEVER_Z:
-                for leaked_q, normal_q in ((q1, q2), (q2, q1)):
-                    # trials where leaked_q is leaked and normal_q is not
-                    np.greater(lk[leaked_q], lk[normal_q], out=one)
-                    idx = np.flatnonzero(one)
-                    if policy is LeakPolicy.RANDOM_Z:
-                        idx = leak_draw(idx, loc.index, normal_q, TAG_LEAK_CZ)
-                    z[normal_q, idx] ^= True
-        else:
-            bit = out_bits[row_of[loc.index]]
-        for site in sites:
-            hit, which = site.row.select(hashes, loc.index, site.qubit)
-            for i, cls in enumerate(site.row.classes):
-                drawn = hit[which == i]
-                for q in site.targets:
-                    apply(EFFECTS[cls], q, drawn, bit)
-        for (_, q, cls), t in forced.get(loc.index, ()):
-            apply(EFFECTS[cls], q, np.array(t), bit)
-        if kind is OpKind.MEASURE_X:
-            q = loc.qubits[0]
-            bit ^= z[q]
-            idx = np.flatnonzero(lk[q])
-            bit[idx] = False
-            bit[leak_draw(idx, loc.index, q, TAG_LEAK_OUTCOME)] = True
-            out_leakrand[row_of[loc.index]] = lk[q]
-            x[q] = False
-            z[q] = False
-            lk[q] = False
-    return BatchRunResult(trials, meas_locs, out_bits, out_leakrand, x, z, lk)
+    run = run_circuit_packed(circuit, rates, seed, trials,
+                             forced_faults=forced_faults,
+                             leak_policy=leak_policy, validate=validate)
+    return BatchRunResult(trials, circuit.measure_locations,
+                          *(unpack_words(rows, len(trials)) for rows in run))
