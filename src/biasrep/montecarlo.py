@@ -29,8 +29,7 @@ from .gadgets import Circuit, assert_valid
 from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultSite,
                           zero_rates)
 from .pauli_frame import (BatchRunResult, LeakPolicy, RunResult,
-                          run_circuit, run_circuit_batch, run_circuit_packed,
-                          unpack_words)
+                          run_circuit, run_circuit_batch, unpack_words)
 
 
 def _at_least(bits: Sequence, k: int):
@@ -118,11 +117,20 @@ def _decode(circuit: Circuit, bits, x, z, leaked):
 def classify_batch(circuit: Circuit, result: BatchRunResult
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized trial classification; returns boolean arrays
-    (logical_z, logical_x, leaked_output), each of shape [B]."""
-    unflagged = np.zeros(result.frame_x.shape[1], dtype=bool)
-    return tuple(unflagged | flag for flag in _decode(
-        circuit, dict(zip(result.meas_locations, result.outcome_bits)),
-        result.frame_x, result.frame_z, result.frame_leaked))
+    (logical_z, logical_x, leaked_output), each of shape [B].  A result
+    that holds packed words is decoded on the words, 64 trials to an
+    operation, and only the three flags are unpacked."""
+    packed = result.words
+    rows = result if packed is None else packed
+    unflagged = np.zeros(rows.frame_x.shape[1],
+                         dtype=bool if packed is None else np.uint64)
+    flags = (unflagged | flag for flag in _decode(
+        circuit, dict(zip(result.meas_locations, rows.outcome_bits)),
+        rows.frame_x, rows.frame_z, rows.frame_leaked))
+    if packed is None:
+        return tuple(flags)
+    # unpack_words drops the last word's bits past the batch
+    return tuple(unpack_words(flag, len(result.trials)) for flag in flags)
 
 
 def classify_run(circuit: Circuit, result: RunResult) -> TrialResult:
@@ -164,27 +172,22 @@ class TrialCounts:
                            self.logical_other + other.logical_other)
 
 
-# Trials per packed batch of count_trials; it bounds the batch's working
-# arrays (the keyed hashes and trial indices, about 35 bytes per trial).
+# Trials per batch of count_trials; it bounds the batch's working arrays
+# (the keyed hashes and trial indices, about 35 bytes per trial).
 _BATCH_SIZE = 1 << 17
 
 
 def _count_batch(gadget: Circuit, rates: ErrorRateTable, seed: int,
                  lo: int, hi: int, leak_policy: LeakPolicy | str,
                  validate: bool) -> TrialCounts:
-    """Classify trials [lo, hi) as one packed batch.  Every array of the
-    batch is freed on return, before the next batch is built."""
-    n = hi - lo
-    run = run_circuit_packed(gadget, rates, seed,
-                             np.arange(lo, hi, dtype=np.uint64),
-                             leak_policy=leak_policy, validate=validate)
-    unflagged = np.zeros(run.frame_x.shape[1], dtype=np.uint64)
-    lz, lx, leaked = (unflagged | flag for flag in _decode(
-        gadget, dict(zip(gadget.measure_locations, run.outcome_bits)),
-        run.frame_x, run.frame_z, run.frame_leaked))
-    # unpack_words drops the last word's bits past the batch
-    return TrialCounts(n, *(int(np.count_nonzero(unpack_words(words, n)))
-                            for words in (lz, lx, leaked, lx | leaked)))
+    """Classify trials [lo, hi) as one batch, decoded on its packed words.
+    Every array of the batch is freed on return, before the next batch is
+    built."""
+    lz, lx, leaked = classify_batch(gadget, run_circuit_batch(
+        gadget, rates, seed, np.arange(lo, hi, dtype=np.uint64),
+        leak_policy=leak_policy, validate=validate))
+    return TrialCounts(hi - lo, *(int(np.count_nonzero(flag))
+                                  for flag in (lz, lx, leaked, lx | leaked)))
 
 
 def count_trials(gadget: Circuit, rates: ErrorRateTable, seed: int,

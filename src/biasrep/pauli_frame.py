@@ -243,12 +243,53 @@ class PackedRun(NamedTuple):
     frame_leaked: np.ndarray     # [N, W]
 
 
-def run_circuit_packed(circuit: Circuit, rates: ErrorRateTable, seed: int,
-                       trials: np.ndarray, *,
-                       forced_faults: Sequence[Sequence[FaultEvent]] = (),
-                       leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
-                       validate: bool = True) -> PackedRun:
-    """Run a block of trials at once, 64 to a machine word.
+class BatchRunResult:
+    """Trial-parallel run output: boolean arrays indexed [column, trial],
+    ``outcome_bits`` and ``leaked_random`` [M, B] (rows in
+    ``meas_locations`` order) and ``frame_x``, ``frame_z`` and
+    ``frame_leaked`` [N, B], for the uint64 trial indices ``trials`` [B].
+
+    :func:`run_circuit_batch` builds it from its packed rows (``words``)
+    and unpacks an array only when it is first read, so a reader of the
+    words alone, such as :func:`~biasrep.montecarlo.classify_batch`, never
+    holds a boolean [rows, B] array.  Built from the boolean arrays, it has
+    ``words`` None.
+    """
+
+    def __init__(self, trials: np.ndarray, meas_locations: tuple[int, ...],
+                 outcome_bits: np.ndarray | None = None,
+                 leaked_random: np.ndarray | None = None,
+                 frame_x: np.ndarray | None = None,
+                 frame_z: np.ndarray | None = None,
+                 frame_leaked: np.ndarray | None = None, *,
+                 words: PackedRun | None = None):
+        rows = (outcome_bits, leaked_random, frame_x, frame_z, frame_leaked)
+        if any(r is None for r in rows) != (words is not None):
+            raise TypeError("BatchRunResult takes either the five boolean "
+                            "arrays or the packed words")
+        self.trials = trials
+        self.meas_locations = meas_locations
+        self.words = words
+        if words is None:
+            self.__dict__.update(zip(PackedRun._fields, rows))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for an array not set yet: unpack it from the words
+        words = self.__dict__.get("words")
+        if words is None or name not in PackedRun._fields:
+            raise AttributeError(name)
+        rows = unpack_words(getattr(words, name), len(self.trials))
+        setattr(self, name, rows)
+        return rows
+
+
+def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
+                      trials: np.ndarray, *,
+                      forced_faults: Sequence[Sequence[FaultEvent]] = (),
+                      leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
+                      validate: bool = True) -> BatchRunResult:
+    """Run a block of trials at once, 64 to a machine word, and return the
+    packed rows as a :class:`BatchRunResult`.
 
     Per-trial results are bit-identical to :func:`run_circuit` because every
     random decision is keyed by (seed, trial, location, qubit, purpose), not
@@ -352,32 +393,5 @@ def run_circuit_packed(circuit: Circuit, rates: ErrorRateTable, seed: int,
             bit |= heads(lk[q], loc.index, q, TAG_LEAK_OUTCOME)
             out_leakrand[row_of[loc.index]] = lk[q]
             x[q] = z[q] = lk[q] = 0
-    return PackedRun(out_bits, out_leakrand, x, z, lk)
-
-
-@dataclass
-class BatchRunResult:
-    """Trial-parallel run output: arrays indexed [column, trial]."""
-
-    trials: np.ndarray                 # uint64 trial indices, shape [B]
-    meas_locations: tuple[int, ...]    # measurement location ids, row order
-    outcome_bits: np.ndarray           # bool [M, B]
-    leaked_random: np.ndarray          # bool [M, B]
-    frame_x: np.ndarray                # bool [N, B]
-    frame_z: np.ndarray                # bool [N, B]
-    frame_leaked: np.ndarray           # bool [N, B]
-
-
-def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
-                      trials: np.ndarray, *,
-                      forced_faults: Sequence[Sequence[FaultEvent]] = (),
-                      leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
-                      validate: bool = True) -> BatchRunResult:
-    """:func:`run_circuit_packed` with its rows unpacked to one boolean per
-    trial."""
-    trials = np.asarray(trials, dtype=np.uint64)
-    run = run_circuit_packed(circuit, rates, seed, trials,
-                             forced_faults=forced_faults,
-                             leak_policy=leak_policy, validate=validate)
-    return BatchRunResult(trials, circuit.measure_locations,
-                          *(unpack_words(rows, len(trials)) for rows in run))
+    return BatchRunResult(trials, meas_locs, words=PackedRun(
+        out_bits, out_leakrand, x, z, lk))

@@ -1,6 +1,7 @@
 """The packed batch engine: 64 trials per uint64 word, trial j at bit j % 64
-of word j // 64.  Counts from packed words must equal the boolean flags of
-the same trials, whatever the span's offset and length within its words."""
+of word j // 64.  Counts decoded on packed words must equal the flags
+decoded on the unpacked boolean rows of the same trials, whatever the span's
+offset and length within its words."""
 
 import itertools
 import tracemalloc
@@ -15,7 +16,7 @@ from biasrep.montecarlo import (TrialCounts, classify_batch, count_trials,
                                 majority, run_trial)
 from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
                                  Rates, default_rates, zero_rates)
-from biasrep.pauli_frame import (run_circuit_batch, run_circuit_packed,
+from biasrep.pauli_frame import (BatchRunResult, run_circuit_batch,
                                  unpack_words)
 
 from conftest import table_with
@@ -53,11 +54,15 @@ SPANS = [(lo, length) for lo in (0, 7, 123) for length in (1, 63, 65, 3333)]
 
 
 def flag_counts(circuit, table, seed, lo, hi, policy) -> TrialCounts:
-    """The counts of trials [lo, hi) from the boolean flags of one batch."""
+    """The counts of trials [lo, hi) from one batch's boolean rows, decoded
+    as booleans rather than words."""
     batch = run_circuit_batch(circuit, table, seed,
                               np.arange(lo, hi, dtype=np.uint64),
                               leak_policy=policy)
-    lz, lx, lk = classify_batch(circuit, batch)
+    rows = BatchRunResult(batch.trials, batch.meas_locations,
+                          batch.outcome_bits, batch.leaked_random,
+                          batch.frame_x, batch.frame_z, batch.frame_leaked)
+    lz, lx, lk = classify_batch(circuit, rows)
     return TrialCounts(hi - lo, int(lz.sum()), int(lx.sum()), int(lk.sum()),
                        int((lx | lk).sum()))
 
@@ -66,23 +71,40 @@ class TestWordLayout:
     def test_packed_rows_are_the_batch_rows(self):
         circuit, table = build_logical_cnot(3, 3), leaky()
         trials = np.arange(40, 170, dtype=np.uint64)
-        run = run_circuit_packed(circuit, table, 2, trials)
         batch = run_circuit_batch(circuit, table, 2, trials)
-        for words, rows in zip(run, (batch.outcome_bits, batch.leaked_random,
-                                     batch.frame_x, batch.frame_z,
-                                     batch.frame_leaked)):
+        for words, rows in zip(batch.words, (batch.outcome_bits,
+                                             batch.leaked_random,
+                                             batch.frame_x, batch.frame_z,
+                                             batch.frame_leaked)):
             assert words.dtype == np.uint64 and words.shape[1] == 3
             assert np.array_equal(words, pack(rows))
             assert np.array_equal(unpack_words(words, len(trials)), rows)
         assert batch.leaked_random.any() and batch.frame_leaked.any()
 
+    def test_words_or_rows(self):
+        circuit = build_logical_cnot(3, 3)
+        batch = run_circuit_batch(circuit, leaky(), 2,
+                                  np.arange(70, dtype=np.uint64))
+        assert "frame_z" not in vars(batch)         # unpacked on first read
+        assert batch.frame_z is batch.frame_z
+        arrays = [getattr(batch, name) for name in batch.words._fields]
+        rows = BatchRunResult(batch.trials, batch.meas_locations, *arrays)
+        assert rows.words is None
+        with pytest.raises(AttributeError):
+            rows.frame_y
+        with pytest.raises(TypeError):
+            BatchRunResult(batch.trials, batch.meas_locations, *arrays[:1])
+        with pytest.raises(TypeError):
+            BatchRunResult(batch.trials, batch.meas_locations, *arrays,
+                           words=batch.words)
+
     def test_bits_past_the_batch_are_zero(self):
         circuit, table = build_logical_cnot(3, 3), leaky(cphase_zz=0.02)
         for policy in ("random-z", "always-z", "never-z"):
-            run = run_circuit_packed(circuit, table, 4,
-                                     np.arange(65, dtype=np.uint64),
-                                     leak_policy=policy)
-            for words in run:
+            run = run_circuit_batch(circuit, table, 4,
+                                    np.arange(65, dtype=np.uint64),
+                                    leak_policy=policy)
+            for words in run.words:
                 assert not (words[:, 1] >> np.uint64(1)).any()
 
 
@@ -145,17 +167,17 @@ class TestTailWords:
         # Set every unused bit of every returned row: the counts must not
         # change, whatever those bits decode to.
         def dirty(circuit, rates, seed, trials, **kwargs):
-            run = run_circuit_packed(circuit, rates, seed, trials, **kwargs)
+            run = run_circuit_batch(circuit, rates, seed, trials, **kwargs)
             tail = ~np.uint64(0) << np.uint64(len(trials) % 64)
             if len(trials) % 64:
-                for words in run:
+                for words in run.words:
                     words[:, -1] |= tail
             return run
 
         circuit, rates = build_logical_cnot(3, 3), leaky()
         expected = [count_trials(circuit, rates, 11, lo, lo + n)
                     for lo, n in SPANS]
-        monkeypatch.setattr(montecarlo, "run_circuit_packed", dirty)
+        monkeypatch.setattr(montecarlo, "run_circuit_batch", dirty)
         assert [count_trials(circuit, rates, 11, lo, lo + n)
                 for lo, n in SPANS] == expected
 
