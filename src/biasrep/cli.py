@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import BiasPoint, cnot_bound, optimize_nk, sweep
+from .bounds import BiasPoint, ParameterError, cnot_bound, optimize_nk, sweep
 from .channels import (KET_BELL, ClassifiedKraus, amplitude_damping,
                        builtin_cphase_kraus, diamond_lower_bound,
                        kraus_from_json, split_channel)
@@ -451,6 +451,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ParameterError as exc:   # a bound parameter: name its flag
+        flag = ("--eps-grid" if exc.name == "eps" and getattr(args, "optimize", None)
+                else "--" + exc.name.replace("_", "-"))
+        print(f"error: {flag}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

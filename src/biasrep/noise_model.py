@@ -197,6 +197,8 @@ class ErrorRateTable:
     cphase_zz: float = 0.0
     _faults: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    _sites: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def get(self, kind: OpKind, species: Species) -> Rates:
         try:
@@ -241,10 +243,17 @@ class ErrorRateTable:
 
     def sites(self, circuit: Circuit) -> list[list[FaultSite]]:
         """The :class:`FaultSite` draws of each location of ``circuit`` in time
-        order: a circuit's draws, resolved for both engines and the oracle."""
+        order: a circuit's draws, resolved for both engines and the oracle.
+        Built on first use for a circuit object and rebuilt only for another
+        circuit or after :meth:`faults` is rebuilt."""
         faults = self.faults()
-        return [op.sites(loc.index, loc.qubits, circuit.species_of)
-                if (op := faults.get(loc.kind)) else [] for loc in circuit.locations]
+        cached = self._sites
+        if cached is None or cached[0] is not faults or cached[1] is not circuit:
+            sites = [op.sites(loc.index, loc.qubits, circuit.species_of)
+                     if (op := faults.get(loc.kind)) else []
+                     for loc in circuit.locations]
+            self._sites = (faults, circuit, sites)
+        return self._sites[2]
 
     def bias(self, kind: OpKind = OpKind.CPHASE, species: Species = Species.A) -> float:
         r = self.get(kind, species)

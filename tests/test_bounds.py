@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from biasrep.bounds import (BiasPoint, cnot_bound, logical_other_bound,
+from biasrep.bounds import (MAX_SIZE, BiasPoint, OptimizeResult,
+                            ParameterError, cnot_bound, logical_other_bound,
                             logical_phase_bound, optimize_nk, sweep)
 from biasrep.gadgets import build_logical_cnot
 from biasrep.montecarlo import estimate_logical_rates
-from biasrep.noise_model import default_rates
+from biasrep.noise_model import (ErrorRateTable, OpKind, Rates, Species,
+                                 default_rates)
 
 
 class TestClosedForms:
@@ -168,3 +170,161 @@ class TestBoundDominatesSimulation:
         eps, epsp = estimate_logical_rates(gadget, table, 1_000_000, seed=71)
         assert 0 < eps.mean <= report.eps_L + 3 * eps.stderr
         assert 0 < epsp.mean <= report.epsp_L + 3 * epsp.stderr
+
+
+def exhaustive_optimum(eps, bias, c, n_max, constraint, table=None):
+    """The optimizer's answer by brute force through the public bound: every
+    odd (n, k) scored by cnot_bound, the least (max, total, n, k) kept."""
+    ns = range(1, n_max + 1, 2)
+    reports = [cnot_bound(BiasPoint(eps, bias, n, k, c), table)
+               for n in ns for k in ((n,) if constraint == "n=k" else ns)]
+    return min(reports, key=lambda r: (max(r.eps_L, r.epsp_L), r.total,
+                                       r.n, r.k))
+
+
+def random_table(rng) -> ErrorRateTable:
+    """A valid table with log-uniform rates (some zero), measurement rows
+    holding eps alone."""
+    def rate(lo):
+        return 0.0 if rng.random() < 0.15 else float(10 ** rng.uniform(lo, -1.5))
+    entries = {}
+    for sp in Species:
+        for kind in (OpKind.PREP_PLUS, OpKind.CPHASE):
+            entries[(kind, sp)] = Rates(rate(-4), rate(-8), rate(-8))
+        entries[(OpKind.MEASURE_X, sp)] = Rates(rate(-4))
+    table = ErrorRateTable(entries=entries)
+    table.validate()
+    return table
+
+
+def k_tie_table() -> ErrorRateTable:
+    """A table whose phase bound ignores k (no data CPHASE noise, no ancilla
+    non-phase noise) and dominates the other bound, so every k at the best n
+    ties on max(eps_L, epsp_L); the ancilla majority term then makes the
+    largest k the one with the least total."""
+    table = ErrorRateTable(entries={
+        (OpKind.CPHASE, Species.A): Rates(),
+        (OpKind.CPHASE, Species.B): Rates(1e-4),
+        (OpKind.PREP_PLUS, Species.A): Rates(0.1),
+        (OpKind.PREP_PLUS, Species.B): Rates(1e-4),
+        (OpKind.MEASURE_X, Species.A): Rates(0.1),
+        (OpKind.MEASURE_X, Species.B): Rates(1e-4)})
+    table.validate()
+    return table
+
+
+class TestOptimizerEqualsExhaustiveSearch:
+    """optimize_nk scores candidates without building a BiasPoint or a
+    BoundReport for each; its answer must be the exhaustive search's through
+    the public cnot_bound, report and parts included."""
+
+    @staticmethod
+    def check(eps, bias, c, n_max, constraint, table=None):
+        got = optimize_nk(eps, bias, c, n_max, constraint, table)
+        want = exhaustive_optimum(0.0 if eps is None else eps,
+                                  1.0 if bias is None else bias,
+                                  c, n_max, constraint, table)
+        assert got == OptimizeResult(want.n, want.k, want.eps_L, want.epsp_L,
+                                     want.total)
+        assert (got.total, got.report) == (want.total, want)
+        assert repr(got.report.parts) == repr(want.parts)
+        return got
+
+    @pytest.mark.parametrize("constraint", ["n=k", "free"])
+    @pytest.mark.parametrize("bias", [1.0, 10.0, 1e3, 1e4, math.inf])
+    def test_closed_forms_on_a_geomspace_grid(self, constraint, bias):
+        for eps in np.geomspace(1e-5, 1e-1, 17):   # np.float64, as in sweeps
+            self.check(eps, bias, 3.0, 15, constraint)
+
+    @pytest.mark.parametrize("constraint", ["n=k", "free"])
+    def test_zero_eps_ties_everywhere(self, constraint):
+        got = self.check(0.0, 1e3, 3.0, 13, constraint)
+        assert (got.n, got.k, got.total) == (1, 1, 0.0)
+
+    @pytest.mark.parametrize("constraint", ["n=k", "free"])
+    def test_random_points(self, constraint):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            eps = float(10 ** rng.uniform(-6, 0))
+            bias = float(10 ** rng.uniform(0, 6))
+            c = float(rng.uniform(0.5, 4.0))
+            self.check(eps, bias, c, int(rng.choice([1, 3, 9, 15, 21])),
+                       constraint)
+
+    @pytest.mark.parametrize("constraint", ["n=k", "free"])
+    def test_random_rate_tables(self, constraint):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            self.check(None, None, float(rng.uniform(1.0, 4.0)),
+                       int(rng.choice([3, 9, 15])), constraint,
+                       random_table(rng))
+
+    @pytest.mark.parametrize("constraint", ["n=k", "free"])
+    def test_default_table(self, constraint):
+        for n_max in (13, 15, 21):
+            self.check(None, None, 3.0, n_max, constraint, default_rates())
+
+    def test_ties_on_the_maximum_go_to_the_least_total(self):
+        got = self.check(None, None, 3.0, 3, "free", k_tie_table())
+        first_k = cnot_bound(BiasPoint(0.0, 1.0, got.n, 1), k_tie_table())
+        assert (got.n, got.k) == (3, 3)
+        assert max(first_k.eps_L, first_k.epsp_L) == max(got.eps_L, got.epsp_L)
+        assert first_k.total > got.total
+
+    @pytest.mark.parametrize("constraint", ["n=k", "free"])
+    def test_sweep_rows(self, constraint):
+        grid = np.geomspace(1e-4, 1e-2, 9)
+        rows = sweep(grid, [10.0, 1e3, math.inf], c=2.5, n_max=11,
+                     constraint=constraint)
+        assert [(eps, bias) for eps, bias, _ in rows] == [
+            (eps, bias) for bias in (10.0, 1e3, math.inf) for eps in grid]
+        for eps, bias, result in rows:
+            want = exhaustive_optimum(eps, bias, 2.5, 11, constraint)
+            assert (result.n, result.k, result.eps_L, result.epsp_L,
+                    result.total) == (want.n, want.k, want.eps_L,
+                                      want.epsp_L, want.total)
+
+
+class TestBoundRanges:
+    """Rates outside [0, 1] and sizes whose bound overflows a float are
+    refused with the parameter that caused them."""
+
+    @pytest.mark.parametrize("eps", [1.5, math.inf, math.nan, -1e-3])
+    def test_eps_is_a_probability(self, eps):
+        with pytest.raises(ParameterError, match=r"eps must be in \[0, 1\]") as exc:
+            BiasPoint(eps, 1e3, 5, 1)
+        assert exc.value.name == "eps"
+        with pytest.raises(ParameterError, match=r"eps must be in \[0, 1\]"):
+            optimize_nk(eps, 1e3)
+
+    def test_eps_one_is_allowed(self):
+        assert cnot_bound(BiasPoint(1.0, 1e3, 1, 1, c=0.1)).eps_L == \
+            pytest.approx(0.1)
+
+    def test_largest_sizes(self):
+        assert MAX_SIZE == 1029
+        assert math.isfinite(float(math.comb(MAX_SIZE, (MAX_SIZE + 1) // 2)))
+        with pytest.raises(OverflowError):
+            float(math.comb(MAX_SIZE + 2, (MAX_SIZE + 3) // 2))
+        assert cnot_bound(BiasPoint(1e-9, 1e3, MAX_SIZE, 1)).eps_L < 1
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: BiasPoint(1e-3, 1e3, 2001, 1), "n"),
+        (lambda: cnot_bound(BiasPoint(0.0, 1.0, 5, 2001), default_rates()), "k"),
+        (lambda: optimize_nk(table=default_rates(), n_max=2049), "n_max"),
+        (lambda: optimize_nk(1e-3, 1e3, n_max=1031), "n_max")])
+    def test_sizes_beyond_a_float(self, call, name):
+        with pytest.raises(ParameterError, match=f"{name} must be <= 1029") as exc:
+            call()
+        assert exc.value.name == name
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: cnot_bound(BiasPoint(1e-3, 1e3, 5, 1, t=1e300)), "t"),
+        (lambda: cnot_bound(BiasPoint(1e-3, 1e3, 5, 1, c=1e200)), "c"),
+        (lambda: cnot_bound(BiasPoint(0.0, 1.0, 301, 1029), default_rates()), "k"),
+        (lambda: optimize_nk(1e-3, 1e3, c=1e200), "c"),
+        (lambda: optimize_nk(table=default_rates(), c=1e200), "c")])
+    def test_overflowing_bound(self, call, name):
+        with pytest.raises(ParameterError, match="overflows a float") as exc:
+            call()
+        assert exc.value.name == name

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -539,3 +540,75 @@ class TestGoldenOutputs:
             "remainder_bound": 0.0016835234559999998,
             "sites": 48,
         }
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--optimize", "free", "--eps-grid", "1e-4:1e-2:25", "--bias", "1e3",
+          "--bias", "1e4"],
+         "bc4a03ff1ea553d1bb9c658800a6f757b4aff6a8f5fbca73853316ebe1841a88"),
+        (["--optimize", "n=k", "--eps-grid", "1e-5:1e-1:40", "--bias", "10",
+          "--bias", "1e3"],
+         "a49342df3a24da720d85ca77f867bf1f5436e5c88febbebd3de5e4f825ca08f7")],
+        ids=["analysis-sweep", "n=k-sweep"])
+    def test_optimizing_sweep_body(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 0
+        body = "\n".join(csv_body(out)) + "\n"
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("constraint,row", [
+        ("free", "nan,nan,3,5,7,0.004722177827,0.004210531691,0.008932709518"),
+        ("n=k", "nan,nan,3,5,5,0.002302299705,0.007411050794,0.009713350499")])
+    def test_optimize_table1_body(self, capsys, constraint, row):
+        code, out, _ = run_cli(capsys, "optimize", "--rates", "table1",
+                               "--constraint", constraint)
+        assert code == 0
+        assert csv_body(out) == [_BOUNDS_HEADER, row]
+
+
+_BOUNDS_HEADER = "eps,bias,c,n,k,eps_L,epsp_L,total"
+
+
+class TestBoundInputRanges:
+    """A rate outside [0, 1] or a size whose bound overflows a float exits 2
+    naming the flag that set it."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["bounds", "--n", "5", "--eps", "1.5"], "--eps"),
+        (["bounds", "--n", "5", "--eps", "inf"], "--eps"),
+        (["optimize", "--eps", "2", "--bias", "1e3"], "--eps"),
+        (["bounds", "--optimize", "free", "--eps-grid", "1e-4:2:5",
+          "--bias", "1e3"], "--eps-grid"),
+        (["bounds", "--optimize", "n=k", "--eps-grid", "0.5,3",
+          "--bias", "1e3"], "--eps-grid")],
+        ids=["bounds-1.5", "bounds-inf", "optimize-2", "grid-range",
+             "grid-list"])
+    def test_eps_outside_unit_interval(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag}: eps must be in [0, 1]" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["bounds", "--n", "2001", "--eps", "1e-3"], "--n"),
+        (["bounds", "--rates", "table1", "--n", "5", "--k", "2001"], "--k"),
+        (["optimize", "--rates", "table1", "--n-max", "2049"], "--n-max"),
+        (["bounds", "--n", "5", "--eps", "1e-3", "--t", "1e300"], "--t"),
+        (["optimize", "--eps", "1e-3", "--bias", "1e3", "--c", "1e200"], "--c")],
+        ids=["n", "k", "n-max", "t", "c"])
+    def test_overflow_is_config_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ")
+        assert "invariant" not in err
+
+    @pytest.mark.parametrize("argv,row", [
+        (["bounds", "--n", "5", "--eps", "1"], "1,inf,3,5,1,270,0,270"),
+        (["bounds", "--n", "1029", "--eps", "1e-9"],
+         "1e-09,inf,3,1029,1,0,0,0"),
+        (["bounds", "--n", "5", "--k", "2001", "--eps", "1e-6"],
+         "1e-06,inf,3,5,2001,2.16324162e-06,0,2.16324162e-06")])
+    def test_edges_still_evaluate(self, capsys, argv, row):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert csv_body(out)[1] == row

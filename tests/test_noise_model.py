@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from biasrep.gadgets import build_logical_cnot, build_teleport_identity
 from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
                                  OpKind, Rates, Species, compose_rates,
                                  default_rates, fault_class_counts,
@@ -197,3 +198,42 @@ class TestComposeRates:
                              Rates(0.02, 0.002)])
         assert out.eps == pytest.approx(0.03)
         assert out.eps_other == pytest.approx(0.003)
+
+
+class TestSitesCache:
+    """``ErrorRateTable.sites`` is built once per circuit object and rebuilt
+    for another circuit or after the rates change, like ``faults()``."""
+
+    @staticmethod
+    def fresh(table, circuit):
+        faults = table.faults()
+        return [op.sites(loc.index, loc.qubits, circuit.species_of)
+                if (op := faults.get(loc.kind)) else []
+                for loc in circuit.locations]
+
+    def test_same_circuit_returns_the_cached_list(self):
+        table, circuit = default_rates(), build_logical_cnot(3, 3)
+        first = table.sites(circuit)
+        assert table.sites(circuit) is first
+        assert first == self.fresh(table, circuit)
+
+    def test_other_circuit_rebuilds(self):
+        table = default_rates()
+        a, b = build_logical_cnot(3, 3), build_logical_cnot(3, 3)
+        sites_a = table.sites(a)
+        sites_b = table.sites(b)
+        assert sites_b is not sites_a and sites_b == sites_a
+        c = build_teleport_identity(3, 1)
+        assert table.sites(c) == self.fresh(table, c)
+        assert table.sites(a) == sites_a
+
+    def test_rate_change_rebuilds(self):
+        table, circuit = default_rates(), build_logical_cnot(3, 3)
+        before = table.sites(circuit)
+        table.entries[(OpKind.CPHASE, Species.A)] = Rates()
+        after = table.sites(circuit)
+        assert after is not before
+        assert after == self.fresh(table, circuit)
+        assert sum(map(len, after)) < sum(map(len, before))
+        table.cphase_zz = 0.01
+        assert any(s.qubit == -1 for loc in table.sites(circuit) for s in loc)
