@@ -245,19 +245,23 @@ def optimize_nk(eps: float | None = None, bias: float | None = None,
     bias = 1.0 if bias is None else bias
     _check_rates(eps, bias)
     GadgetParams(n_max, n_max, c)       # the step-constant check
-    eps_other = eps / bias
+    # Candidates are scored in Python floats, so one whose bound overflows
+    # raises OverflowError whatever the input type (numpy scalars give inf
+    # and a warning); the optimum's report keeps the caller's values.
+    eps_f, c_f = float(eps), float(c)
+    eps_other = eps_f / float(bias)
 
     ns = range(1, n_max + 1, 2)
     best: tuple | None = None
     try:
         for n in ns:
             for k in ((n,) if constraint == "n=k" else ns):
-                eps_L, epsp_L, _ = _bound(n, k, c * k, eps, eps_other, table)
+                eps_L, epsp_L, _ = _bound(n, k, c_f * k, eps_f, eps_other, table)
                 key = (max(eps_L, epsp_L), eps_L + epsp_L, n, k)
                 if best is None or key < best:
                     best = key
     except OverflowError:
-        raise _overflow(n, k, c * k, table, "c", "n_max") from None
+        raise _overflow(n, k, c_f * k, table, "c", "n_max") from None
     report = cnot_bound(BiasPoint(eps, bias, best[2], best[3], c), table)
     return OptimizeResult(report.n, report.k, report.eps_L, report.epsp_L,
                           report.total, report)

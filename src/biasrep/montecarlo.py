@@ -173,7 +173,8 @@ class TrialCounts:
 
 
 # Trials per batch of count_trials; it bounds the batch's working arrays
-# (the keyed hashes and trial indices, about 35 bytes per trial).
+# (trial indices, 8 bytes per trial, and the fault hits, 5 bytes per fault;
+# the keyed hashes take a fixed 768 KiB block).
 _BATCH_SIZE = 1 << 17
 
 

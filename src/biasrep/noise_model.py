@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .streams import TAG_FAULT, FaultStream, TrialHashes, to_uniform
+from .streams import TAG_FAULT, FaultStream, draw_faults
 
 if TYPE_CHECKING:
     from .gadgets import Circuit
@@ -132,16 +132,6 @@ class FaultRow(NamedTuple):
     def draw(self, u: float) -> FaultKind | None:
         i = bisect_right(self.thresholds, u)
         return self.classes[i] if i < len(self.classes) else None
-
-    def select(self, hashes: TrialHashes, location: int, qubit: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`draw` at one (location, qubit slot) for every
-        trial of ``hashes``: the positions of the trials that draw a fault
-        and the index into ``classes`` of each one's fault."""
-        h = hashes.hash(location, qubit, TAG_FAULT)
-        hit = hashes.below(h, self.thresholds[-1])
-        return hit, np.searchsorted(self.thresholds, to_uniform(h[hit]),
-                                    side="right")
 
 
 class FaultSite(NamedTuple):
@@ -332,8 +322,8 @@ def fault_class_counts(kind: OpKind, species: Species, rates: ErrorRateTable,
     row = rates.faults().get(kind, OpFaults({})).rows.get(species)
     if row is None:
         return {}
-    _, which = row.select(TrialHashes(seed, np.arange(trials, dtype=np.uint64)),
-                          location_id, qubit)
+    [(_, which)] = draw_faults(seed, np.arange(trials, dtype=np.uint64),
+                               [(location_id, qubit, row.thresholds)])
     counts = np.bincount(which, minlength=len(row.classes))
     return {cls: int(n) for cls, n in zip(row.classes, counts)}
 

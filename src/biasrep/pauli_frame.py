@@ -23,7 +23,7 @@ import numpy as np
 
 from .gadgets import Circuit, assert_valid
 from .noise_model import EFFECTS, Effect, ErrorRateTable, FaultEvent, OpKind
-from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, TrialHashes,
+from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, draw_faults,
                       uniform_vector)
 
 
@@ -297,7 +297,9 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     draw that can matter only to leaked trials (the random Z on a leaked
     qubit's partner, the outcome of a leaked measurement) is made for those
     trials alone.  Gates, resets and measurement are word operations; the
-    trials a keyed draw selects are set into a word mask.
+    trials a keyed draw selects are set into a word mask.  Every fault draw
+    is made first, by :func:`~biasrep.streams.draw_faults`, and the location
+    loop then applies the hits.
 
     ``forced_faults`` holds one event list per trial (or none); a location
     applies them after its sampled faults, in list order, as run_circuit does.
@@ -319,7 +321,6 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     W = (B + 63) >> 6
     meas_locs = circuit.measure_locations
     row_of = {loc: i for i, loc in enumerate(meas_locs)}
-    hashes = TrialHashes(seed, trials)
     x, z, lk = np.zeros((3, circuit.n_qubits, W), dtype=np.uint64)
     out_bits, out_leakrand = np.zeros((2, len(meas_locs), W), dtype=np.uint64)
 
@@ -356,7 +357,11 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                 raise ValueError("an outcome flip needs a measurement location")
             bit ^= m
 
-    for loc, sites in zip(circuit.locations, rates.sites(circuit)):
+    # Draw phase: every fault draw of the batch, before any propagation
+    table = rates.sites(circuit)
+    hits = iter(draw_faults(seed, trials, [
+        (s.location_id, s.qubit, s.row.thresholds) for sites in table for s in sites]))
+    for loc, sites in zip(circuit.locations, table):
         kind = loc.kind
         bit = None
         if kind is OpKind.PREP_PLUS:
@@ -377,7 +382,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
         else:
             bit = out_bits[row_of[loc.index]]
         for site in sites:
-            hit, which = site.row.select(hashes, loc.index, site.qubit)
+            hit, which = next(hits)
             for i, cls in enumerate(site.row.classes):
                 drawn = hit[which == i]
                 if drawn.size:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -25,11 +26,28 @@ TAG_LEAK_OUTCOME = 1 # random outcome when measuring a leaked qubit
 TAG_LEAK_CZ = 2      # random dephasing of the partner of a leaked qubit
 
 
+# The splitmix64 finalizer: shift-xor-multiply steps up to the pre-final
+# word y, then the last xor-shift, which leaves the bits of y from
+# _KEPT_FROM (33) up unchanged.
+_STEPS = ((30, _MIX1), (27, _MIX2))
+_LAST_SHIFT = 31
+_KEPT_FROM = 64 - _LAST_SHIFT
+
+# Trials per block of the fault-draw kernel: its three uint64 buffers
+# (768 KiB) stay in a 2 MiB L2 while every site of a batch is hashed.
+_BLOCK = 1 << 15
+
+
+def _finish(y):
+    """The finalizer's last step on a pre-final word (int or uint64 array)."""
+    return y ^ (y >> _LAST_SHIFT)
+
+
 def _mix(x: int) -> int:
     x &= _MASK
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK
-    return x ^ (x >> 31)
+    for shift, mult in _STEPS:
+        x = ((x ^ (x >> shift)) * mult) & _MASK
+    return _finish(x)
 
 
 @functools.lru_cache(maxsize=1 << 13)
@@ -66,40 +84,93 @@ def uniform(seed: int, trial: int, location: int, qubit: int, tag: int = TAG_FAU
 
 class TrialHashes:
     """Keyed hashes of one fixed array of trial indices, for one address at
-    a time.  ``trials * GOLDEN`` is computed once, and every hash and hit
-    test is written into buffers allocated once, so a batch that draws at
-    many addresses allocates its hashing memory only here."""
+    a time.  ``trials * GOLDEN`` is computed once, and each address is
+    hashed into buffers allocated once, so a caller that draws at many
+    addresses allocates its hashing memory only here."""
 
     def __init__(self, seed: int, trials: np.ndarray):
         self.seed = int(seed)
         self._base = np.asarray(trials, dtype=np.uint64) * np.uint64(_GOLDEN)
-        self._h = np.empty_like(self._base)
+        self._y = np.empty_like(self._base)
         self._tmp = np.empty_like(self._base)
         self._mask = np.empty(self._base.shape, dtype=bool)
 
+    def _prefinal(self, location: int, qubit: int, tag: int) -> np.ndarray:
+        """The pre-final word y of every trial at this address, in a buffer
+        that the next call overwrites."""
+        y, tmp = self._y, self._tmp
+        np.add(self._base, np.uint64(stream_key(self.seed, location, qubit, tag)),
+               out=y)
+        for shift, mult in _STEPS:
+            np.right_shift(y, shift, out=tmp)
+            y ^= tmp
+            y *= np.uint64(mult)
+        return y
+
     def hash(self, location: int, qubit: int, tag: int = TAG_FAULT) -> np.ndarray:
         """The hash of every trial at this address, the vectorized
-        counterpart of the hash inside :func:`uniform`.  The array returned
-        is overwritten by the next call."""
-        h, tmp = self._h, self._tmp
-        np.add(self._base, np.uint64(stream_key(self.seed, location, qubit, tag)),
-               out=h)
-        for shift, mult in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(h, shift, out=tmp)
-            h ^= tmp
-            h *= np.uint64(mult)
-        np.right_shift(h, 31, out=tmp)
-        h ^= tmp
-        return h
+        counterpart of the hash inside :func:`uniform`."""
+        return _finish(self._prefinal(location, qubit, tag))
 
-    def below(self, h: np.ndarray, t: float) -> np.ndarray:
-        """Positions of the trials whose hash in ``h`` (as returned by
-        :meth:`hash`) stands for a uniform below ``t``."""
+    @staticmethod
+    def below(h: np.ndarray, t: float) -> np.ndarray:
+        """Positions of the hashes in ``h`` that stand for a uniform below
+        ``t``."""
         bound = hash_bound(t)
         if bound > _MASK:
             return np.arange(h.shape[0])
-        np.less(h, np.uint64(bound), out=self._mask)
-        return np.flatnonzero(self._mask)
+        return (h < np.uint64(bound)).nonzero()[0]
+
+    def draw(self, location: int, qubit: int, thresholds: Sequence[float]
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """The fault draw at (location, qubit, ``TAG_FAULT``) for every trial:
+        the positions of the trials whose uniform is below
+        ``thresholds[-1]`` and, for each, the number of ``thresholds`` at or
+        below its uniform (its class index).
+
+        Only the trials whose pre-final word y is below the cut, the hash
+        bound b rounded up to a multiple of 2^33, are finished and tested:
+        the last xor-shift keeps bits 63..33, so h < b implies y >> 33 <=
+        (b - 1) >> 33.  The test on them is exact, so the result is that of
+        hashing every trial."""
+        y = self._prefinal(location, qubit, TAG_FAULT)
+        bound = hash_bound(thresholds[-1])
+        cut = (((bound - 1) >> _KEPT_FROM) + 1) << _KEPT_FROM
+        if cut > _MASK:
+            cand = np.arange(y.shape[0])
+        else:
+            cand = np.less(y, np.uint64(cut), out=self._mask).nonzero()[0]
+        h = _finish(y[cand])
+        hit = self.below(h, thresholds[-1])
+        return cand[hit], np.asarray(thresholds).searchsorted(
+            to_uniform(h[hit]), side="right")
+
+
+def draw_faults(seed: int, trials: np.ndarray,
+                draws: Sequence[tuple[int, int, Sequence[float]]]
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every fault draw of ``draws`` (location, qubit, thresholds) for every
+    trial, as :meth:`TrialHashes.draw` makes it: per draw, the int32 batch
+    positions of the trials that draw a fault, ascending, and the uint8
+    class index of each.
+
+    The trials are hashed in blocks of ``_BLOCK``, every draw within a
+    block, so the hashing buffers stay in cache.  Each hash is a function
+    of its address alone, so the blocking changes no result."""
+    trials = np.asarray(trials, dtype=np.uint64)
+    parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in draws]
+    # at least one block, so that every draw has a part to join
+    for start in range(0, max(trials.shape[0], 1), _BLOCK):
+        hashes = TrialHashes(seed, trials[start:start + _BLOCK])
+        for (location, qubit, thresholds), blocks in zip(draws, parts):
+            pos, which = hashes.draw(location, qubit, thresholds)
+            blocks.append(((pos + start).astype(np.int32), which.astype(np.uint8)))
+    out = []
+    for blocks in parts:
+        pos, which = zip(*blocks)
+        out.append((np.concatenate(pos), np.concatenate(which)))
+        blocks.clear()      # free each draw's blocks once joined
+    return out
 
 
 def uniform_vector(seed: int, trials: np.ndarray, location: int, qubit: int,

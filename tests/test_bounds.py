@@ -328,3 +328,13 @@ class TestBoundRanges:
         with pytest.raises(ParameterError, match="overflows a float") as exc:
             call()
         assert exc.value.name == name
+
+    @pytest.mark.parametrize("constraint", ["n=k", "free"])
+    def test_numpy_float_inputs_overflow_as_floats(self, constraint):
+        grid = np.geomspace(1e-4, 1e-2, 3)
+        with pytest.raises(ParameterError, match="overflows a float") as exc:
+            sweep(grid, [np.float64(1e3)], c=np.float64(1e200),
+                  constraint=constraint)
+        assert exc.value.name == "c"
+        assert sweep(grid, [np.float64(1e3)], constraint=constraint) == \
+            sweep([float(e) for e in grid], [1e3], constraint=constraint)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -601,6 +602,18 @@ class TestBoundInputRanges:
         assert out == ""
         assert err.startswith(f"error: {flag}: ")
         assert "invariant" not in err
+
+    @pytest.mark.parametrize("grid", ["1e-4:1e-2:3", "1e-4,1e-3,1e-2"])
+    def test_overflowing_sweep_is_config_error(self, capsys, grid):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "bounds", "--optimize", "free",
+                                     "--eps-grid", grid, "--bias", "1e3",
+                                     "--c", "1e200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --c: ")
+        assert caught == []
 
     @pytest.mark.parametrize("argv,row", [
         (["bounds", "--n", "5", "--eps", "1"], "1,inf,3,5,1,270,0,270"),

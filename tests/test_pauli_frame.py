@@ -10,7 +10,7 @@ from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
                                  Species, default_rates, zero_rates)
 from biasrep.pauli_frame import (LeakPolicy, PauliFrame, conjugate_through_cz,
                                  measure_x, run_circuit, run_circuit_batch)
-from biasrep.streams import TAG_FAULT, FaultStream, TrialHashes
+from biasrep.streams import _BLOCK, TAG_FAULT, FaultStream, TrialHashes
 
 from conftest import table_with, uniform_table
 from oracles import PAULIS, kron_all
@@ -389,15 +389,18 @@ class TestFaultSiteTable:
 
     @staticmethod
     def record(monkeypatch, cls, name):
-        """Record the (location, qubit) of every TAG_FAULT call of
-        ``cls.name``."""
+        """Record the (location, qubit) of every fault draw through
+        ``cls.name``: each call of ``TrialHashes.draw`` (the batch kernel's
+        per-address entry, once per site per block of trials) and each
+        TAG_FAULT call of ``FaultStream.uniform``."""
         calls = []
         original = getattr(cls, name)
 
-        def recorded(self, location, qubit, tag=TAG_FAULT):
-            if tag == TAG_FAULT:
+        def recorded(self, location, qubit, arg=TAG_FAULT):
+            # ``arg`` is draw's thresholds or uniform's tag
+            if name == "draw" or arg == TAG_FAULT:
                 calls.append((location, qubit))
-            return original(self, location, qubit, tag)
+            return original(self, location, qubit, arg)
         monkeypatch.setattr(cls, name, recorded)
         return calls
 
@@ -409,12 +412,21 @@ class TestFaultSiteTable:
         assert len(sites) == len(circuit.locations)
         flat = [(s.location_id, s.qubit) for loc_sites in sites for s in loc_sites]
         assert (-1 in {q for _, q in flat}) == (rates.cphase_zz > 0)
-        batch = self.record(monkeypatch, TrialHashes, "hash")
+        batch = self.record(monkeypatch, TrialHashes, "draw")
         scalar = self.record(monkeypatch, FaultStream, "uniform")
         run_circuit_batch(circuit, rates, 5, np.arange(64, dtype=np.uint64))
         run_circuit(circuit, rates, 5, trial=3)
         assert batch == flat
         assert scalar == flat
+
+    def test_batch_draws_the_table_once_per_block(self, monkeypatch):
+        circuit, rates = build_logical_cnot(3, 3), leaky_table(1e3, cphase_zz=0.01)
+        flat = [(s.location_id, s.qubit) for loc_sites in rates.sites(circuit)
+                for s in loc_sites]
+        batch = self.record(monkeypatch, TrialHashes, "draw")
+        run_circuit_batch(circuit, rates, 5,
+                          np.arange(2 * _BLOCK + 1, dtype=np.uint64))
+        assert batch == flat * 3
 
     @pytest.mark.parametrize("build", CIRCUITS, ids=["teleport31", "cnot33-pre"])
     def test_sites_per_location(self, build):
