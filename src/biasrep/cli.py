@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,6 +72,19 @@ def _parse_trials(text: str) -> int:
     if value < 1:
         raise ConfigError(f"--trials must be >= 1, got {text}")
     return int(value)
+
+
+def _parse_seed(text: str) -> int:
+    """A seed of the keyed streams and of the probe search: an integer in
+    [0, 2^64), so that no two seeds share their draws."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {text}")
+    return value
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -359,7 +373,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parsing keeps its state in the returned ``Namespace``, and no handler
+    changes the ``[]`` that ``--bias`` defaults to.  Built on first use, not
+    at import, so each subcommand is bound to the ``cmd_*`` handler the
+    module holds then."""
     parser = argparse.ArgumentParser(
         prog="biasrep",
         description="Repetition-code fault-tolerance toolkit for "
@@ -375,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rates", default="table1",
                      help="rate table: path, 'table1', or 'zero'")
     sim.add_argument("--trials", default="100000")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_parse_seed, default=0)
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--leak-policy", default=LeakPolicy.RANDOM_Z,
                      type=LeakPolicy, choices=list(LeakPolicy))
@@ -420,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     chan.add_argument("--restarts", type=int, default=0,
                       help="random pure probes on the doubled space, >= 0; "
                            "with --input search or --amplitude-damping")
-    chan.add_argument("--seed", type=int, default=0)
+    chan.add_argument("--seed", type=_parse_seed, default=0)
     chan.add_argument("--output", default=None)
     chan.set_defaults(func=cmd_channel)
 
@@ -447,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:   # a bound parameter: name its flag

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 import warnings
 
 import pytest
 
-from biasrep.cli import main
+from biasrep.cli import build_parser, main
 from biasrep.gadgets import build_teleport_identity, circuit_to_text
 from biasrep.noise_model import ErrorRateTable, Rates, default_rates
 
@@ -565,6 +566,41 @@ class TestGoldenOutputs:
         assert code == 0
         assert csv_body(out) == [_BOUNDS_HEADER, row]
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["--builtin", "cphase", "--input", "bell"],
+         "c549983e6d9540852b796fb1734fd3b9a1bac00844e1f7e32b610adc5066670b"),
+        (["--builtin", "cphase", "--input", "bell", "--qubit", "A"],
+         "22abb4fb0be9f5307746a13bab9ad5197ab94f7ac832f09ae7cf28406b2c6b9f"),
+        (["--builtin", "cphase", "--input", "bell", "--qubit", "B"],
+         "17dbcc3e49dd5d8dda98514a5fea4c9325205602ee0c57379a9a3de5d6463179"),
+        (["--builtin", "cphase", "--input", "search", "--restarts", "2",
+          "--seed", "1000"],
+         "c549983e6d9540852b796fb1734fd3b9a1bac00844e1f7e32b610adc5066670b"),
+        (["--builtin", "cphase", "--input", "search", "--restarts", "2",
+          "--seed", "1000", "--qubit", "A"],
+         "22abb4fb0be9f5307746a13bab9ad5197ab94f7ac832f09ae7cf28406b2c6b9f"),
+        (["--builtin", "cphase", "--input", "search", "--restarts", "2",
+          "--seed", "1000", "--qubit", "B"],
+         "17dbcc3e49dd5d8dda98514a5fea4c9325205602ee0c57379a9a3de5d6463179"),
+        (["--amplitude-damping", "0.00770519", "--restarts", "8",
+          "--seed", "1000"],
+         "d8ba2f9b5af61972fdff22201ac192f2ed4f885df1570d9ac6465bb09eed0a0a"),
+        (["--amplitude-damping", "0.00223423", "--restarts", "8",
+          "--seed", "1000"],
+         "f012c2f20d1d4662ef40d250d82dab0d75cdbc5c3da5b2ed08cb36faa578abc3"),
+        (["--amplitude-damping", "3.13111e-06", "--restarts", "8",
+          "--seed", "1000"],
+         "1f6c147fd2b539a736a465a2d07b7110dcc0a68b3c6b232400b182d4a39e102e")],
+        ids=["bell", "bell-A", "bell-B", "search", "search-A", "search-B",
+             "damping-7.7e-3", "damping-2.2e-3", "damping-3.1e-6"])
+    def test_channel_result(self, capsys, argv, digest):
+        """The search finds the Bell input's value, so each pair of bell
+        and search reports is the same."""
+        code, out, _ = run_cli(capsys, "channel", *argv)
+        assert code == 0
+        result = json.dumps(json.loads(out)["result"], sort_keys=True)
+        assert hashlib.sha256(result.encode()).hexdigest() == digest
+
 
 _BOUNDS_HEADER = "eps,bias,c,n,k,eps_L,epsp_L,total"
 
@@ -625,3 +661,88 @@ class TestBoundInputRanges:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert csv_body(out)[1] == row
+
+
+class TestSeedRange:
+    """simulate and channel take one seed rule: an integer in [0, 2^64).
+    The keyed streams use the seed's low 64 bits, so a wider seed would
+    repeat the draws of another."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--gadget", "teleport", "--n", "1",
+                     "--k", "1", "--rates", "zero", "--trials", "100"],
+        "channel": ["channel", "--amplitude-damping", "1e-3",
+                    "--restarts", "1"],
+    }
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_outside_rejected(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command] + ["--seed", seed])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
+
+    @pytest.mark.parametrize("seed", ["0", str((1 << 64) - 1)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_edges_accepted(self, capsys, command, seed):
+        code, out, _ = run_cli(capsys, *self.COMMANDS[command],
+                               "--seed", seed)
+        assert code == 0
+        assert f'"seed": {seed}' in out
+
+
+class TestParserReuse:
+    """main builds its parser on the first call of a process and reuses it
+    for every later call."""
+
+    SEQUENCE = [
+        ["bounds", "--optimize", "free", "--eps-grid", "1e-4:1e-2:25",
+         "--bias", "1e3", "--bias", "1e4"],
+        ["bounds", "--n", "5", "--eps", "1e-3"],
+        ["optimize", "--eps", "1e-3", "--bias", "10"],
+        ["simulate", "--gadget", "cnot", "--n", "x", "--k", "3"],
+        ["channel", "--builtin", "cphase", "--input", "bell"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:      # argparse rejects the command
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_built_on_first_call_only(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser.cache_clear()
+        argv = ["optimize", "--rates", "table1"]
+        first = self.outcome(capsys, argv)
+        after_first = len(built)
+        assert self.outcome(capsys, argv) == first
+        assert first[0] == 0
+        assert after_first > 0 and len(built) == after_first
+
+    def test_outputs_match_a_fresh_parser(self, capsys):
+        """The sequence runs twice on one parser, so the second pass reads
+        each shared default (such as the [] of --bias) after the first pass
+        has used it."""
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
+        build_parser.cache_clear()
+        reused = [self.outcome(capsys, argv)
+                  for _ in range(2) for argv in self.SEQUENCE]
+        assert reused == fresh * 2
