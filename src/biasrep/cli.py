@@ -75,8 +75,9 @@ def _parse_trials(text: str) -> int:
 
 
 def _parse_seed(text: str) -> int:
-    """A seed of the keyed streams and of the probe search: an integer in
-    [0, 2^64), so that no two seeds share their draws."""
+    """A seed of the keyed streams or of the probe search: an integer in
+    [0, 2^64).  The streams key on a seed's low 64 bits, so a wider or
+    negative seed would repeat the draws of one in range."""
     try:
         value = int(text)
     except ValueError:
@@ -467,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:   # a bound parameter: name its flag
