@@ -24,7 +24,8 @@ from .channels import (KET_BELL, ClassifiedKraus, amplitude_damping,
                        builtin_cphase_kraus, diamond_lower_bound,
                        kraus_from_json, split_channel)
 from .gadgets import build_gadget, check_schedule, circuit_from_text
-from .montecarlo import brute_force_oracle, estimate_logical_rates
+from .montecarlo import (brute_force_oracle, estimate_logical_rates,
+                         prob_more_faults)
 from .noise_model import ErrorRateTable, default_rates, zero_rates
 from .pauli_frame import LeakPolicy
 
@@ -345,6 +346,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "count_x": list(result.count_x),
             "remainder_bound": result.remainder_bound,
         },
+        "tail": {"prob_more_faults": prob_more_faults(gadget, rates,
+                                                      args.weight)},
     }
     _emit([json.dumps(report, indent=2, sort_keys=True)], args.output)
     return EXIT_OK

@@ -290,9 +290,11 @@ def _fault_effects(circuit: Circuit, faults: Sequence[FaultEvent],
                                              run.frame_z]))
 
 
-# Patterns decoded per numpy pass of the oracle; it bounds the pass's memory
-# (a few times outcomes + 2 * qubits bytes per pattern).
-_ORACLE_CHUNK = 1 << 15
+# Prefixes (a pattern's faults but its last) per numpy pass of the oracle.
+# A prefix brings one word per 64 faults after its last site to each
+# decoded row, so a pass holds at most _ORACLE_CHUNK * ceil(faults / 64)
+# words per row and 64 times as many patterns.
+_ORACLE_CHUNK = 1 << 10
 
 
 def _pattern_chunks(n_classes: np.ndarray, w: int):
@@ -321,10 +323,27 @@ def _pattern_chunks(n_classes: np.ndarray, w: int):
         yield rows
 
 
-def _carried_sum(start: float, values: np.ndarray) -> float:
-    """``start + values[0] + values[1] + ...`` added left to right, as a
-    Python loop would (``np.sum`` adds pairwise)."""
-    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+def _carried_sum(values: np.ndarray):
+    """``values[0] + values[1] + ...`` added left to right, as a Python
+    loop would (``np.sum`` adds pairwise); complex values carry two such
+    sums, of the real and of the imaginary parts.  The running sums
+    overwrite ``values``."""
+    return np.cumsum(values, out=values)[-1].item()
+
+
+def _suffix_words(effects: np.ndarray) -> tuple[np.ndarray, int]:
+    """Effect rows [R, F] packed 64 faults to a word (the layout of
+    :func:`~biasrep.pauli_frame.unpack_words`) from every start: with
+    W = ceil(F / 64), columns [b * W, (b + 1) * W) hold faults b, b + 1,
+    ..., so faults a, a + 1, ... start at column (a % 64) * W + a // 64.
+    Bits past fault F - 1 are zero.  Returns the words [R, 64 * W] and W."""
+    R, F = effects.shape
+    W = -(-F // 64)
+    shifted = np.zeros((R, min(64, F), 64 * W), dtype=bool)
+    for b in range(shifted.shape[1]):
+        shifted[:, b, :F - b] = effects[:, b:]
+    words = np.packbits(shifted, axis=-1, bitorder="little").view("<u8")
+    return words.astype(np.uint64, copy=False).reshape(R, shifted.shape[1] * W), W
 
 
 def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
@@ -341,38 +360,64 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     Without leakage (:func:`fault_sites` rejects it) and with zero sampled
     rates, frame propagation is linear over GF(2): a pattern's outcomes and
     output frame are the XOR of the effects of its single faults.  One
-    batched run gives every single fault's effect, each in its own trial;
-    patterns are then formed and decoded in batches.  For every weight, the
-    first pattern decoded as an error and the first decoded as clean are
-    replayed by :func:`run_trial`; a disagreement raises ``RuntimeError``.
+    batched run gives every single fault's effect, each in its own trial.
+    A weight-w pattern is a prefix, its first w - 1 faults, and a last
+    fault at a later site; those last faults are one contiguous range of
+    the fault numbering, whose effects are packed 64 to a word.  A prefix's
+    patterns are then its flips of those words, decoded 64 to an operation.
+    Each failing pattern is mapped to its rank in enumeration order (sites
+    by ``combinations``, then their classes with the last site fastest),
+    and its weight is formed and added in that order, so results are
+    bit-identical to a pattern-by-pattern loop.  For every weight, the
+    first pattern in that order decoded as an error and the first decoded
+    as clean are replayed by :func:`run_trial`; a disagreement raises
+    ``RuntimeError``.
     """
     if weight_max < 0:
         raise ValueError(f"weight_max must be >= 0, got {weight_max}")
     assert_valid(gadget)
     sites = fault_sites(gadget, rates)
     L = len(sites)
+    rows = [s.row for s in sites]
+    totals = [sum(row.probs) for row in rows]       # FaultSite.total
+    n_classes = np.array([len(row.classes) for row in rows], dtype=np.intp)
     # by_w[w] = patterns of weight w: the elementary symmetric sum of the
     # per-site class counts, built up one site at a time.
     by_w = [1] + [0] * weight_max
-    for s in sites:
+    for n in n_classes.tolist():
         for w in range(weight_max, 0, -1):
-            by_w[w] += by_w[w - 1] * len(s.choices)
+            by_w[w] += by_w[w - 1] * n
     budget = sum(by_w[1:])
     if budget > max_patterns:
         raise ValueError(f"enumeration budget exceeded: {budget} patterns "
                          f"for {L} sites at weight {weight_max} "
                          f"(limit {max_patterns})")
 
-    survival_all = math.prod((1.0 - s.total for s in sites), start=1.0)
+    survival_all = math.prod((1.0 - t for t in totals), start=1.0)
     # One entry per (site, fault class), in enumeration order.
     faults = [FaultEvent(s.location_id, s.qubit, kind)
-              for s in sites for kind, _ in s.choices]
-    factor = np.array([p / (1.0 - s.total) for s in sites for _, p in s.choices])
-    n_classes = np.array([len(s.choices) for s in sites], dtype=np.intp)
+              for s in sites for kind in s.row.classes]
+    factor = np.array([p / (1.0 - t) for row, t in zip(rows, totals)
+                       for p in row.probs])
+    F = len(faults)
+    site_of = np.repeat(np.arange(L), n_classes)
+    first = np.cumsum(n_classes) - n_classes
+    after = np.append(first, F)      # after[s + 1]: first fault past site s
+    first_of, n_of = first[site_of], n_classes[site_of]
+    class_of = np.arange(F) - first_of
     zero = zero_rates()
-    effects = _fault_effects(gadget, faults, zero)
-    M = len(gadget.measure_locations)
-    N = gadget.n_qubits
+    # The rows the decoder reads: the outcomes of the majority groups, then
+    # the x and z rows of the output qubits.
+    M, N = len(gadget.measure_locations), gadget.n_qubits
+    row_of = {loc: i for i, loc in enumerate(gadget.measure_locations)}
+    group_locs = [loc for ids in gadget.groups.values() for loc in ids]
+    outs = [q for block in gadget.output_blocks for q in block.qubits]
+    G, O = len(group_locs), len(outs)
+    effects = _fault_effects(gadget, faults, zero)[
+        [row_of[loc] for loc in group_locs] + [M + q for q in outs]
+        + [M + N + q for q in outs]]
+    suffix, Wf = _suffix_words(effects)
+    unleaked = dict.fromkeys(outs, False)
 
     by_z = [0.0] * (weight_max + 1)
     by_x = [0.0] * (weight_max + 1)
@@ -382,30 +427,108 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     patterns_run = 0
     for w in range(1, weight_max + 1):
         replay = {}     # first pattern decoded as an error (True) / as clean
-        for rows in _pattern_chunks(n_classes, w) if L >= w else ():
-            weight = survival_all * factor[rows[:, 0]]
-            pattern = effects[:, rows[:, 0]]
-            for j in range(1, w):
-                weight *= factor[rows[:, j]]
-                pattern ^= effects[:, rows[:, j]]
-            B = len(rows)
-            lz, lx, _ = classify_batch(gadget, BatchRunResult(
-                np.arange(patterns_run, patterns_run + B, dtype=np.uint64),
-                gadget.measure_locations, pattern[:M], np.zeros((M, B), bool),
-                pattern[M:M + N], pattern[M + N:], np.zeros((N, B), bool)))
-            patterns_run += B
-            either = lz | lx
-            by_z[w] = _carried_sum(by_z[w], weight[lz])
-            by_x[w] = _carried_sum(by_x[w], weight[lx])
-            prob_either = _carried_sum(prob_either, weight[either])
-            cnt_z[w] += int(lz.sum())
-            cnt_x[w] += int(lx.sum())
-            for flag in {True, False} - replay.keys():
-                hits = np.flatnonzero(either == flag)
-                if hits.size:
-                    i = hits[0]
-                    replay[flag] = ([faults[r] for r in rows[i]],
-                                    TrialResult(bool(lz[i]), bool(lx[i]), False))
+        prefix_chunks = (_pattern_chunks(n_classes, w - 1) if w > 1 else
+                         [np.zeros((1, 0), np.intp)]) if L >= w else ()
+        for prefix in prefix_chunks:
+            P = len(prefix)
+            combo_sites = site_of[prefix]
+            a = after[combo_sites[:, -1] + 1] if w > 1 else np.zeros(1, np.intp)
+            # prefix i takes words [off[i], off[i] + n_words[i]) of the pass
+            n_words = -(-(F - a) // 64)
+            off = np.cumsum(n_words) - n_words
+            W = int(n_words.sum())
+            owner = np.repeat(np.arange(P), n_words)
+            src = np.repeat((a % 64) * Wf + a // 64 - off, n_words) + np.arange(W)
+            flip = np.bitwise_xor.reduce(effects[:, prefix], axis=2)
+            # where(flip, ~suffix, suffix), as an XOR with all-ones words
+            words = suffix[:, src]
+            words ^= (flip * ~np.uint64(0))[:, owner]
+            flags = _decode(gadget, dict(zip(group_locs, words)),
+                            dict(zip(outs, words[G:])),
+                            dict(zip(outs, words[G + O:])), unleaked)
+            # clear the bits of each prefix's last word past fault F - 1
+            valid = np.full(W, ~np.uint64(0))
+            used = (F - a) % 64
+            cut = used > 0
+            valid[(off + n_words - 1)[cut]] = \
+                (np.uint64(1) << used[cut].astype(np.uint64)) - np.uint64(1)
+            lz, lx = (flag & valid for flag in flags[:2])
+
+            # Enumeration rank within the pass.  The t prefixes of one site
+            # combination (its class product) are adjacent, and its
+            # patterns run over the later sites j, then the prefix (the
+            # r-th of the t), then j's class: the combination's first rank
+            # plus t * (first[j] - a) + r * n_classes[j] + class.
+            new = np.append(True, (combo_sites[1:] != combo_sites[:-1]).any(axis=1))
+            combo = np.cumsum(new) - 1
+            start = np.flatnonzero(new)
+            n_pre = np.diff(np.append(start, P))
+            size = n_pre * (F - a[start])
+            n = int(size.sum())
+            t, r = n_pre[combo], np.arange(P) - start[combo]
+            keys, pair = np.unique(t * P + r, return_inverse=True)
+            kt, kr = np.divmod(keys, P)
+            # rows of (t * first[j] + r * n_classes[j] + class) per (t, r)
+            # pair, and of the last fault's factor, over the faults
+            table = (kt[:, None] * first_of + kr[:, None] * n_of + class_of).ravel()
+            factors = np.tile(factor, len(keys))
+            pw = np.full(P, survival_all)
+            for j in range(w - 1):
+                pw *= factor[prefix[:, j]]
+            # Bit pos of the pass is fault pos - shift[p] of prefix p and
+            # entry pos - (shift[p] - row[p]) of the tables; per word, that
+            # offset, its combination's first rank plus one (the sums'
+            # slot 0) less t * a, and its prefix's weight:
+            shift = 64 * off - a
+            word_entry = (shift - pair * F)[owner]
+            word_slot = (1 + np.cumsum(size) - size - n_pre * a[start])[combo][owner]
+            word_pw = pw[owner]
+
+            def locate(pos: np.ndarray):
+                """Word, table entry and sum slot of bits ``pos``."""
+                k = pos >> 6
+                entry = word_entry[k]
+                np.subtract(pos, entry, out=entry)
+                slot = table[entry]
+                slot += word_slot[k]
+                return k, entry, slot
+
+            def pattern(pos: int) -> list[FaultEvent]:
+                p = owner[pos >> 6]
+                return [faults[q] for q in (*prefix[p], pos - shift[p])]
+
+            pos = np.flatnonzero(unpack_words(lz | lx, 64 * W))
+            k, entry, slot = locate(pos)
+            weight = factors[entry]
+            weight *= word_pw[k]    # = (survival * prefix factors) * last
+            z, x = (unpack_words(flag, 64 * W)[pos] for flag in (lz, lx))
+            # The sums run over the pass in rank order: slot 0 holds the
+            # sums so far, slot 1 + rank a failing pattern's weight and
+            # every other slot 0.0, which leaves a sum unchanged.  Z and X
+            # share a complex sum, one in each part.
+            zx = np.zeros(n + 1, dtype=complex)
+            either = np.zeros(n + 1)
+            zx[0], either[0] = complex(by_z[w], by_x[w]), prob_either
+            parts = np.empty(len(pos), dtype=complex)
+            np.multiply(weight, z, out=parts.real)
+            np.multiply(weight, x, out=parts.imag)
+            zx[slot], either[slot] = parts, weight
+            zx = _carried_sum(zx)
+            by_z[w], by_x[w] = zx.real, zx.imag
+            prob_either = _carried_sum(either)
+            cnt_z[w] += int(np.count_nonzero(z))
+            cnt_x[w] += int(np.count_nonzero(x))
+            patterns_run += n
+
+            if True not in replay and pos.size:
+                i = np.argmin(slot)
+                replay[True] = (pattern(pos[i]),
+                                TrialResult(bool(z[i]), bool(x[i]), False))
+            if False not in replay:
+                clean = np.flatnonzero(unpack_words(valid & ~(lz | lx), 64 * W))
+                if clean.size:
+                    replay[False] = (pattern(clean[np.argmin(locate(clean)[2])]),
+                                     TrialResult(False, False, False))
         for events, expected in replay.values():
             trial = run_trial(gadget, zero, 0, 0, forced_faults=events,
                               leak_policy=LeakPolicy.NEVER_Z, validate=False)
@@ -415,9 +538,31 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
                     f"but propagating the pattern gives {trial}")
 
     # P(more than weight_max faults) via the binomial tail union bound.
-    p_max = max((s.total for s in sites), default=0.0)
+    p_max = max(totals, default=0.0)
     remainder = math.comb(L, weight_max + 1) * p_max**(weight_max + 1) \
         if L > weight_max else 0.0
     return OracleResult(weight_max, L, sum(by_z), sum(by_x), prob_either,
                         tuple(by_z), tuple(by_x), tuple(cnt_z), tuple(cnt_x),
                         remainder, patterns_run)
+
+
+def prob_more_faults(circuit: Circuit, rates: ErrorRateTable,
+                     weight: int) -> float:
+    """The exact probability that more than ``weight`` of the circuit's
+    fault draws (``rates.sites(circuit)``) produce a fault: the tail of
+    the Poisson-binomial distribution of their totals, built up one draw
+    at a time in O(draws * weight).  The tail is its own state, fed by the
+    mass that leaves P(N = weight), never ``1 - sum P(N = j)``, which
+    cancels."""
+    if weight < 0:
+        raise ValueError(f"weight must be >= 0, got {weight}")
+    exact = [1.0] + [0.0] * weight      # P(N = j) for j <= weight
+    tail = 0.0
+    for loc_sites in rates.sites(circuit):
+        for site in loc_sites:
+            p = sum(site.row.probs)
+            tail += exact[weight] * p
+            for j in range(weight, 0, -1):
+                exact[j] = exact[j] * (1.0 - p) + exact[j - 1] * p
+            exact[0] *= 1.0 - p
+    return tail

@@ -7,6 +7,7 @@ import pytest
 
 from biasrep.cli import build_parser, main
 from biasrep.gadgets import build_teleport_identity, circuit_to_text
+from biasrep.montecarlo import prob_more_faults
 from biasrep.noise_model import ErrorRateTable, Rates, default_rates
 
 from conftest import REPREPARED_ANCILLA
@@ -433,6 +434,20 @@ class TestOracleCommand:
         assert out == ""
         assert "weight" in err
 
+    def test_tail_key(self, capsys, tmp_path):
+        path = tmp_path / "phase.json"
+        table = scaled_table1(1.0, phase_only=True)
+        path.write_text(table.to_json())
+        code, out, _ = run_cli(capsys, "oracle", "--gadget", "teleport",
+                               "--n", "3", "--k", "3", "--weight", "2",
+                               "--rates", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["tail"] == {"prob_more_faults": prob_more_faults(
+            build_teleport_identity(3, 3), table, 2)}
+        assert 0.0 < report["tail"]["prob_more_faults"] \
+            < report["result"]["remainder_bound"]
+
     def test_leaky_table_rejected(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--gadget", "teleport",
                                "--n", "3", "--k", "1", "--rates", "table1",
@@ -541,6 +556,33 @@ class TestGoldenOutputs:
             "prob_z": 0.0003487031909469608,
             "remainder_bound": 0.0016835234559999998,
             "sites": 48,
+        }
+
+    def test_oracle_weight3_json(self, capsys, tmp_path):
+        # table1 without its leak rates: sites of 1, 2 and 3 fault classes
+        # and 4,689,861 patterns, too many for a pattern-by-pattern replay
+        path = tmp_path / "leakfree.json"
+        path.write_text(ErrorRateTable(entries={
+            key: Rates(r.eps, r.eps_other)
+            for key, r in default_rates().entries.items()}).to_json())
+        code, out, _ = run_cli(capsys, "oracle", "--gadget", "cnot",
+                               "--n", "3", "--k", "3", "--weight", "3",
+                               "--max-patterns", "5000000",
+                               "--rates", str(path))
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "by_weight_x": [0.0, 6.665001854630846e-05,
+                            0.0067375281372870485, 0.0016192810024842452],
+            "by_weight_z": [0.0, 6.682678835508538e-05,
+                            0.0008808983978204466, 0.0002793458453061492],
+            "count_x": [0, 54, 16452, 2287818],
+            "count_z": [0, 54, 15024, 2026746],
+            "patterns_run": 4689861,
+            "prob_either": 0.009645520268380127,
+            "prob_x": 0.008423459158317602,
+            "prob_z": 0.0012270710314816811,
+            "remainder_bound": 0.002996854406484665,
+            "sites": 114,
         }
 
     @pytest.mark.parametrize("argv,digest", [

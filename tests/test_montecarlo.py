@@ -7,18 +7,19 @@ import pytest
 
 from biasrep import montecarlo
 from biasrep.cli import main
-from biasrep.gadgets import build_logical_cnot, build_teleport_identity
+from biasrep.gadgets import (build_logical_cnot, build_teleport_identity,
+                             circuit_from_text)
 from biasrep.montecarlo import (RateEstimate, brute_force_oracle,
                                 classify_batch, classify_run, count_trials,
                                 estimate_logical_rates, fault_sites,
-                                majority, run_trial)
+                                majority, prob_more_faults, run_trial)
 from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
                                  OpKind, Rates, default_rates, zero_rates)
 from biasrep.pauli_frame import (BatchRunResult, LeakPolicy, OutcomeRecord,
                                  PauliFrame, RunResult, run_circuit,
                                  run_circuit_batch)
 
-from conftest import table_with, uniform_table
+from conftest import REPREPARED_ANCILLA, table_with, uniform_table
 from oracles import replay_oracle
 
 
@@ -418,13 +419,45 @@ class TestLinearOracle:
             assert [tuple(r) for c in chunks for r in c.tolist()] == expected
             assert max(map(len, chunks)) <= max(chunk, 3**w)
 
-    def test_chunk_boundaries_change_nothing(self, monkeypatch):
-        # one site combination per chunk: carried sums, counts and the
-        # replay choice all cross chunk boundaries
-        tele, table = build_teleport_identity(3, 1), table1_without(*LEAK_FREE)
-        monkeypatch.setattr(montecarlo, "_ORACLE_CHUNK", 5)
-        assert brute_force_oracle(tele, table, 3) == \
-            replay_oracle(tele, table, 3)
+    @pytest.mark.parametrize("build,table,weight,chunk,faults", [
+        (lambda: build_teleport_identity(3, 1),
+         lambda: table1_without(*LEAK_FREE), 3, 5, 48),
+        (lambda: build_teleport_identity(3, 1),
+         lambda: table1_without(*LEAK_FREE), 3, 30, 48),
+        (lambda: build_logical_cnot(3, 1),
+         lambda: table_with(cz_B=Rates(4.6e-3, 3.5e-6), measx_B=Rates(1.83e-3),
+                            prep_A=Rates(2.75e-3, 3.5e-7),
+                            prep_B=Rates(2.75e-3, 3.5e-7)), 2, 1 << 10, 63),
+        (lambda: build_logical_cnot(3, 1),
+         lambda: table_with(cz_A=Rates(1.96e-3), cz_B=Rates(4.6e-3, 3.5e-6),
+                            prep_B=Rates(2.75e-3, 3.5e-7)), 2, 7, 64),
+        (lambda: build_logical_cnot(3, 1),
+         lambda: table_with(cz_B=Rates(4.6e-3, 3.5e-6), measx_A=Rates(1.83e-3),
+                            prep_A=Rates(2.75e-3, 3.5e-7),
+                            prep_B=Rates(2.75e-3)), 2, 1 << 10, 65),
+        (lambda: circuit_from_text(REPREPARED_ANCILLA),
+         lambda: table1_without(*LEAK_FREE), 3, 5, 18),
+    ], ids=["teleport31-chunk5", "teleport31-chunk30", "cnot31-63faults",
+            "cnot31-64faults-chunk7", "cnot31-65faults", "no-output-rows-chunk5"])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, build, table,
+                                            weight, chunk, faults):
+        # A pass decodes the patterns of whole site combinations of the
+        # first w - 1 faults.  Chunk 5 puts one combination in a pass, so
+        # carried sums, counts and the replay choice all cross passes;
+        # chunk 30 (weight 3: three combinations, weight 2: ten sites) and
+        # chunk 7 (two sites) mix class products of 1 to 9 prefixes in a
+        # pass.  The last fault's classes are packed 64 to a word, and a
+        # weight-2 combination's class product lies in one row per prefix:
+        # 63, 64 and 65 faults end the weight-1 patterns one bit short of,
+        # on and one bit past a word boundary, and at weight 2 the
+        # suffixes of all lengths below put 1- to 3-class sites across one.
+        # A circuit with no output block and no majority group gives the
+        # decoder no row to read.
+        circuit, rates = build(), table()
+        assert sum(len(s.choices) for s in fault_sites(circuit, rates)) == faults
+        monkeypatch.setattr(montecarlo, "_ORACLE_CHUNK", chunk)
+        assert brute_force_oracle(circuit, rates, weight) == \
+            replay_oracle(circuit, rates, weight)
 
     @pytest.mark.parametrize("build", [
         lambda: build_logical_cnot(3, 3),
@@ -487,3 +520,30 @@ class TestLinearOracle:
         assert code == 3
         assert out == ""
         assert "invariant violation" in err
+
+
+class TestProbMoreFaults:
+    """``prob_more_faults`` against a direct sum over every subset of the
+    fault draws."""
+
+    @pytest.mark.parametrize("table", [
+        lambda: table1_without(*LEAK_FREE), lambda: uniform_table(0.05, 0.02),
+    ], ids=["table1-leakfree", "uniform-5e-2"])
+    def test_equals_subset_enumeration(self, table):
+        tele, rates = build_teleport_identity(3, 1), table()
+        p = [sum(s.row.probs) for s in fault_sites(tele, rates)]
+        subsets = np.arange(1 << len(p))
+        prob = np.ones(len(subsets))
+        size = np.zeros(len(subsets), dtype=int)
+        for i, p_i in enumerate(p):
+            member = (subsets >> i) & 1 == 1
+            prob *= np.where(member, p_i, 1.0 - p_i)
+            size += member
+        assert len(p) == 20
+        for w in range(len(p) + 1):
+            assert math.isclose(prob_more_faults(tele, rates, w),
+                                prob[size > w].sum(), rel_tol=1e-12), w
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="weight"):
+            prob_more_faults(build_teleport_identity(3, 1), uniform_table(1e-3), -1)
