@@ -326,6 +326,8 @@ def cmd_channel(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.max_patterns < 0:
+        raise ConfigError(f"--max-patterns must be >= 0, got {args.max_patterns}")
     rates = _load_rates(args.rates)
     gadget = build_gadget(args.gadget, args.n, args.k)
     result = brute_force_oracle(gadget, rates, args.weight,

@@ -290,28 +290,24 @@ def _fault_effects(circuit: Circuit, faults: Sequence[FaultEvent],
                                              run.frame_z]))
 
 
-# Prefixes (a pattern's faults but its last) per numpy pass of the oracle.
-# A prefix brings one word per 64 faults after its last site to each
-# decoded row, so a pass holds at most _ORACLE_CHUNK * ceil(faults / 64)
-# words per row and 64 times as many patterns.
-_ORACLE_CHUNK = 1 << 10
+# Patterns per numpy pass of the oracle.  A pass holds a few bytes of
+# decoded words and 24 bytes of sums per pattern, and about 60 bytes per
+# failing one (its position, rank, weight and parts), so this bounds its
+# arrays to about 10 MiB however many faults the circuit has.
+_ORACLE_PASS = 1 << 17
 
 
-def _pattern_chunks(n_classes: np.ndarray, w: int):
+def _pattern_chunks(n_classes: np.ndarray, w: int, later: np.ndarray):
     """Every weight-``w`` fault pattern over sites with ``n_classes[i]``
     fault classes each, numbered site by site and class by class, as
     arrays [patterns, w] of those numbers.  Patterns come in enumeration
     order: ``combinations`` of sites, then the ``product`` of their classes
-    with the last site fastest.  A chunk holds at most ``_ORACLE_CHUNK``
-    patterns, or one combination's."""
+    with the last site fastest.  A chunk holds whole site combinations.
+    A pattern whose last site is s counts ``later[s]`` times, and a chunk
+    counts at most ``_ORACLE_PASS``, or one combination's."""
     first = np.cumsum(n_classes) - n_classes
-    per_chunk = max(1, _ORACLE_CHUNK // int(n_classes.max()) ** w)
-    combos = combinations(range(len(n_classes)), w)
-    while True:
-        site = np.fromiter(chain.from_iterable(islice(combos, per_chunk)),
-                           dtype=np.intp).reshape(-1, w)
-        if not site.size:
-            return
+
+    def class_rows(site: np.ndarray) -> np.ndarray:
         radix = n_classes[site]
         counts = radix.prod(axis=1)
         combo = np.repeat(np.arange(len(site)), counts)
@@ -320,7 +316,22 @@ def _pattern_chunks(n_classes: np.ndarray, w: int):
         for j in range(w - 1, -1, -1):
             rest, cls = np.divmod(rest, radix[:, j])
             rows[:, j] += cls
-        yield rows
+        return rows
+
+    combos = combinations(range(len(n_classes)), w)
+    site = np.zeros((0, w), dtype=np.intp)    # read, not yet yielded
+    while True:
+        block = np.fromiter(chain.from_iterable(islice(combos, 1 << 12)),
+                            dtype=np.intp).reshape(-1, w)
+        site = np.concatenate([site, block])
+        end = np.cumsum(n_classes[site].prod(axis=1) * later[site[:, -1]])
+        # a chunk as soon as more than one is read, and the rest at the end
+        while len(site) and (end[-1] > _ORACLE_PASS or not len(block)):
+            k = max(1, int(np.searchsorted(end, _ORACLE_PASS, side="right")))
+            yield class_rows(site[:k])
+            site, end = site[k:], end[k:] - end[k - 1]
+        if not len(block):
+            return
 
 
 def _carried_sum(values: np.ndarray):
@@ -427,8 +438,9 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     patterns_run = 0
     for w in range(1, weight_max + 1):
         replay = {}     # first pattern decoded as an error (True) / as clean
-        prefix_chunks = (_pattern_chunks(n_classes, w - 1) if w > 1 else
-                         [np.zeros((1, 0), np.intp)]) if L >= w else ()
+        prefix_chunks = () if L < w else (
+            _pattern_chunks(n_classes, w - 1, F - after[1:]) if w > 1
+            else [np.zeros((1, 0), np.intp)])
         for prefix in prefix_chunks:
             P = len(prefix)
             combo_sites = site_of[prefix]

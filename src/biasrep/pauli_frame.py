@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -163,6 +164,20 @@ class RunResult:
     trace: list[str] | None = None
 
 
+def _check_forced(circuit: Circuit, events: Iterable[tuple[int, int]]) -> None:
+    """Reject a forced fault, given as (location id, qubit), at a location
+    the circuit does not have (no location would apply it) or on a qubit
+    that location does not act on."""
+    qubits = {loc.index: loc.qubits for loc in circuit.locations}
+    for location, q in events:
+        if location not in qubits:
+            raise ValueError(f"forced fault at location {location}, "
+                             "which the circuit does not have")
+        if q not in qubits[location]:
+            raise ValueError(f"forced fault on qubit {q} at location "
+                             f"{location}, which acts on {qubits[location]}")
+
+
 def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
                 trial: int = 0, forced_faults: Sequence[FaultEvent] = (),
                 leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
@@ -172,7 +187,9 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     Iterates locations in time order: gate action first (frame conjugation
     for CPHASE), then sampled faults plus any forced faults for that
     location.  Deterministic given (seed, trial); draws are keyed per
-    (location, qubit) so they are independent of execution order.
+    (location, qubit) so they are independent of execution order.  A
+    forced fault at a location the circuit lacks, or on a qubit its
+    location does not act on, raises ``ValueError``.
     """
     if validate:
         assert_valid(circuit)
@@ -184,6 +201,8 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     forced_by_loc: dict[int, list[FaultEvent]] = {}
     for ev in forced_faults:
         forced_by_loc.setdefault(ev.location_id, []).append(ev)
+    if forced_by_loc:
+        _check_forced(circuit, ((ev.location_id, ev.qubit) for ev in forced_faults))
 
     for loc, sites in zip(circuit.locations, rates.sites(circuit)):
         kind = loc.kind
@@ -296,13 +315,17 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     by draw order.  Batch boundaries therefore never affect outcomes, and a
     draw that can matter only to leaked trials (the random Z on a leaked
     qubit's partner, the outcome of a leaked measurement) is made for those
-    trials alone.  Gates, resets and measurement are word operations; the
-    trials a keyed draw selects are set into a word mask.  Every fault draw
-    is made first, by :func:`~biasrep.streams.draw_faults`, and the location
-    loop then applies the hits.
+    trials alone; until the first leak of the batch, leak bookkeeping is
+    skipped altogether.  Gates, resets and measurement are word operations;
+    the trials a keyed draw selects are set into a word mask.  Every fault
+    draw is made first, by :func:`~biasrep.streams.draw_faults`, and the
+    location loop then applies the hits.
 
     ``forced_faults`` holds one event list per trial (or none); a location
     applies them after its sampled faults, in list order, as run_circuit does.
+    Trials forced alike share one word mask, and all these masks are set by
+    one scatter.  A forced event at a location the circuit lacks, or on a
+    qubit its location does not act on, raises ``ValueError``.
     """
     if validate:
         assert_valid(circuit)
@@ -317,8 +340,24 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
         for r, ev in enumerate(events):
             by_loc.setdefault(ev.location_id, {}).setdefault(
                 (r, ev.qubit, ev.error), []).append(j)
-    forced = {loc: sorted(groups.items()) for loc, groups in by_loc.items()}
+    if by_loc:
+        _check_forced(circuit, ((loc, q) for loc, groups in by_loc.items()
+                                for _, q, _ in groups))
+    # location -> [(group, qubit, class)] in rank order; group g's trials
+    # are the bits of row g of forced_masks, all set by one scatter
+    forced: dict[int, list] = {}
+    members: list[list[int]] = []
+    for loc, groups in by_loc.items():
+        for (_, q, cls), t in sorted(groups.items()):
+            forced.setdefault(loc, []).append((len(members), q, cls))
+            members.append(t)
     W = (B + 63) >> 6
+    forced_masks = np.zeros((len(members), W), dtype=np.uint64)
+    if members:
+        pos = np.fromiter(chain.from_iterable(members), dtype=np.intp)
+        group = np.repeat(np.arange(len(members)), [len(t) for t in members])
+        np.bitwise_or.at(forced_masks, (group, pos >> 6),
+                         np.uint64(1) << (pos & 63).astype(np.uint64))
     meas_locs = circuit.measure_locations
     row_of = {loc: i for i, loc in enumerate(meas_locs)}
     x, z, lk = np.zeros((3, circuit.n_qubits, W), dtype=np.uint64)
@@ -341,14 +380,22 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
         idx = words[bits >> 6] * 64 + (bits & 63)     # ascending positions
         return mask(idx[uniform_vector(seed, trials[idx], location, q, tag) < 0.5])
 
+    # Whether any trial has leaked yet.  Until then lk is all zero, so the
+    # leak bookkeeping (masking by lk, partner coins, leaked measurements)
+    # changes nothing and is skipped.
+    leaky = False
+
     def apply(effect: Effect, q: int, m: np.ndarray, bit: np.ndarray | None) -> None:
         """A fault on qubit q in the trials of ``m``."""
-        m = m & ~lk[q]
+        nonlocal leaky
+        if leaky:
+            m = m & ~lk[q]
         if effect.x:
             x[q] ^= m
         if effect.z:
             z[q] ^= m
         if effect.leak:
+            leaky = True
             lk[q] |= m
             x[q] &= ~m
             z[q] &= ~m
@@ -369,10 +416,13 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
             x[q] = z[q] = lk[q] = 0
         elif kind is OpKind.CPHASE:
             q1, q2 = loc.qubits
-            ok = ~(lk[q1] | lk[q2])
-            z[q2] ^= x[q1] & ok
-            z[q1] ^= x[q2] & ok
-            if policy is not LeakPolicy.NEVER_Z:
+            x1, x2 = x[q1], x[q2]
+            if leaky:
+                ok = ~(lk[q1] | lk[q2])
+                x1, x2 = x1 & ok, x2 & ok
+            z[q2] ^= x1
+            z[q1] ^= x2
+            if leaky and policy is not LeakPolicy.NEVER_Z:
                 for leaked_q, normal_q in ((q1, q2), (q2, q1)):
                     # trials where leaked_q is leaked and normal_q is not
                     m = lk[leaked_q] & ~lk[normal_q]
@@ -389,14 +439,15 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                     m = mask(drawn)
                     for q in site.targets:
                         apply(EFFECTS[cls], q, m, bit)
-        for (_, q, cls), t in forced.get(loc.index, ()):
-            apply(EFFECTS[cls], q, mask(t), bit)
+        for g, q, cls in forced.get(loc.index, ()):
+            apply(EFFECTS[cls], q, forced_masks[g], bit)
         if kind is OpKind.MEASURE_X:
             q = loc.qubits[0]
             bit ^= z[q]
-            bit &= ~lk[q]
-            bit |= heads(lk[q], loc.index, q, TAG_LEAK_OUTCOME)
-            out_leakrand[row_of[loc.index]] = lk[q]
+            if leaky:
+                bit &= ~lk[q]
+                bit |= heads(lk[q], loc.index, q, TAG_LEAK_OUTCOME)
+                out_leakrand[row_of[loc.index]] = lk[q]
             x[q] = z[q] = lk[q] = 0
     return BatchRunResult(trials, meas_locs, words=PackedRun(
         out_bits, out_leakrand, x, z, lk))

@@ -434,6 +434,15 @@ class TestOracleCommand:
         assert out == ""
         assert "weight" in err
 
+    @pytest.mark.parametrize("limit", ["-1", "-5"])
+    def test_negative_max_patterns_rejected(self, capsys, limit):
+        code, out, err = run_cli(capsys, "oracle", "--gadget", "teleport",
+                                 "--n", "3", "--k", "1", "--rates", "zero",
+                                 "--max-patterns", limit)
+        assert code == 2
+        assert out == ""
+        assert f"--max-patterns must be >= 0, got {limit}" in err
+
     def test_tail_key(self, capsys, tmp_path):
         path = tmp_path / "phase.json"
         table = scaled_table1(1.0, phase_only=True)

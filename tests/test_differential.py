@@ -131,6 +131,40 @@ def test_forced_events_on_one_qubit_apply_in_list_order(policy):
     assert_batch_matches_scalar(circuit, table, 5, trials, policy, forced)
 
 
+# The last ancilla round of cnot(3,3): ancilla 17 meets nine data qubits in
+# turn and is then measured.  A leak at its first CPHASE leaves eight
+# CPHASEs with a leaked partner before that measurement.
+CNOT33 = build_logical_cnot(3, 3)
+ROUND = [loc for loc in CNOT33.locations
+         if 17 in loc.qubits and loc.kind is not OpKind.PREP_PLUS]
+
+
+@pytest.mark.parametrize("table", [zero_rates, lambda: ErrorRateTable({
+    key: r if key[0] is OpKind.MEASURE_X else dataclasses.replace(r, eps_leak=0.01)
+    for key, r in default_rates().entries.items()}, cphase_zz=0.01)],
+    ids=["zero", "leaky"])
+@pytest.mark.parametrize("leak_at", [0, -1], ids=["late-cphase", "measurement"])
+@pytest.mark.parametrize("size", [63, 64, 65, 130])
+@pytest.mark.parametrize("policy", list(LeakPolicy))
+def test_shared_forced_groups_and_first_leak_match_scalar_engine(
+        policy, size, leak_at, table):
+    # Two trials in three share one forced LEAK of ancilla 17, at its first
+    # CPHASE or at its measurement.  On the zero table it is the batch's
+    # first leak; at a leak rate of 1%, sampled leaks set in earlier, in
+    # many trials.  Some trials carry an X on a data partner of the round
+    # as their first event and some as their second, and some a Z at the
+    # round's first CPHASE.
+    assert [loc.kind for loc in (ROUND[0], ROUND[-1])] == [
+        OpKind.CPHASE, OpKind.MEASURE_X] and len(ROUND) == 10
+    leak = FaultEvent(ROUND[leak_at].index, 17, FaultKind.LEAK)
+    x = FaultEvent(ROUND[3].index, ROUND[3].qubits[1], FaultKind.X)
+    z = FaultEvent(ROUND[0].index, ROUND[0].qubits[1], FaultKind.Z)
+    forced = [[leak] * (j % 3 > 0) + [x] * (j % 4 == 1) + [z] * (j % 5 == 2)
+              for j in range(size)]
+    trials = [2**35 + 11 * j for j in range(size)]
+    assert_batch_matches_scalar(CNOT33, table(), 5, trials, policy, forced)
+
+
 def test_forced_flip_off_a_measurement_raises():
     circuit = build_teleport_identity(3, 1)
     cz = next(loc for loc in circuit.locations if loc.kind is OpKind.CPHASE)
@@ -140,6 +174,31 @@ def test_forced_flip_off_a_measurement_raises():
                           forced_faults=[[], [flip]])
     with pytest.raises(ValueError):
         run_circuit(circuit, zero_rates(), 0, forced_faults=[flip])
+
+
+def misplaced_events(circuit):
+    """A forced event at a location the circuit does not have, and one on a
+    qubit its location does not act on, with the message each raises."""
+    prep = next(loc for loc in circuit.locations if loc.kind is OpKind.PREP_PLUS)
+    stranger = next(q for q in range(circuit.n_qubits) if q not in prep.qubits)
+    missing = max(loc.index for loc in circuit.locations) + 1
+    return [(FaultEvent(missing, 0, FaultKind.Z), "does not have"),
+            (FaultEvent(prep.index, stranger, FaultKind.Z), "acts on")]
+
+
+def test_scalar_engine_rejects_misplaced_forced_events():
+    circuit = build_logical_cnot(3, 3)
+    for event, message in misplaced_events(circuit):
+        with pytest.raises(ValueError, match=message):
+            run_circuit(circuit, zero_rates(), 0, forced_faults=[event])
+
+
+def test_batch_engine_rejects_misplaced_forced_events():
+    circuit = build_logical_cnot(3, 3)
+    for event, message in misplaced_events(circuit):
+        with pytest.raises(ValueError, match=message):
+            run_circuit_batch(circuit, zero_rates(), 0, np.arange(3),
+                              forced_faults=[[], [event], []])
 
 
 def test_forced_faults_need_one_list_per_trial():

@@ -407,17 +407,29 @@ class TestLinearOracle:
     @pytest.mark.parametrize("chunk", [1, 5, 1 << 15])
     def test_patterns_in_enumeration_order(self, monkeypatch, chunk):
         # combinations of sites, then the product of their classes with the
-        # last site fastest; rows number the classes site by site
-        monkeypatch.setattr(montecarlo, "_ORACLE_CHUNK", chunk)
+        # last site fastest; rows number the classes site by site.  A chunk
+        # holds whole combinations, as many as fit the pattern budget, a
+        # row counting later[its last site] patterns.
+        monkeypatch.setattr(montecarlo, "_ORACLE_PASS", chunk)
         n_classes = [2, 1, 3, 2, 1]
+        later = np.array([7, 6, 3, 1, 0])
         first = np.cumsum(n_classes) - n_classes
+        site_of = np.repeat(np.arange(5), n_classes)
         for w in (1, 2, 3):
             expected = [rows for combo in combinations(range(5), w)
                         for rows in product(*(range(first[i], first[i] + n_classes[i])
                                               for i in combo))]
-            chunks = list(montecarlo._pattern_chunks(np.array(n_classes), w))
+            chunks = list(montecarlo._pattern_chunks(np.array(n_classes), w,
+                                                     later))
             assert [tuple(r) for c in chunks for r in c.tolist()] == expected
-            assert max(map(len, chunks)) <= max(chunk, 3**w)
+            combos = [[tuple(site_of[r]) for r in c.tolist()] for c in chunks]
+            size = [int(later[site_of[c[:, -1]]].sum()) for c in chunks]
+            for i, c in enumerate(combos):
+                assert size[i] <= chunk or len(set(c)) == 1
+                if i + 1 < len(chunks):
+                    assert c[-1] != combos[i + 1][0]
+                    head = combos[i + 1].count(combos[i + 1][0])
+                    assert size[i] + head * later[combos[i + 1][0][-1]] > chunk
 
     @pytest.mark.parametrize("build,table,weight,chunk,faults", [
         (lambda: build_teleport_identity(3, 1),
@@ -437,16 +449,24 @@ class TestLinearOracle:
                             prep_B=Rates(2.75e-3)), 2, 1 << 10, 65),
         (lambda: circuit_from_text(REPREPARED_ANCILLA),
          lambda: table1_without(*LEAK_FREE), 3, 5, 18),
+        (lambda: build_teleport_identity(3, 1),
+         lambda: table1_without(*LEAK_FREE), 3, 1 << 10, 48),
     ], ids=["teleport31-chunk5", "teleport31-chunk30", "cnot31-63faults",
-            "cnot31-64faults-chunk7", "cnot31-65faults", "no-output-rows-chunk5"])
+            "cnot31-64faults-chunk7", "cnot31-65faults", "no-output-rows-chunk5",
+            "teleport31-chunk1024"])
     def test_chunk_boundaries_change_nothing(self, monkeypatch, build, table,
                                             weight, chunk, faults):
         # A pass decodes the patterns of whole site combinations of the
-        # first w - 1 faults.  Chunk 5 puts one combination in a pass, so
-        # carried sums, counts and the replay choice all cross passes;
-        # chunk 30 (weight 3: three combinations, weight 2: ten sites) and
-        # chunk 7 (two sites) mix class products of 1 to 9 prefixes in a
-        # pass.  The last fault's classes are packed 64 to a word, and a
+        # first w - 1 faults, as many as fit a budget of patterns.  A
+        # budget of 5 puts one combination in most passes, so carried
+        # sums, counts and the replay choice all cross passes; budgets of
+        # 30 and 7 put up to nine combinations, of class products 1 to 9,
+        # in the passes near the end of the numbering, where few faults
+        # follow a prefix, and a budget of 1,024 splits each weight into
+        # passes of many combinations (weight 2: two, weight 3: 17).  A
+        # pass of the circuit without output rows holds only a prefix at
+        # the last site, which no fault follows.  The last fault's classes
+        # are packed 64 to a word, and a
         # weight-2 combination's class product lies in one row per prefix:
         # 63, 64 and 65 faults end the weight-1 patterns one bit short of,
         # on and one bit past a word boundary, and at weight 2 the
@@ -455,7 +475,7 @@ class TestLinearOracle:
         # decoder no row to read.
         circuit, rates = build(), table()
         assert sum(len(s.choices) for s in fault_sites(circuit, rates)) == faults
-        monkeypatch.setattr(montecarlo, "_ORACLE_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_ORACLE_PASS", chunk)
         assert brute_force_oracle(circuit, rates, weight) == \
             replay_oracle(circuit, rates, weight)
 
