@@ -28,6 +28,7 @@ from .montecarlo import (brute_force_oracle, estimate_logical_rates,
                          prob_more_faults)
 from .noise_model import ErrorRateTable, default_rates, zero_rates
 from .pauli_frame import LeakPolicy
+from .streams import STREAM_VERSION
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -159,7 +160,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = {"command": "simulate", "gadget": args.gadget, "n": args.n,
               "k": args.k, "rates": args.rates, "trials": trials,
               "seed": args.seed, "leak_policy": args.leak_policy.value,
-              "pre_teleport": args.pre_teleport, "workers": args.workers}
+              "pre_teleport": args.pre_teleport, "workers": args.workers,
+              "stream": STREAM_VERSION}
     lines = _header(config)
     lines.append("gadget,n,k,trials,seed,eps_L,eps_L_stderr,epsp_L,epsp_L_stderr")
     lines.append(",".join([args.gadget, str(args.n), str(args.k), str(trials),

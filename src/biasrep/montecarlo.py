@@ -386,6 +386,8 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     """
     if weight_max < 0:
         raise ValueError(f"weight_max must be >= 0, got {weight_max}")
+    if max_patterns < 0:
+        raise ValueError(f"max_patterns must be >= 0, got {max_patterns}")
     assert_valid(gadget)
     sites = fault_sites(gadget, rates)
     L = len(sites)

@@ -13,7 +13,6 @@ species; species A is used for data qubits and species B for ancillas.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -21,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .streams import TAG_FAULT, FaultStream, draw_faults
+from .streams import FaultStream, draw_faults
 
 if TYPE_CHECKING:
     from .gadgets import Circuit
@@ -114,8 +113,10 @@ FAULT_CLASSES = {
 
 class FaultRow(NamedTuple):
     """The nonzero fault classes of one keyed draw in draw order, their
-    probabilities, and the running sums of those: a uniform draw u selects
-    the first class whose threshold exceeds u, or no fault."""
+    probabilities, and the running sums of those: the draw faults with
+    probability ``thresholds[-1]``, and a fault is of class i with
+    probability ``probs[i] / thresholds[-1]`` (see
+    :func:`~biasrep.streams.fault_bounds`)."""
 
     classes: tuple[FaultKind, ...]
     probs: tuple[float, ...]
@@ -129,14 +130,10 @@ class FaultRow(NamedTuple):
         kinds, probs = zip(*kept)
         return cls(kinds, probs, tuple(accumulate(probs)))
 
-    def draw(self, u: float) -> FaultKind | None:
-        i = bisect_right(self.thresholds, u)
-        return self.classes[i] if i < len(self.classes) else None
-
 
 class FaultSite(NamedTuple):
-    """One keyed fault draw, at (location_id, qubit, ``TAG_FAULT``) with qubit
-    -1 for the pair draw; the class drawn from ``row`` hits each of ``targets``."""
+    """One keyed fault draw, at (location_id, qubit) with qubit -1 for the
+    pair draw; the class drawn from ``row`` hits each of ``targets``."""
 
     location_id: int
     qubit: int
@@ -153,8 +150,11 @@ class FaultSite(NamedTuple):
 
     def draw(self, stream: FaultStream) -> list[FaultEvent]:
         """This draw in the trial of ``stream``: one event per target, or none."""
-        fault = self.row.draw(stream.uniform(self.location_id, self.qubit, TAG_FAULT))
-        return [FaultEvent(self.location_id, q, fault) for q in self.targets if fault]
+        i = stream.fault(self.location_id, self.qubit, self.row.thresholds)
+        if i < 0:
+            return []
+        return [FaultEvent(self.location_id, q, self.row.classes[i])
+                for q in self.targets]
 
 
 class OpFaults(NamedTuple):

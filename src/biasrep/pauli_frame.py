@@ -243,6 +243,9 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
 # this little-endian view, so the layout does not depend on the host.
 _WORD_BYTES = np.dtype("<u8")
 
+# Bytes of forced-fault word masks that run_circuit_batch holds at once.
+_FORCED_BYTES = 1 << 20
+
 
 def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` trials of packed rows (trials along the last axis) as
@@ -311,21 +314,26 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     packed rows as a :class:`BatchRunResult`.
 
     Per-trial results are bit-identical to :func:`run_circuit` because every
-    random decision is keyed by (seed, trial, location, qubit, purpose), not
-    by draw order.  Batch boundaries therefore never affect outcomes, and a
-    draw that can matter only to leaked trials (the random Z on a leaked
-    qubit's partner, the outcome of a leaked measurement) is made for those
-    trials alone; until the first leak of the batch, leak bookkeeping is
-    skipped altogether.  Gates, resets and measurement are word operations;
-    the trials a keyed draw selects are set into a word mask.  Every fault
-    draw is made first, by :func:`~biasrep.streams.draw_faults`, and the
-    location loop then applies the hits.
+    random decision is keyed by its address, not by draw order: a fault
+    draw by (seed, location, qubit) and the trial's absolute 64-trial word,
+    a leak coin by (seed, trial, location, qubit, purpose).  Batch
+    boundaries therefore never affect outcomes, and a coin that can matter
+    only to leaked trials (the random Z on a leaked qubit's partner, the
+    outcome of a leaked measurement) is drawn for those trials alone; until
+    the first leak of the batch, leak bookkeeping is skipped altogether.
+    Gates, resets and measurement are word operations; the trials a keyed
+    draw selects are set into a word mask.  Every fault draw is made first,
+    by :func:`~biasrep.streams.draw_faults`, and the location loop then
+    applies the hits.  ``trials`` may hold any trial indices, repeated or
+    in any order.
 
     ``forced_faults`` holds one event list per trial (or none); a location
     applies them after its sampled faults, in list order, as run_circuit does.
-    Trials forced alike share one word mask, and all these masks are set by
-    one scatter.  A forced event at a location the circuit lacks, or on a
-    qubit its location does not act on, raises ``ValueError``.
+    Trials forced alike share one word mask.  The masks are set in time
+    order, by one scatter per ``_FORCED_BYTES`` of them, so however many
+    groups there are, that much is held at a time.  A forced event at a
+    location the circuit lacks, or on a qubit its location does not act on,
+    raises ``ValueError``.
     """
     if validate:
         assert_valid(circuit)
@@ -343,21 +351,36 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     if by_loc:
         _check_forced(circuit, ((loc, q) for loc, groups in by_loc.items()
                                 for _, q, _ in groups))
-    # location -> [(group, qubit, class)] in rank order; group g's trials
-    # are the bits of row g of forced_masks, all set by one scatter
+    # location -> [(group, qubit, class)] in rank order, groups numbered in
+    # time order; group g's trials are members[g]
     forced: dict[int, list] = {}
     members: list[list[int]] = []
-    for loc, groups in by_loc.items():
-        for (_, q, cls), t in sorted(groups.items()):
-            forced.setdefault(loc, []).append((len(members), q, cls))
+    for loc in circuit.locations:
+        for (_, q, cls), t in sorted(by_loc.get(loc.index, {}).items()):
+            forced.setdefault(loc.index, []).append((len(members), q, cls))
             members.append(t)
     W = (B + 63) >> 6
-    forced_masks = np.zeros((len(members), W), dtype=np.uint64)
-    if members:
-        pos = np.fromiter(chain.from_iterable(members), dtype=np.intp)
-        group = np.repeat(np.arange(len(members)), [len(t) for t in members])
-        np.bitwise_or.at(forced_masks, (group, pos >> 6),
-                         np.uint64(1) << (pos & 63).astype(np.uint64))
+    # masks holds the word masks of groups [first, first + len(masks)); the
+    # location loop reads the groups in order, so each is set only once
+    per_scatter = max(1, _FORCED_BYTES // (8 * max(W, 1)))
+    first, masks = 0, np.zeros((0, W), dtype=np.uint64)
+
+    def forced_mask(g: int) -> np.ndarray:
+        nonlocal first, masks
+        if g >= first + len(masks):
+            first, rows = g, members[g:g + per_scatter]
+            masks = np.zeros((len(rows), W), dtype=np.uint64)
+            pos = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
+            group = np.repeat(np.arange(len(rows)), [len(t) for t in rows])
+            np.bitwise_or.at(masks, (group, pos >> 6),
+                             np.uint64(1) << (pos & 63).astype(np.uint64))
+        return masks[g - first]
+
+    # Draw phase: every fault draw of the batch, made before the frame rows
+    # are allocated, so that the draws' working memory is free again for them
+    table = rates.sites(circuit)
+    hits = iter(draw_faults(seed, trials, [
+        (s.location_id, s.qubit, s.row.thresholds) for sites in table for s in sites]))
     meas_locs = circuit.measure_locations
     row_of = {loc: i for i, loc in enumerate(meas_locs)}
     x, z, lk = np.zeros((3, circuit.n_qubits, W), dtype=np.uint64)
@@ -404,10 +427,6 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                 raise ValueError("an outcome flip needs a measurement location")
             bit ^= m
 
-    # Draw phase: every fault draw of the batch, before any propagation
-    table = rates.sites(circuit)
-    hits = iter(draw_faults(seed, trials, [
-        (s.location_id, s.qubit, s.row.thresholds) for sites in table for s in sites]))
     for loc, sites in zip(circuit.locations, table):
         kind = loc.kind
         bit = None
@@ -440,7 +459,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                     for q in site.targets:
                         apply(EFFECTS[cls], q, m, bit)
         for g, q, cls in forced.get(loc.index, ()):
-            apply(EFFECTS[cls], q, forced_masks[g], bit)
+            apply(EFFECTS[cls], q, forced_mask(g), bit)
         if kind is OpKind.MEASURE_X:
             q = loc.qubits[0]
             bit ^= z[q]

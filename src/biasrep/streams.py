@@ -1,19 +1,35 @@
 """Keyed, counter-based random streams for reproducible parallel Monte Carlo.
 
-Every random decision in a simulation is addressed by a tuple
-(seed, trial, location, qubit, tag) and hashed through the splitmix64
+Every random decision in a simulation is addressed by integers, (seed,
+location, qubit, purpose) and a counter, and hashed through the splitmix64
 finalizer.  Draws are therefore independent of evaluation order, batch
 size, and worker count: trial 7 sees the same faults whether it runs
 alone, inside a vectorized batch, or on another process.
+
+Stream v2 (``STREAM_VERSION``).  A leak coin is keyed per trial: its
+counter is the trial index.  A fault draw is sampled sparsely, per
+absolute 64-trial word (``trial >> 6``): its counter is ``(word << 7) |
+(round << 1) | purpose``.  Round 0 of a word hashes once and compares
+against the bound of ``(1 - p)^64``, the chance that none of its 64
+trials draws a fault, so most words end there.  A word with a hit takes
+one round per hit: its gap hash gives the number of trials skipped before
+the next hit, by a table of integer bounds, and its class hash the hit's
+fault class.  A span of trials that starts or ends inside a word walks
+the whole word, with the same keys as any other span, and drops the hits
+outside it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
+
+STREAM_VERSION = 2
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -21,41 +37,50 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # Draw purposes within one (location, qubit) cell.
-TAG_FAULT = 0        # fault-class selection
+TAG_FAULT = 0        # fault draws (sparse, per 64-trial word)
 TAG_LEAK_OUTCOME = 1 # random outcome when measuring a leaked qubit
 TAG_LEAK_CZ = 2      # random dephasing of the partner of a leaked qubit
 
-
-# The splitmix64 finalizer: shift-xor-multiply steps up to the pre-final
-# word y, then the last xor-shift, which leaves the bits of y from
-# _KEPT_FROM (33) up unchanged.
+# The splitmix64 finalizer: shift-xor-multiply steps, then a last xor-shift.
 _STEPS = ((30, _MIX1), (27, _MIX2))
 _LAST_SHIFT = 31
-_KEPT_FROM = 64 - _LAST_SHIFT
 
-# Trials per block of the fault-draw kernel: its three uint64 buffers
-# (768 KiB) stay in a 2 MiB L2 while every site of a batch is hashed.
-_BLOCK = 1 << 15
+_WORD = 64           # trials per word of a fault draw
+_GAP, _CLASS = 0, 1  # purposes of a fault draw's hashes in one round
 
-
-def _finish(y):
-    """The finalizer's last step on a pre-final word (int or uint64 array)."""
-    return y ^ (y >> _LAST_SHIFT)
+# draw_faults hashes round 0 in slices of about _CELLS (draw, word) cells
+# and takes the later rounds of about _LIVE cells at once, so its arrays
+# stay near 128 KiB or below: in cache, and small enough that the heap
+# reuses them (larger ones raised the Monte Carlo jobs' peak RSS).
+_CELLS = 1 << 14
+_LIVE = 1 << 13
 
 
 def _mix(x: int) -> int:
     x &= _MASK
     for shift, mult in _STEPS:
         x = ((x ^ (x >> shift)) * mult) & _MASK
-    return _finish(x)
+    return x ^ (x >> _LAST_SHIFT)
+
+
+def _mix_array(y: np.ndarray) -> np.ndarray:
+    """:func:`_mix` on a uint64 array, in place."""
+    tmp = np.empty_like(y)
+    for shift, mult in _STEPS:
+        np.right_shift(y, shift, out=tmp)
+        y ^= tmp
+        y *= np.uint64(mult)
+    np.right_shift(y, _LAST_SHIFT, out=tmp)
+    y ^= tmp
+    return y
 
 
 @functools.lru_cache(maxsize=1 << 13)
 def stream_key(seed: int, location: int, qubit: int, tag: int) -> int:
     """Collapse an address into a 64-bit stream key.  It does not depend on
-    the trial, so it is cached: the cache holds every address a trial of
+    the counter, so it is cached: the cache holds every address a trial of
     cnot(9, 11) with pre-teleport can draw at (about 4,700), and a scalar
-    draw pays one mix for its trial."""
+    draw pays one mix per hash it makes."""
     h = _mix(seed & _MASK)
     h = _mix(h ^ ((location & _MASK) * _GOLDEN) & _MASK)
     h = _mix(h ^ ((qubit & _MASK) * _MIX1) & _MASK)
@@ -76,107 +101,249 @@ def hash_bound(t: float) -> int:
     return math.ceil(min(t, 1.0) * 2.0**53) << 11
 
 
-def uniform(seed: int, trial: int, location: int, qubit: int, tag: int = TAG_FAULT) -> float:
+def keyed_hash(seed: int, trials: np.ndarray, location: int, qubit: int,
+               tag: int = TAG_FAULT) -> np.ndarray:
+    """The hash of every counter of ``trials`` at the address, the
+    vectorized counterpart of the hash inside :func:`uniform`."""
+    y = np.asarray(trials, dtype=np.uint64) * np.uint64(_GOLDEN)
+    y += np.uint64(stream_key(seed, location, qubit, tag))
+    return _mix_array(y)
+
+
+def uniform(seed: int, trial: int, location: int, qubit: int,
+            tag: int = TAG_FAULT) -> float:
     """One double in [0, 1) for the addressed decision."""
     key = stream_key(seed, location, qubit, tag)
     return to_uniform(_mix((key + trial * _GOLDEN) & _MASK))
 
 
-class TrialHashes:
-    """Keyed hashes of one fixed array of trial indices, for one address at
-    a time.  ``trials * GOLDEN`` is computed once, and each address is
-    hashed into buffers allocated once, so a caller that draws at many
-    addresses allocates its hashing memory only here."""
+def uniform_vector(seed: int, trials: np.ndarray, location: int, qubit: int,
+                   tag: int = TAG_FAULT) -> np.ndarray:
+    """Vectorized :func:`uniform` over an array of trial indices."""
+    return to_uniform(keyed_hash(seed, trials, location, qubit, tag))
 
-    def __init__(self, seed: int, trials: np.ndarray):
-        self.seed = int(seed)
-        self._base = np.asarray(trials, dtype=np.uint64) * np.uint64(_GOLDEN)
-        self._y = np.empty_like(self._base)
-        self._tmp = np.empty_like(self._base)
-        self._mask = np.empty(self._base.shape, dtype=bool)
 
-    def _prefinal(self, location: int, qubit: int, tag: int) -> np.ndarray:
-        """The pre-final word y of every trial at this address, in a buffer
-        that the next call overwrites."""
-        y, tmp = self._y, self._tmp
-        np.add(self._base, np.uint64(stream_key(self.seed, location, qubit, tag)),
-               out=y)
-        for shift, mult in _STEPS:
-            np.right_shift(y, shift, out=tmp)
-            y ^= tmp
-            y *= np.uint64(mult)
-        return y
+# ---------------------------------------------------------------------------
+# Sparse fault draws
+# ---------------------------------------------------------------------------
 
-    def hash(self, location: int, qubit: int, tag: int = TAG_FAULT) -> np.ndarray:
-        """The hash of every trial at this address, the vectorized
-        counterpart of the hash inside :func:`uniform`."""
-        return _finish(self._prefinal(location, qubit, tag))
+@functools.lru_cache(maxsize=1 << 8)
+def fault_bounds(thresholds: tuple[float, ...]
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bounds on a hash's top 53 bits (``h >> 11``) of a fault draw
+    whose classes have these running-sum thresholds (a ``FaultRow``'s),
+    p = ``thresholds[-1]`` the chance of a fault.
 
-    @staticmethod
-    def below(h: np.ndarray, t: float) -> np.ndarray:
-        """Positions of the hashes in ``h`` that stand for a uniform below
-        ``t``."""
-        bound = hash_bound(t)
-        if bound > _MASK:
-            return np.arange(h.shape[0])
-        return (h < np.uint64(bound)).nonzero()[0]
+    ``gaps[g]`` bounds (1 - p)^(g + 1), the chance that the next g + 1
+    trials draw no fault, so a gap hash skips as many trials as there are
+    entries above it.  The powers are built by repeated IEEE
+    multiplication, not ``pow`` or ``log``, so the table is the same on
+    every host.  ``classes[i]`` bounds ``thresholds[i] / p``: a hit's class
+    is the number of them at or below its class hash."""
+    p = thresholds[-1]
+    stay = max(1.0 - p, 0.0)
+    power, gaps = 1.0, []
+    for _ in range(_WORD):
+        power *= stay
+        gaps.append(hash_bound(power) >> 11)
+    classes = [hash_bound(t / p) >> 11 for t in thresholds[:-1]] if p > 0 else []
+    return tuple(gaps), tuple(classes)
 
-    def draw(self, location: int, qubit: int, thresholds: Sequence[float]
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """The fault draw at (location, qubit, ``TAG_FAULT``) for every trial:
-        the positions of the trials whose uniform is below
-        ``thresholds[-1]`` and, for each, the number of ``thresholds`` at or
-        below its uniform (its class index).
 
-        Only the trials whose pre-final word y is below the cut, the hash
-        bound b rounded up to a multiple of 2^33, are finished and tested:
-        the last xor-shift keeps bits 63..33, so h < b implies y >> 33 <=
-        (b - 1) >> 33.  The test on them is exact, so the result is that of
-        hashing every trial."""
-        y = self._prefinal(location, qubit, TAG_FAULT)
-        bound = hash_bound(thresholds[-1])
-        cut = (((bound - 1) >> _KEPT_FROM) + 1) << _KEPT_FROM
-        if cut > _MASK:
-            cand = np.arange(y.shape[0])
+def _hash53(key: int, counter: int) -> int:
+    return _mix((key + counter * _GOLDEN) & _MASK) >> 11
+
+
+def fault_class(seed: int, trial: int, location: int, qubit: int,
+                thresholds: Sequence[float]) -> int:
+    """The class index of the fault that the draw at (location, qubit)
+    gives ``trial``, or -1 for none: the rounds of the trial's word, walked
+    until a hit reaches the trial's bit or the word ends.  The scalar
+    counterpart of :func:`draw_faults`."""
+    gaps, classes = fault_bounds(tuple(thresholds))
+    key = stream_key(seed, location, qubit, TAG_FAULT)
+    word, bit = (trial & _MASK) >> 6, trial & (_WORD - 1)
+    start, rnd = 0, 0
+    while True:
+        counter = (word << 7) | (rnd << 1)
+        h = _hash53(key, counter | _GAP)
+        if h < gaps[_WORD - 1 - start]:
+            return -1                   # no hit in the rest of the word
+        hit = start + bisect_left(gaps, -h, key=operator.neg)
+        if hit >= bit:
+            if hit > bit:
+                return -1
+            return bisect_right(classes, _hash53(key, counter | _CLASS))
+        start, rnd = hit + 1, rnd + 1
+
+
+class _Words:
+    """The absolute 64-trial words that an array of trial indices touches,
+    and the way back from a trial of those words to its batch positions.
+    An ascending run of consecutive trials (what ``count_trials`` passes)
+    maps back by subtraction; any other array, with repeats or in any
+    order, through its sorted copy."""
+
+    def __init__(self, trials: np.ndarray):
+        # checked in slices, so that no temporary is as large as the batch
+        self.run = trials.size > 0 and all(
+            bool((part[1:] - part[:-1] == 1).all())
+            for part in (trials[i:i + _CELLS + 1]
+                         for i in range(0, trials.size - 1, _CELLS)))
+        if self.run:
+            first = int(trials[0])
+            self.words = np.arange(first >> 6, (int(trials[-1]) >> 6) + 1,
+                                   dtype=np.uint64)
+            self.skip = first & (_WORD - 1)     # trials before the run
+            self.size = trials.size
+            # whether the first or last word holds trials outside the run
+            self.partial = bool(self.skip or (first + self.size) & (_WORD - 1))
         else:
-            cand = np.less(y, np.uint64(cut), out=self._mask).nonzero()[0]
-        h = _finish(y[cand])
-        hit = self.below(h, thresholds[-1])
-        return cand[hit], np.asarray(thresholds).searchsorted(
-            to_uniform(h[hit]), side="right")
+            self.order = np.argsort(trials, kind="stable")
+            self.sorted = trials[self.order]
+            words = self.sorted >> np.uint64(6)
+            self.words = words[np.append(True, words[1:] != words[:-1])]
+
+    def positions(self, offset: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+        """For the trials ``offset`` into ``self.words`` (64 per word): the
+        batch position of each time it is in the batch, and the index (or a
+        slice) of the offsets they come from."""
+        if self.run:
+            pos = offset - self.skip
+            if not self.partial:
+                return pos, slice(None)
+            src = ((pos >= 0) & (pos < self.size)).nonzero()[0]
+            return pos[src], src
+        trial = (self.words[offset >> 6] * np.uint64(_WORD)
+                 + (offset & (_WORD - 1)).astype(np.uint64))
+        lo = np.searchsorted(self.sorted, trial, "left")
+        count = np.searchsorted(self.sorted, trial, "right") - lo
+        src = np.repeat(np.arange(trial.size), count)
+        first = np.cumsum(count) - count
+        at = lo[src] + np.arange(src.size) - first[src]
+        return self.order[at], src
+
+
+def _gap(gaps: np.ndarray, row: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The entries of each cell's 64-entry table (at ``row``, a multiple of
+    64, of the stacked tables ``gaps``) above its hash ``h``, by binary
+    search: at most 63, as the cell is known to hit."""
+    at = row + (_WORD // 2 - 1)
+    for step in (32, 16, 8, 4, 2):
+        at += (gaps[at] > h) * step - step // 2
+    return at + (gaps[at] > h) - row
 
 
 def draw_faults(seed: int, trials: np.ndarray,
                 draws: Sequence[tuple[int, int, Sequence[float]]]
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every fault draw of ``draws`` (location, qubit, thresholds) for every
-    trial, as :meth:`TrialHashes.draw` makes it: per draw, the int32 batch
-    positions of the trials that draw a fault, ascending, and the uint8
-    class index of each.
+    trial of ``trials``, as :func:`fault_class` makes it: per draw, the
+    int32 batch positions of the trials that draw a fault and the uint8
+    class index of each.  The positions come in round order, then word
+    order, not sorted.  A trial that appears several times in ``trials``
+    hits at each of its positions.
 
-    The trials are hashed in blocks of ``_BLOCK``, every draw within a
-    block, so the hashing buffers stay in cache.  Each hash is a function
-    of its address alone, so the blocking changes no result."""
+    The draws are sampled per (draw, word) cell, a group of draws at a
+    time: round 0 hashes every cell of the group, and each later round only
+    the cells whose last round hit, so a sparse draw costs about one hash
+    per 64 trials.  Each hash is a function of its address alone, so
+    neither the grouping nor the batch changes a result.  No draws cost
+    nothing."""
     trials = np.asarray(trials, dtype=np.uint64)
-    parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in draws]
-    # at least one block, so that every draw has a part to join
-    for start in range(0, max(trials.shape[0], 1), _BLOCK):
-        hashes = TrialHashes(seed, trials[start:start + _BLOCK])
-        for (location, qubit, thresholds), blocks in zip(draws, parts):
-            pos, which = hashes.draw(location, qubit, thresholds)
-            blocks.append(((pos + start).astype(np.int32), which.astype(np.uint8)))
+    if not draws:
+        return []
+    if not trials.size:
+        return [(np.zeros(0, np.int32), np.zeros(0, np.uint8)) for _ in draws]
+    B = trials.size
+    words = _Words(trials)
+    n_words = words.words.size
+    base = (words.words << np.uint64(7)) * np.uint64(_GOLDEN)
+    keys = np.array([stream_key(seed, location, qubit, TAG_FAULT)
+                     for location, qubit, _ in draws], dtype=np.uint64)
+    # one table per distinct row; rows 64 entries apart in ``gaps``
+    rows: dict[tuple, int] = {}
+    row_index = [rows.setdefault(tuple(t), len(rows)) for *_, t in draws]
+    row_of = np.array(row_index, dtype=np.intp) * _WORD
+    tables = [fault_bounds(t) for t in rows]
+    gaps = np.array([g for g, _ in tables], dtype=np.uint64).ravel()
+    # class bounds, one row per class past the first, over the draws;
+    # padded with 2^53, above every 53-bit hash
+    width = max(len(c) for _, c in tables)
+    bounds_of = [c + (1 << 53,) * (width - len(c)) for _, c in tables]
+    classes = np.array([[bounds_of[r][i] for r in row_index]
+                        for i in range(width)], dtype=np.uint64)
+    # Groups of draws of about _LIVE cells with a hit in round 0 (a
+    # fraction 1 - (1 - p)^64 of a draw's cells), each of one draw or more
+    groups, g0, live = [], 0, 0.0
+    for d, r in enumerate(row_index):
+        expect = n_words * (1.0 - tables[r][0][-1] * 2.0**-53)
+        if live + expect > _LIVE and d > g0:
+            groups.append((g0, d))
+            g0, live = d, 0.0
+        live += expect
+    groups.append((g0, len(draws)))
+    per = max(1, _CELLS // n_words)     # draws per slice of round 0
+
+    def hashed(d: np.ndarray, w: np.ndarray, counter: int) -> np.ndarray:
+        """Top 53 bits of the hash of cells (d, w) at a round's counter."""
+        y = keys[d] + base[w]
+        y += np.uint64(counter * _GOLDEN & _MASK)
+        y = _mix_array(y)
+        y >>= np.uint64(11)
+        return y
+
     out = []
-    for blocks in parts:
-        pos, which = zip(*blocks)
-        out.append((np.concatenate(pos), np.concatenate(which)))
-        blocks.clear()      # free each draw's blocks once joined
+    for d0, d1 in groups:
+        # round 0: every cell of the group, [draw, word], in slices
+        cells, hs = [], []
+        for s0 in range(d0, d1, per):
+            s1 = min(s0 + per, d1)
+            h = _mix_array(keys[s0:s1, None] + base).ravel()
+            h >>= np.uint64(11)
+            cell = (h.reshape(s1 - s0, n_words)
+                    >= gaps[row_of[s0:s1] + _WORD - 1][:, None]).ravel().nonzero()[0]
+            hs.append(h[cell])
+            cells.append(cell + (s0 - d0) * n_words)
+        cell, h = np.concatenate(cells), np.concatenate(hs)
+        del cells, hs
+        d, w = np.divmod(cell, n_words)
+        d += d0
+        start = np.zeros(cell.size, dtype=np.intp)
+        # per round: each hit's draw (less d0), its rank among the draw's
+        # hits, its batch position and its class
+        found = []
+        filled = np.zeros(d1 - d0, dtype=np.intp)     # hits per draw so far
+        rnd = 0
+        while d.size:   # every cell here hits in round rnd
+            bit = start + _gap(gaps, row_of[d], h)
+            cls = np.zeros(d.size, dtype=np.uint8)
+            if len(classes):
+                hc = hashed(d, w, (rnd << 1) | _CLASS)
+                for bounds in classes:
+                    cls += hc >= bounds[d]
+            pos, src = words.positions(w * _WORD + bit)
+            dl = d[src] - d0        # ascending, as the ranks below need
+            count = np.bincount(dl, minlength=d1 - d0)
+            rank = np.arange(dl.size) - (np.cumsum(count) - count - filled)[dl]
+            filled += count
+            found.append((dl, rank, pos.astype(np.int32), cls[src]))
+            start, rnd = bit + 1, rnd + 1
+            keep = (start < _WORD).nonzero()[0]
+            d, w, start = d[keep], w[keep], start[keep]
+            h = hashed(d, w, (rnd << 1) | _GAP)
+            keep = (h >= gaps[row_of[d] + _WORD - 1 - start]).nonzero()[0]
+            d, w, start, h = d[keep], w[keep], start[keep], h[keep]
+        first = np.cumsum(filled) - filled
+        pos = np.empty(int(filled.sum()), dtype=np.int32)
+        cls = np.empty(pos.size, dtype=np.uint8)
+        for dl, rank, p, c in found:
+            at = first[dl] + rank
+            pos[at], cls[at] = p, c
+        del found
+        out.extend((pos[a:a + n], cls[a:a + n])
+                   for a, n in zip(first.tolist(), filled.tolist()))
     return out
-
-
-def uniform_vector(seed: int, trials: np.ndarray, location: int, qubit: int,
-                   tag: int = TAG_FAULT) -> np.ndarray:
-    """Vectorized :func:`uniform` over an array of trial indices."""
-    return to_uniform(TrialHashes(seed, trials).hash(location, qubit, tag))
 
 
 class FaultStream:
@@ -190,3 +357,8 @@ class FaultStream:
 
     def uniform(self, location: int, qubit: int, tag: int = TAG_FAULT) -> float:
         return uniform(self.seed, self.trial, location, qubit, tag)
+
+    def fault(self, location: int, qubit: int, thresholds: Sequence[float]) -> int:
+        """This trial's fault class at (location, qubit), or -1: see
+        :func:`fault_class`."""
+        return fault_class(self.seed, self.trial, location, qubit, thresholds)

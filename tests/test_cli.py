@@ -541,7 +541,9 @@ class TestGoldenOutputs:
         assert code == 0
         assert csv_body(out) == [
             "gadget,n,k,trials,seed,eps_L,eps_L_stderr,epsp_L,epsp_L_stderr",
-            "cnot,3,3,200000,1,0.02745,0.0003653525523,0.141585,0.0007795469446"]
+            "cnot,3,3,200000,1,0.028005,0.0003689222139,0.14339,0.0007836750216"]
+        config = json.loads(out.splitlines()[1].removeprefix("# config: "))
+        assert config["stream"] == 2
 
     def test_oracle_json(self, capsys, tmp_path):
         path = tmp_path / "phase.json"

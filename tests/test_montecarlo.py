@@ -284,6 +284,13 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="budget"):
             brute_force_oracle(tele, uniform_table(1e-3), 3, max_patterns=10)
 
+    @pytest.mark.parametrize("weight", [0, 3])
+    def test_negative_limit_rejected(self, weight):
+        # rejected before the budget check, even where nothing is enumerated
+        tele = build_teleport_identity(3, 3)
+        with pytest.raises(ValueError, match=r"max_patterns must be >= 0, got -5"):
+            brute_force_oracle(tele, uniform_table(1e-3), weight, max_patterns=-5)
+
     def test_budget_is_exact_pattern_count(self):
         # prep, CPHASE and measurement sites carry 2, 3 and 1 fault classes
         tele = build_teleport_identity(3, 3)

@@ -253,3 +253,29 @@ def test_one_batch_alive(monkeypatch):
     count_trials(circuit, rates, 1, 0, 8192)      # fill the caches first
     one, four = peak(8192), peak(4 * 8192)
     assert four < 1.25 * one, (one, four)
+
+
+def test_forced_masks_set_a_few_rows_at_a_time(monkeypatch):
+    """Forced-fault masks set one row per scatter equal those set all at
+    once: the location loop reads the groups in the order they are set."""
+    from biasrep import pauli_frame
+    from biasrep.montecarlo import fault_sites
+
+    from conftest import uniform_table
+
+    circuit = build_logical_cnot(3, 3)
+    faults = [FaultEvent(s.location_id, s.qubit, kind)
+              for s in fault_sites(circuit, uniform_table(1e-3, 1e-4))
+              for kind in s.row.classes]
+    forced = [[faults[j % len(faults)], faults[(7 * j) % len(faults)]]
+              for j in range(3 * len(faults) + 5)]
+
+    def run():
+        return run_circuit_batch(circuit, zero_rates(), 0,
+                                 np.zeros(len(forced), np.uint64),
+                                 forced_faults=forced, leak_policy="never-z")
+
+    whole = run()
+    monkeypatch.setattr(pauli_frame, "_FORCED_BYTES", 8)
+    for got, want in zip(run().words, whole.words):
+        assert np.array_equal(got, want)

@@ -10,7 +10,8 @@ from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
                                  Species, default_rates, zero_rates)
 from biasrep.pauli_frame import (LeakPolicy, PauliFrame, conjugate_through_cz,
                                  measure_x, run_circuit, run_circuit_batch)
-from biasrep.streams import _BLOCK, TAG_FAULT, FaultStream, TrialHashes
+import biasrep.pauli_frame
+from biasrep.streams import FaultStream
 
 from conftest import table_with, uniform_table
 from oracles import PAULIS, kron_all
@@ -388,20 +389,29 @@ class TestFaultSiteTable:
     TABLES = [default_rates, lambda: leaky_table(1e3, cphase_zz=0.01)]
 
     @staticmethod
-    def record(monkeypatch, cls, name):
-        """Record the (location, qubit) of every fault draw through
-        ``cls.name``: each call of ``TrialHashes.draw`` (the batch kernel's
-        per-address entry, once per site per block of trials) and each
-        TAG_FAULT call of ``FaultStream.uniform``."""
+    def record_scalar(monkeypatch):
+        """Record the (location, qubit) of every scalar fault draw, each call
+        of ``FaultStream.fault``."""
         calls = []
-        original = getattr(cls, name)
+        original = FaultStream.fault
 
-        def recorded(self, location, qubit, arg=TAG_FAULT):
-            # ``arg`` is draw's thresholds or uniform's tag
-            if name == "draw" or arg == TAG_FAULT:
-                calls.append((location, qubit))
-            return original(self, location, qubit, arg)
-        monkeypatch.setattr(cls, name, recorded)
+        def recorded(self, location, qubit, thresholds):
+            calls.append((location, qubit))
+            return original(self, location, qubit, thresholds)
+        monkeypatch.setattr(FaultStream, "fault", recorded)
+        return calls
+
+    @staticmethod
+    def record_batch(monkeypatch):
+        """Record the (location, qubit) of every batch fault draw, per call
+        of the batch kernel ``draw_faults``."""
+        calls = []
+        original = biasrep.pauli_frame.draw_faults
+
+        def recorded(seed, trials, draws):
+            calls.append([(location, qubit) for location, qubit, _ in draws])
+            return original(seed, trials, draws)
+        monkeypatch.setattr(biasrep.pauli_frame, "draw_faults", recorded)
         return calls
 
     @pytest.mark.parametrize("table", TABLES, ids=["table1", "leaky-zz"])
@@ -412,21 +422,23 @@ class TestFaultSiteTable:
         assert len(sites) == len(circuit.locations)
         flat = [(s.location_id, s.qubit) for loc_sites in sites for s in loc_sites]
         assert (-1 in {q for _, q in flat}) == (rates.cphase_zz > 0)
-        batch = self.record(monkeypatch, TrialHashes, "draw")
-        scalar = self.record(monkeypatch, FaultStream, "uniform")
+        batch = self.record_batch(monkeypatch)
+        scalar = self.record_scalar(monkeypatch)
         run_circuit_batch(circuit, rates, 5, np.arange(64, dtype=np.uint64))
         run_circuit(circuit, rates, 5, trial=3)
-        assert batch == flat
+        assert batch == [flat]
         assert scalar == flat
 
-    def test_batch_draws_the_table_once_per_block(self, monkeypatch):
+    def test_batch_draws_the_table_once(self, monkeypatch):
+        # several chunks of (draw, word) cells, and a batch that starts and
+        # ends inside a word
         circuit, rates = build_logical_cnot(3, 3), leaky_table(1e3, cphase_zz=0.01)
         flat = [(s.location_id, s.qubit) for loc_sites in rates.sites(circuit)
                 for s in loc_sites]
-        batch = self.record(monkeypatch, TrialHashes, "draw")
+        batch = self.record_batch(monkeypatch)
         run_circuit_batch(circuit, rates, 5,
-                          np.arange(2 * _BLOCK + 1, dtype=np.uint64))
-        assert batch == flat * 3
+                          np.arange(37, 70_000, dtype=np.uint64))
+        assert batch == [flat]
 
     @pytest.mark.parametrize("build", CIRCUITS, ids=["teleport31", "cnot33-pre"])
     def test_sites_per_location(self, build):
@@ -442,6 +454,6 @@ class TestFaultSiteTable:
     def test_zero_table_draws_nothing(self, monkeypatch):
         circuit = build_logical_cnot(3, 3)
         assert zero_rates().sites(circuit) == [[]] * len(circuit.locations)
-        scalar = self.record(monkeypatch, FaultStream, "uniform")
+        scalar = self.record_scalar(monkeypatch)
         run_circuit(circuit, zero_rates(), 5)
         assert scalar == []

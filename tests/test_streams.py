@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from biasrep.noise_model import FaultKind, FaultRow
-from biasrep.streams import (_BLOCK, _GOLDEN, _MASK, _MIX1, _MIX2, TAG_FAULT,
-                             TAG_LEAK_CZ, TrialHashes, draw_faults, hash_bound,
-                             stream_key, uniform, uniform_vector)
+from biasrep.streams import (_CELLS, _GOLDEN, _MASK, _MIX1, _MIX2, TAG_FAULT,
+                             TAG_LEAK_CZ, draw_faults, fault_bounds, fault_class,
+                             hash_bound, keyed_hash, stream_key, uniform,
+                             uniform_vector)
 
 SEED, LOC, QUBIT = 31, 17, 4
 
@@ -43,8 +44,8 @@ def trial_with_hash(target: int, tag: int = TAG_FAULT) -> int:
 def test_trial_with_hash_inverts_the_hash():
     for target in (0, 1, 12345, _MASK, 1 << 63):
         trial = trial_with_hash(target)
-        hashes = TrialHashes(SEED, np.array([trial], dtype=np.uint64))
-        assert int(hashes.hash(LOC, QUBIT)[0]) == target
+        h = keyed_hash(SEED, np.array([trial], dtype=np.uint64), LOC, QUBIT)
+        assert int(h[0]) == target
 
 
 @pytest.mark.parametrize("t", THRESHOLDS)
@@ -56,12 +57,11 @@ def test_bound_test_matches_uniform(t):
     near = [max(0, min(_MASK, bound + int(d))) for d in rng.integers(-5000, 5000, 50)]
     targets = edges + [int(h) for h in spread] + near
     trials = np.array([trial_with_hash(h) for h in targets], dtype=np.uint64)
-    hashes = TrialHashes(SEED, trials)
-    h = hashes.hash(LOC, QUBIT)
+    h = keyed_hash(SEED, trials, LOC, QUBIT)
     assert [int(x) for x in h] == targets
     expected = [i for i, trial in enumerate(trials)
                 if uniform(SEED, int(trial), LOC, QUBIT) < t]
-    assert hashes.below(h, t).tolist() == expected
+    assert [i for i, x in enumerate(targets) if x < bound] == expected
     for h in edges:
         assert (h < bound) == ((h >> 11) * 2.0**-53 < t)
 
@@ -70,14 +70,13 @@ def test_bound_test_matches_uniform(t):
 def test_threshold_at_least_one_selects_everything(t):
     trials = np.array([trial_with_hash(h) for h in (0, _MASK - 1, _MASK)]
                       + list(range(100)), dtype=np.uint64)
-    hashes = TrialHashes(SEED, trials)
-    h = hashes.hash(LOC, QUBIT)
-    assert hashes.below(h, t).tolist() == list(range(len(trials)))
+    assert hash_bound(t) == 1 << 64
+    assert all(uniform(SEED, int(trial), LOC, QUBIT) < t for trial in trials)
 
 
 def test_zero_threshold_selects_nothing():
-    hashes = TrialHashes(SEED, np.array([trial_with_hash(0), 5], dtype=np.uint64))
-    assert hashes.below(hashes.hash(LOC, QUBIT), 0.0).size == 0
+    assert hash_bound(0.0) == 0
+    assert uniform(SEED, trial_with_hash(0), LOC, QUBIT) == 0.0
 
 
 def test_uniform_vector_on_fancy_indexed_trials():
@@ -89,66 +88,178 @@ def test_uniform_vector_on_fancy_indexed_trials():
     assert uniform_vector(SEED, trials[idx[:0]], LOC, QUBIT).shape == (0,)
 
 
-# -- the fault-draw kernel ---------------------------------------------------
+# -- the sparse fault draws --------------------------------------------------
 
-# Rows of the kernel tests: one class at each of THRESHOLDS, table1's CPHASE
-# row, and a row whose last threshold lies above 1/2, where the last
-# xor-shift changes bit 32 of y (its bound minus one has bit 32 clear).
-ROWS = [FaultRow.build([(FaultKind.Z, t)]) for t in THRESHOLDS] + [
+# Rows of the draw tests: one class at each of THRESHOLDS, table1's CPHASE
+# row, a row of three classes whose last threshold lies above 1/2, and the
+# raw thresholds of p = 0, which no FaultRow holds.
+ROWS = [FaultRow.build([(FaultKind.Z, t)]).thresholds for t in THRESHOLDS] + [
     FaultRow.build([(FaultKind.Z, 1.96e-3), (FaultKind.X, 1.75e-6),
-                    (FaultKind.Y, 1.75e-6), (FaultKind.LEAK, 3.5e-6)]),
+                    (FaultKind.Y, 1.75e-6), (FaultKind.LEAK, 3.5e-6)]).thresholds,
     FaultRow.build([(FaultKind.Z, 0.25), (FaultKind.X, 0.25),
-                    (FaultKind.Y, 0.25 + 2.0**-40)]),
+                    (FaultKind.Y, 0.25 + 2.0**-40)]).thresholds,
+    (0.0,),
 ]
-SIZES = [1, 63, 64, 65, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1 << 17]
+STARTS = [0, 37, 12_345]
+SIZES = [1, 63, 65, 130, 5_001]     # none a multiple of 64
+
+
+def draws(rows=ROWS):
+    return [(LOC, QUBIT, row) for row in rows]
 
 
 @functools.lru_cache(maxsize=None)
-def scalar_classes(offset: int) -> list[np.ndarray]:
-    """For each of ROWS, the class index that ``FaultRow.draw`` gives each
-    of the trials offset, offset + 1, ... (max(SIZES) of them) from the
-    scalar ``uniform``, or -1 for no fault."""
-    u = [uniform(SEED, offset + j, LOC, QUBIT) for j in range(max(SIZES))]
-    out = []
-    for row in ROWS:
-        index = {cls: i for i, cls in enumerate(row.classes)}
-        out.append(np.array([index.get(row.draw(x), -1) for x in u]))
-    return out
+def scalar_classes(start: int) -> list[np.ndarray]:
+    """For each of ROWS, the class index that ``fault_class`` gives each
+    of the trials start, start + 1, ... (max(SIZES) of them), or -1."""
+    return [np.array([fault_class(SEED, start + j, LOC, QUBIT, row)
+                      for j in range(max(SIZES))]) for row in ROWS]
 
 
-@pytest.mark.parametrize("offset", [0, 12_345])
+def as_pairs(pos: np.ndarray, which: np.ndarray) -> list[tuple[int, int]]:
+    """A draw's hits as (position, class) pairs, by position."""
+    return sorted(zip(pos.tolist(), which.tolist()))
+
+
+def walked_class(trial: int, thresholds) -> int:
+    """Reference for ``fault_class`` from the stream's definition alone, in
+    floats: round r of the trial's word is the uniform at counter
+    (word << 7) | (r << 1) (gap) or | 1 (class); the gap is the number of
+    k in 1..64 with (1 - p)^k, by repeated multiplication, above it."""
+    p = thresholds[-1]
+    powers, q = [], 1.0
+    for _ in range(64):
+        q *= max(1.0 - p, 0.0)
+        powers.append(q)
+    word, bit = trial >> 6, trial & 63
+    start, rnd = 0, 0
+    while True:
+        u = uniform(SEED, (word << 7) | (rnd << 1), LOC, QUBIT)
+        hit = start + sum(q > u for q in powers)
+        if hit > bit:
+            return -1
+        if hit == bit:
+            uc = uniform(SEED, (word << 7) | (rnd << 1) | 1, LOC, QUBIT)
+            return sum(t / p <= uc for t in thresholds[:-1])
+        start, rnd = hit + 1, rnd + 1
+
+
+@pytest.mark.parametrize("row", ROWS, ids=range(len(ROWS)))
+def test_fault_class_follows_the_word_walk(row):
+    trials = list(range(200)) + list(range(12_345, 12_545))
+    assert [fault_class(SEED, t, LOC, QUBIT, row) for t in trials] == \
+        [walked_class(t, row) for t in trials]
+
+
+@pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("size", SIZES)
-def test_draw_faults_matches_scalar_draws(size, offset):
-    trials = np.arange(offset, offset + size, dtype=np.uint64)
-    got = draw_faults(SEED, trials, [(LOC, QUBIT, row.thresholds) for row in ROWS])
-    u = uniform_vector(SEED, trials, LOC, QUBIT)    # the whole-batch hash
-    for row, (pos, which), classes in zip(ROWS, got, scalar_classes(offset)):
+def test_draw_faults_equals_scalar_per_trial(size, start):
+    trials = np.arange(start, start + size, dtype=np.uint64)
+    got = draw_faults(SEED, trials, draws())
+    for (pos, which), classes in zip(got, scalar_classes(start)):
         expected = np.flatnonzero(classes[:size] >= 0)
         assert pos.dtype == np.int32 and which.dtype == np.uint8
-        assert pos.tolist() == expected.tolist()
-        assert which.tolist() == classes[expected].tolist()
-        assert pos.tolist() == np.flatnonzero(u < row.thresholds[-1]).tolist()
+        assert as_pairs(pos, which) == list(zip(expected.tolist(),
+                                                classes[expected].tolist()))
 
 
-@pytest.mark.parametrize("t", sorted({row.thresholds[-1] for row in ROWS}))
-def test_draw_on_both_sides_of_the_prefilter_cut(t):
-    bound = hash_bound(t)
-    cut = (((bound - 1) >> 33) + 1) << 33
-    ys = {cut + d for d in (-(1 << 33), -(1 << 32) - 1, -(1 << 32), -2, -1,
-                            0, 1, 1 << 32)}
-    ys |= {_unshift(h, 31) for h in (bound - 2, bound - 1, bound, bound + 1)}
-    rng = np.random.default_rng(7)
-    ys |= {cut + int(d) for d in rng.integers(-(1 << 34), 1 << 34, 200)}
-    ys = sorted(y for y in ys if 0 <= y <= _MASK)
-    trials = np.array([trial_with_prefinal(y) for y in ys], dtype=np.uint64)
-    assert TrialHashes(SEED, trials)._prefinal(LOC, QUBIT, TAG_FAULT).tolist() == ys
-    pos, which = TrialHashes(SEED, trials).draw(LOC, QUBIT, (t,))
-    expected = [i for i, trial in enumerate(trials)
-                if uniform(SEED, int(trial), LOC, QUBIT) < t]
-    assert pos.tolist() == expected
-    assert not which.any()
-    # some hits lie in the cut's last 2^33 step, which a cut at a coarser
-    # or lower step would drop
-    assert any(ys[i] >> 33 == (bound - 1) >> 33 for i in expected)
-    if cut <= _MASK:
-        assert any(y >= cut for y in ys)
+def test_certain_and_impossible_draws():
+    trials = np.arange(12_345, 12_345 + 5_001, dtype=np.uint64)
+    certain, never = draw_faults(SEED, trials, draws([(1.0,), (0.0,)]))
+    assert sorted(certain[0].tolist()) == list(range(trials.size))
+    assert not certain[1].any()
+    assert never[0].size == never[1].size == 0
+    for trial in (0, 63, 64, 12_345):
+        assert fault_class(SEED, trial, LOC, QUBIT, (1.0,)) == 0
+        assert fault_class(SEED, trial, LOC, QUBIT, (0.0,)) == -1
+
+
+@pytest.mark.parametrize("split", [1, 37, 64 * 50 + 17, 9_999])
+def test_spans_split_inside_a_word_add_up(split):
+    n = 10_000
+    whole = draw_faults(SEED, np.arange(n, dtype=np.uint64), draws())
+    left = draw_faults(SEED, np.arange(split, dtype=np.uint64), draws())
+    right = draw_faults(SEED, np.arange(split, n, dtype=np.uint64), draws())
+    for w, a, b in zip(whole, left, right):
+        assert as_pairs(*w) == as_pairs(*a) + as_pairs(b[0] + split, b[1])
+
+
+def test_repeated_and_unordered_trials():
+    rng = np.random.default_rng(5)
+    pool = np.arange(12_345, 12_345 + max(SIZES))
+    idx = rng.integers(0, pool.size, 3_000)
+    idx[:40] = idx[40]                         # a trial 41 times over
+    got = draw_faults(SEED, pool[idx].astype(np.uint64), draws())
+    for (pos, which), classes in zip(got, scalar_classes(12_345)):
+        expected = [(j, int(classes[i])) for j, i in enumerate(idx)
+                    if classes[i] >= 0]
+        assert as_pairs(pos, which) == expected
+
+
+@pytest.mark.parametrize("k", [1, _CELLS - 1, _CELLS, _CELLS + 1, 2 * _CELLS + 3,
+                               3 * _CELLS + 4])
+def test_a_swap_anywhere_leaves_the_ascending_run(k):
+    # trials k - 1 and k swapped: the run check must see it wherever it lies
+    n = 3 * _CELLS + 5
+    swapped = np.arange(n, dtype=np.uint64)
+    swapped[[k - 1, k]] = swapped[[k, k - 1]]
+    whole = draw_faults(SEED, np.arange(n, dtype=np.uint64), draws(ROWS[-3:]))
+    got = draw_faults(SEED, swapped, draws(ROWS[-3:]))
+    moved = {k - 1: k, k: k - 1}
+    for (pos, which), (want, want_which) in zip(got, whole):
+        want = [moved.get(j, j) for j in want.tolist()]
+        assert as_pairs(pos, which) == sorted(zip(want, want_which.tolist()))
+
+
+def test_fault_bounds_by_repeated_multiplication():
+    p = 1.83e-3
+    gaps, classes = fault_bounds((p,))
+    power = 1.0
+    for g in gaps:
+        power *= 1.0 - p
+        assert g == math.ceil(power * 2.0**53)
+    assert classes == ()
+    row = ROWS[-3]                 # table1's CPHASE row
+    gaps, classes = fault_bounds(row)
+    assert list(gaps) == sorted(gaps, reverse=True)
+    assert classes == tuple(hash_bound(t / row[-1]) >> 11 for t in row[:-1])
+
+
+def test_draws_add_no_stream_keys():
+    # round and purpose are in the counter: one key per (location, qubit)
+    stream_key.cache_clear()
+    draw_faults(SEED, np.arange(10_000, dtype=np.uint64),
+                [(loc, QUBIT, (0.5,)) for loc in range(20)])
+    assert stream_key.cache_info().currsize == 20
+
+
+# Per-word hit counts against Binomial(64, p): a chi-square test over the
+# counts of expected frequency 5 or more (the rest pooled into the tails),
+# at a fixed seed, failing below a p-value of 1e-4.
+@pytest.mark.parametrize("p", [0.05, 0.5])
+def test_hits_per_word_are_binomial(p):
+    from scipy.stats import binom, chi2
+
+    words = 1 << 14
+    [(pos, _)] = draw_faults(SEED, np.arange(64 * words, dtype=np.uint64),
+                             [(LOC, QUBIT, (p,))])
+    counts = np.bincount(np.bincount(pos >> 6, minlength=words), minlength=65)
+    expected = words * binom.pmf(np.arange(65), 64, p)
+    keep = np.flatnonzero(expected >= 5)
+    lo, hi = keep[0], keep[-1]
+    observed = np.concatenate([[counts[:lo + 1].sum()], counts[lo + 1:hi],
+                               [counts[hi:].sum()]])
+    want = np.concatenate([[expected[:lo + 1].sum()], expected[lo + 1:hi],
+                           [expected[hi:].sum()]])
+    stat = ((observed - want) ** 2 / want).sum()
+    assert chi2.sf(stat, len(want) - 1) > 1e-4
+
+
+def test_class_shares_follow_the_row():
+    from scipy.stats import chisquare
+
+    row = ROWS[-2]          # 0.25, 0.5, 0.75 + 2^-40
+    [(_, which)] = draw_faults(SEED, np.arange(1 << 18, dtype=np.uint64),
+                               [(LOC, QUBIT, row)])
+    counts = np.bincount(which, minlength=3)
+    assert chisquare(counts).pvalue > 1e-4
