@@ -20,9 +20,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import BiasPoint, ParameterError, cnot_bound, optimize_nk, sweep
-from .channels import (KET_BELL, ClassifiedKraus, amplitude_damping,
-                       builtin_cphase_kraus, diamond_lower_bound,
-                       kraus_from_json, split_channel)
+from .channels import (KET_BELL, amplitude_damping, builtin_cphase_kraus,
+                       diamond_lower_bound, kraus_from_json, split_channel)
 from .gadgets import build_gadget, check_schedule, circuit_from_text
 from .montecarlo import (brute_force_oracle, estimate_logical_rates,
                          prob_more_faults)
@@ -39,28 +38,25 @@ class ConfigError(Exception):
     pass
 
 
+def _read(path: str, what: str, parse):
+    """``parse`` applied to the text of the file at ``path``.  A file that
+    cannot be read, or whose text ``parse`` rejects, is a configuration
+    error naming ``what``."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} {path!r}: {exc}") from exc
+
+
 def _load_rates(source: str) -> ErrorRateTable:
     if source == "table1":
         return default_rates()
     if source == "zero":
         return zero_rates()
-    try:
-        with open(source) as fh:
-            return ErrorRateTable.from_json(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read rate table {source!r}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad rate table {source!r}: {exc}") from exc
-
-
-def _load_kraus(path: str) -> list[ClassifiedKraus]:
-    try:
-        with open(path) as fh:
-            return kraus_from_json(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read Kraus file {path!r}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad Kraus file {path!r}: {exc}") from exc
+    return _read(source, "rate table", ErrorRateTable.from_json)
 
 
 def _parse_trials(text: str) -> int:
@@ -92,16 +88,21 @@ def _parse_seed(text: str) -> int:
 
 def _parse_grid(text: str) -> list[float]:
     """``lo:hi[:points]`` log-spaced, or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"bad grid {text!r}, expected lo:hi[:points]")
+    parts = text.split(":")
+    try:
+        if len(parts) == 1:
+            return [float(v) for v in text.split(",")]
+        if len(parts) > 3:
+            raise ValueError
         lo, hi = float(parts[0]), float(parts[1])
         points = int(parts[2]) if len(parts) == 3 else 13
-        if lo <= 0 or hi <= lo or points < 2:
-            raise ConfigError(f"bad grid {text!r}")
-        return list(np.geomspace(lo, hi, points))
-    return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError("--eps-grid: expected lo:hi[:points] or a comma-"
+                          f"separated list of numbers, got {text!r}") from None
+    if lo <= 0 or hi <= lo or points < 2:
+        raise ConfigError(f"--eps-grid: bad grid {text!r}, needs "
+                          "0 < lo < hi and at least 2 points")
+    return list(np.geomspace(lo, hi, points))
 
 
 def _single_bias(values: list[float], default: float | None) -> float | None:
@@ -134,8 +135,12 @@ def _header(config: dict) -> list[str]:
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(
+                f"--output: cannot write {output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -159,7 +164,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     config = {"command": "simulate", "gadget": args.gadget, "n": args.n,
               "k": args.k, "rates": args.rates, "trials": trials,
-              "seed": args.seed, "leak_policy": args.leak_policy.value,
+              "seed": args.seed, "leak_policy": args.leak_policy,
               "pre_teleport": args.pre_teleport, "workers": args.workers,
               "stream": STREAM_VERSION}
     lines = _header(config)
@@ -292,8 +297,8 @@ def cmd_channel(args: argparse.Namespace) -> int:
             "completeness_error": ad.kraus.completeness_defect(),
         }
     elif args.builtin == "cphase" or args.kraus_json:
-        classified = (_load_kraus(args.kraus_json) if args.kraus_json
-                      else builtin_cphase_kraus())
+        classified = (_read(args.kraus_json, "Kraus file", kraus_from_json)
+                      if args.kraus_json else builtin_cphase_kraus())
         parts = split_channel(classified, resolve=args.qubit)
         if args.input == "bell" and parts.full.dim != 16:
             raise ConfigError("--input bell needs the 16-dimensional two-qubit "
@@ -359,11 +364,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.circuit:
-        try:
-            with open(args.circuit) as fh:
-                circuit = circuit_from_text(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read circuit {args.circuit!r}: {exc}")
+        circuit = _read(args.circuit, "circuit", circuit_from_text)
     else:
         circuit = build_gadget(args.gadget, args.n, args.k,
                                pre_teleport=args.pre_teleport)
@@ -405,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", default="100000")
     sim.add_argument("--seed", type=_parse_seed, default=0)
     sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--leak-policy", default=LeakPolicy.RANDOM_Z,
-                     type=LeakPolicy, choices=list(LeakPolicy))
+    sim.add_argument("--leak-policy", default=LeakPolicy.RANDOM_Z.value,
+                     choices=[p.value for p in LeakPolicy])
     sim.add_argument("--pre-teleport", action="store_true",
                      help="teleport each input block onto a fresh block "
                           "first (leakage containment)")

@@ -11,8 +11,8 @@ corrections derived from the (majority-decoded) measurement outcomes:
   the code's X-pair stabilizers) disagrees with the recorded logical-X
   correction;
 * leaked output: any output-block qubit ends leaked.  Leakage cannot be
-  corrected by the code, so by default it is folded into the non-phase
-  logical rate while remaining separately visible on the trial flags.
+  corrected by the code, so it is folded into the non-phase logical rate
+  while remaining separately visible on the trial flags.
 """
 
 from __future__ import annotations
@@ -117,20 +117,18 @@ def _decode(circuit: Circuit, bits, x, z, leaked):
 def classify_batch(circuit: Circuit, result: BatchRunResult
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized trial classification; returns boolean arrays
-    (logical_z, logical_x, leaked_output), each of shape [B].  A result
-    that holds packed words is decoded on the words, 64 trials to an
-    operation, and only the three flags are unpacked."""
-    packed = result.words
-    rows = result if packed is None else packed
-    unflagged = np.zeros(rows.frame_x.shape[1],
-                         dtype=bool if packed is None else np.uint64)
-    flags = (unflagged | flag for flag in _decode(
-        circuit, dict(zip(result.meas_locations, rows.outcome_bits)),
-        rows.frame_x, rows.frame_z, rows.frame_leaked))
-    if packed is None:
-        return tuple(flags)
+    (logical_z, logical_x, leaked_output), each of shape [B].  The result's
+    packed words are decoded 64 trials to an operation, and only the three
+    flags are unpacked."""
+    words = result.words
+    unflagged = np.zeros(words.frame_x.shape[1], dtype=np.uint64)
+    bits = dict(zip(result.meas_locations, words.outcome_bits))
+    flags = _decode(circuit, bits, words.frame_x, words.frame_z,
+                    words.frame_leaked)
+    # a flag no output qubit can raise is False, an all-zero row; and
     # unpack_words drops the last word's bits past the batch
-    return tuple(unpack_words(flag, len(result.trials)) for flag in flags)
+    return tuple(unpack_words(unflagged | flag, len(result.trials))
+                 for flag in flags)
 
 
 def classify_run(circuit: Circuit, result: RunResult) -> TrialResult:
@@ -208,13 +206,13 @@ def count_trials(gadget: Circuit, rates: ErrorRateTable, seed: int,
 def estimate_logical_rates(gadget: Circuit, rates: ErrorRateTable,
                            trials: int, seed: int, *,
                            leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
-                           include_leaked: bool = True, workers: int = 1
+                           workers: int = 1
                            ) -> tuple[RateEstimate, RateEstimate]:
     """Monte Carlo estimates of the logical phase-error rate and the logical
-    non-phase rate (X/Y-type, plus leaked outputs unless disabled).  More
-    than one worker splits the trials into that many spans, counted in a
-    pool of at most ``os.cpu_count()`` processes; draws are keyed by trial
-    index and counts add, so the estimates depend on neither."""
+    non-phase rate (X/Y-type, plus leaked outputs).  More than one worker
+    splits the trials into that many spans, counted in a pool of at most
+    ``os.cpu_count()`` processes; draws are keyed by trial index and counts
+    add, so the estimates depend on neither."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
@@ -234,9 +232,8 @@ def estimate_logical_rates(gadget: Circuit, rates: ErrorRateTable,
     else:
         counts = count_trials(gadget, rates, seed, 0, trials,
                               leak_policy=leak_policy)
-    other = counts.logical_other if include_leaked else counts.logical_x
     return (RateEstimate.from_counts(counts.logical_z, trials, seed),
-            RateEstimate.from_counts(other, trials, seed))
+            RateEstimate.from_counts(counts.logical_other, trials, seed))
 
 
 # ---------------------------------------------------------------------------

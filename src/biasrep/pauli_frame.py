@@ -266,41 +266,29 @@ class PackedRun(NamedTuple):
 
 
 class BatchRunResult:
-    """Trial-parallel run output: boolean arrays indexed [column, trial],
-    ``outcome_bits`` and ``leaked_random`` [M, B] (rows in
-    ``meas_locations`` order) and ``frame_x``, ``frame_z`` and
-    ``frame_leaked`` [N, B], for the uint64 trial indices ``trials`` [B].
+    """Trial-parallel run output for the uint64 trial indices ``trials``
+    [B]: the packed rows ``words``, a :class:`PackedRun`.
 
-    :func:`run_circuit_batch` builds it from its packed rows (``words``)
-    and unpacks an array only when it is first read, so a reader of the
-    words alone, such as :func:`~biasrep.montecarlo.classify_batch`, never
-    holds a boolean [rows, B] array.  Built from the boolean arrays, it has
-    ``words`` None.
+    Each row of ``words`` is also an attribute of the same name, a boolean
+    array indexed [column, trial]: ``outcome_bits`` and ``leaked_random``
+    [M, B] (rows in ``meas_locations`` order) and ``frame_x``, ``frame_z``
+    and ``frame_leaked`` [N, B].  An array is unpacked only when it is first
+    read, so a reader of the words alone, such as
+    :func:`~biasrep.montecarlo.classify_batch`, never holds a boolean
+    [rows, B] array.
     """
 
     def __init__(self, trials: np.ndarray, meas_locations: tuple[int, ...],
-                 outcome_bits: np.ndarray | None = None,
-                 leaked_random: np.ndarray | None = None,
-                 frame_x: np.ndarray | None = None,
-                 frame_z: np.ndarray | None = None,
-                 frame_leaked: np.ndarray | None = None, *,
-                 words: PackedRun | None = None):
-        rows = (outcome_bits, leaked_random, frame_x, frame_z, frame_leaked)
-        if any(r is None for r in rows) != (words is not None):
-            raise TypeError("BatchRunResult takes either the five boolean "
-                            "arrays or the packed words")
+                 words: PackedRun):
         self.trials = trials
         self.meas_locations = meas_locations
         self.words = words
-        if words is None:
-            self.__dict__.update(zip(PackedRun._fields, rows))
 
     def __getattr__(self, name: str) -> np.ndarray:
-        # reached only for an array not set yet: unpack it from the words
-        words = self.__dict__.get("words")
-        if words is None or name not in PackedRun._fields:
+        # reached only for an array not unpacked yet
+        if name not in PackedRun._fields:
             raise AttributeError(name)
-        rows = unpack_words(getattr(words, name), len(self.trials))
+        rows = unpack_words(getattr(self.words, name), len(self.trials))
         setattr(self, name, rows)
         return rows
 
@@ -468,5 +456,5 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                 bit |= heads(lk[q], loc.index, q, TAG_LEAK_OUTCOME)
                 out_leakrand[row_of[loc.index]] = lk[q]
             x[q] = z[q] = lk[q] = 0
-    return BatchRunResult(trials, meas_locs, words=PackedRun(
-        out_bits, out_leakrand, x, z, lk))
+    return BatchRunResult(trials, meas_locs,
+                          PackedRun(out_bits, out_leakrand, x, z, lk))

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -38,6 +39,16 @@ def uniform_table(eps: float, eps_other: float = 0.0) -> ErrorRateTable:
         table.entries[(OpKind.CPHASE, sp)] = Rates(eps, eps_other)
         table.entries[(OpKind.MEASURE_X, sp)] = Rates(eps)
     return table
+
+
+def pack(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows [..., B] as uint64 words in the engine's layout, written
+    out bit by bit."""
+    B = rows.shape[-1]
+    words = np.zeros(rows.shape[:-1] + ((B + 63) // 64,), dtype=np.uint64)
+    for j in range(B):
+        words[..., j // 64] |= rows[..., j].astype(np.uint64) << np.uint64(j % 64)
+    return words
 
 
 @pytest.fixture

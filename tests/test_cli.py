@@ -204,6 +204,25 @@ class TestSimulate:
         assert "--trials" in err
         assert out == ""
 
+    def test_leak_policy_choices_are_values(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--leak-policy {random-z,always-z,never-z}" in \
+            capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--gadget", "cnot", "--n", "3", "--k", "3",
+                  "--leak-policy", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--leak-policy: invalid choice: 'bogus'" in err
+        assert "random-z" in err and "never-z" in err
+        code, out, _ = run_cli(capsys, "simulate", "--gadget", "teleport",
+                               "--n", "1", "--k", "1", "--rates", "zero",
+                               "--trials", "10", "--leak-policy", "never-z")
+        assert code == 0
+        assert '"leak_policy": "never-z"' in out
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_rejected(self, capsys, workers):
         code, out, err = run_cli(capsys, "simulate", "--gadget", "teleport",
@@ -659,24 +678,33 @@ _BOUNDS_HEADER = "eps,bias,c,n,k,eps_L,epsp_L,total"
 
 
 class TestBoundInputRanges:
-    """A rate outside [0, 1] or a size whose bound overflows a float exits 2
-    naming the flag that set it."""
+    """A rate outside [0, 1], a malformed --eps-grid or a size whose bound
+    overflows a float exits 2 naming the flag that set it."""
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["bounds", "--n", "5", "--eps", "1.5"], "--eps"),
-        (["bounds", "--n", "5", "--eps", "inf"], "--eps"),
-        (["optimize", "--eps", "2", "--bias", "1e3"], "--eps"),
+    RANGE = "eps must be in [0, 1]"
+
+    @pytest.mark.parametrize("argv,flag,message", [
+        (["bounds", "--n", "5", "--eps", "1.5"], "--eps", RANGE),
+        (["bounds", "--n", "5", "--eps", "inf"], "--eps", RANGE),
+        (["optimize", "--eps", "2", "--bias", "1e3"], "--eps", RANGE),
         (["bounds", "--optimize", "free", "--eps-grid", "1e-4:2:5",
-          "--bias", "1e3"], "--eps-grid"),
+          "--bias", "1e3"], "--eps-grid", RANGE),
         (["bounds", "--optimize", "n=k", "--eps-grid", "0.5,3",
-          "--bias", "1e3"], "--eps-grid")],
+          "--bias", "1e3"], "--eps-grid", RANGE),
+        (["bounds", "--optimize", "free", "--eps-grid", "a,b",
+          "--bias", "1e3"], "--eps-grid", "'a,b'"),
+        (["bounds", "--optimize", "free", "--eps-grid", "1e-3:1e-2:1.5",
+          "--bias", "1e3"], "--eps-grid", "'1e-3:1e-2:1.5'"),
+        (["bounds", "--optimize", "free", "--eps-grid", ",",
+          "--bias", "1e3"], "--eps-grid", "','")],
         ids=["bounds-1.5", "bounds-inf", "optimize-2", "grid-range",
-             "grid-list"])
-    def test_eps_outside_unit_interval(self, capsys, argv, flag):
+             "grid-list", "grid-words", "grid-points", "grid-empty"])
+    def test_eps_outside_unit_interval(self, capsys, argv, flag, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert f"{flag}: eps must be in [0, 1]" in err
+        assert err.startswith(f"error: {flag}: ")
+        assert message in err
 
     @pytest.mark.parametrize("argv,flag", [
         (["bounds", "--n", "2001", "--eps", "1e-3"], "--n"),
@@ -745,6 +773,31 @@ class TestSeedRange:
                                "--seed", seed)
         assert code == 0
         assert f'"seed": {seed}' in out
+
+
+class TestUnwritableOutput:
+    """An --output path that cannot be written is bad input: exit 2 naming
+    the flag, not an invariant violation."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--gadget", "teleport", "--n", "1",
+                     "--k", "1", "--rates", "zero", "--trials", "10"],
+        "bounds": ["bounds", "--n", "5", "--eps", "1e-3"],
+        "optimize": ["optimize", "--rates", "table1"],
+        "channel": ["channel", "--builtin", "cphase"],
+        "oracle": ["oracle", "--gadget", "teleport", "--n", "1", "--k", "1",
+                   "--rates", "zero", "--weight", "1"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_2_naming_output(self, capsys, tmp_path, command):
+        path = tmp_path / "absent" / "out.txt"
+        code, out, err = run_cli(capsys, *self.COMMANDS[command],
+                                 "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --output: ") and str(path) in err
+        assert "invariant" not in err
 
 
 class TestParserReuse:

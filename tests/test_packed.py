@@ -16,20 +16,10 @@ from biasrep.montecarlo import (TrialCounts, classify_batch, count_trials,
                                 majority, run_trial)
 from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
                                  Rates, default_rates, zero_rates)
-from biasrep.pauli_frame import (BatchRunResult, run_circuit_batch,
-                                 unpack_words)
+from biasrep.pauli_frame import run_circuit, run_circuit_batch, unpack_words
+from biasrep.streams import draw_faults
 
-from conftest import table_with
-
-
-def pack(rows: np.ndarray) -> np.ndarray:
-    """Boolean rows [..., B] as uint64 words in the engine's layout, written
-    out bit by bit."""
-    B = rows.shape[-1]
-    words = np.zeros(rows.shape[:-1] + ((B + 63) // 64,), dtype=np.uint64)
-    for j in range(B):
-        words[..., j // 64] |= rows[..., j].astype(np.uint64) << np.uint64(j % 64)
-    return words
+from conftest import pack, table_with
 
 
 def leaky(cphase_zz: float = 0.0) -> ErrorRateTable:
@@ -59,10 +49,9 @@ def flag_counts(circuit, table, seed, lo, hi, policy) -> TrialCounts:
     batch = run_circuit_batch(circuit, table, seed,
                               np.arange(lo, hi, dtype=np.uint64),
                               leak_policy=policy)
-    rows = BatchRunResult(batch.trials, batch.meas_locations,
-                          batch.outcome_bits, batch.leaked_random,
-                          batch.frame_x, batch.frame_z, batch.frame_leaked)
-    lz, lx, lk = classify_batch(circuit, rows)
+    lz, lx, lk = montecarlo._decode(
+        circuit, dict(zip(batch.meas_locations, batch.outcome_bits)),
+        batch.frame_x, batch.frame_z, batch.frame_leaked)
     return TrialCounts(hi - lo, int(lz.sum()), int(lx.sum()), int(lk.sum()),
                        int((lx | lk).sum()))
 
@@ -87,16 +76,8 @@ class TestWordLayout:
                                   np.arange(70, dtype=np.uint64))
         assert "frame_z" not in vars(batch)         # unpacked on first read
         assert batch.frame_z is batch.frame_z
-        arrays = [getattr(batch, name) for name in batch.words._fields]
-        rows = BatchRunResult(batch.trials, batch.meas_locations, *arrays)
-        assert rows.words is None
         with pytest.raises(AttributeError):
-            rows.frame_y
-        with pytest.raises(TypeError):
-            BatchRunResult(batch.trials, batch.meas_locations, *arrays[:1])
-        with pytest.raises(TypeError):
-            BatchRunResult(batch.trials, batch.meas_locations, *arrays,
-                           words=batch.words)
+            batch.frame_y
 
     def test_bits_past_the_batch_are_zero(self):
         circuit, table = build_logical_cnot(3, 3), leaky(cphase_zz=0.02)
@@ -180,6 +161,50 @@ class TestTailWords:
         monkeypatch.setattr(montecarlo, "run_circuit_batch", dirty)
         assert [count_trials(circuit, rates, 11, lo, lo + n)
                 for lo, n in SPANS] == expected
+
+
+class TestForcedReplay:
+    """A sampled run equals a run on the zero table forced with the faults
+    its keyed draws made, in table order, a pair draw hitting each of its
+    targets: a drawn fault and a forced one act alike, in both engines."""
+
+    LO, TRIALS, SEED = 37, 700, 3      # the span starts inside a word
+
+    def drawn_faults(self, circuit, rates, trials):
+        """Per trial, the faults of its draws as forced-fault events."""
+        sites = [s for loc_sites in rates.sites(circuit) for s in loc_sites]
+        forced = [[] for _ in trials]
+        draws = draw_faults(self.SEED, trials, [
+            (s.location_id, s.qubit, s.row.thresholds) for s in sites])
+        for site, (hit, which) in zip(sites, draws):
+            for j, i in zip(hit.tolist(), which.tolist()):
+                forced[j] += [FaultEvent(site.location_id, q,
+                                         site.row.classes[i])
+                              for q in site.targets]
+        return forced
+
+    @pytest.mark.parametrize("policy", ["random-z", "always-z", "never-z"])
+    def test_sampled_equals_forced(self, policy):
+        circuit, rates = build_logical_cnot(3, 3), leaky(cphase_zz=0.02)
+        trials = np.arange(self.LO, self.LO + self.TRIALS, dtype=np.uint64)
+        forced = self.drawn_faults(circuit, rates, trials)
+        sampled = run_circuit_batch(circuit, rates, self.SEED, trials,
+                                    leak_policy=policy)
+        replayed = run_circuit_batch(circuit, zero_rates(), self.SEED, trials,
+                                     forced_faults=forced, leak_policy=policy)
+        for got, want in zip(replayed.words, sampled.words):
+            assert np.array_equal(got, want)
+        # leaked measurements and leaked output qubits are in the span
+        assert sampled.leaked_random.any() and sampled.frame_leaked.any()
+        for j in range(0, self.TRIALS, 7):
+            t = self.LO + j
+            want = run_circuit(circuit, rates, self.SEED, trial=t,
+                               leak_policy=policy)
+            got = run_circuit(circuit, zero_rates(), self.SEED, trial=t,
+                              forced_faults=forced[j], leak_policy=policy)
+            assert got.outcomes == want.outcomes, t
+            assert (got.frame.x, got.frame.z, got.frame.leaked) == \
+                (want.frame.x, want.frame.z, want.frame.leaked), t
 
 
 # Four output qubits (an even block) coupled to one ancilla.  The ancilla's
