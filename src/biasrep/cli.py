@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -143,6 +144,18 @@ def _emit(lines: list[str], output: str | None) -> None:
                 f"--output: cannot write {output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_output(output: str) -> None:
+    """Refuse an ``--output`` that cannot be written before any work is
+    done, without creating or truncating it."""
+    folder = os.path.dirname(os.path.abspath(output))
+    target = output if os.path.exists(output) else folder
+    reason = ("Is a directory" if os.path.isdir(output) else
+              "No such directory" if not os.path.isdir(folder) else
+              None if os.access(target, os.W_OK) else "Permission denied")
+    if reason:
+        raise ConfigError(f"--output: cannot write {output!r}: {reason}")
 
 
 def _fmt(x: float) -> str:
@@ -479,6 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except ParameterError as exc:   # a bound parameter: name its flag
         flag = ("--eps-grid" if exc.name == "eps" and getattr(args, "optimize", None)

@@ -388,9 +388,8 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     assert_valid(gadget)
     sites = fault_sites(gadget, rates)
     L = len(sites)
-    rows = [s.row for s in sites]
-    totals = [sum(row.probs) for row in rows]       # FaultSite.total
-    n_classes = np.array([len(row.classes) for row in rows], dtype=np.intp)
+    totals = [s.total for s in sites]
+    n_classes = np.array([len(s.row.classes) for s in sites], dtype=np.intp)
     # by_w[w] = patterns of weight w: the elementary symmetric sum of the
     # per-site class counts, built up one site at a time.
     by_w = [1] + [0] * weight_max
@@ -407,8 +406,7 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     # One entry per (site, fault class), in enumeration order.
     faults = [FaultEvent(s.location_id, s.qubit, kind)
               for s in sites for kind in s.row.classes]
-    factor = np.array([p / (1.0 - t) for row, t in zip(rows, totals)
-                       for p in row.probs])
+    factor = np.array([p / (1.0 - s.total) for s in sites for p in s.row.probs])
     F = len(faults)
     site_of = np.repeat(np.arange(L), n_classes)
     first = np.cumsum(n_classes) - n_classes
@@ -426,7 +424,9 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
     effects = _fault_effects(gadget, faults, zero)[
         [row_of[loc] for loc in group_locs] + [M + q for q in outs]
         + [M + N + q for q in outs]]
-    suffix, Wf = _suffix_words(effects)
+    # with a row of ones, whose words mark the bits of faults below F
+    suffix, Wf = _suffix_words(np.vstack([effects, np.ones((1, F), bool)]))
+    suffix, present = suffix[:-1], suffix[-1]
     unleaked = dict.fromkeys(outs, False)
 
     by_z = [0.0] * (weight_max + 1)
@@ -457,12 +457,7 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
             flags = _decode(gadget, dict(zip(group_locs, words)),
                             dict(zip(outs, words[G:])),
                             dict(zip(outs, words[G + O:])), unleaked)
-            # clear the bits of each prefix's last word past fault F - 1
-            valid = np.full(W, ~np.uint64(0))
-            used = (F - a) % 64
-            cut = used > 0
-            valid[(off + n_words - 1)[cut]] = \
-                (np.uint64(1) << used[cut].astype(np.uint64)) - np.uint64(1)
+            valid = present[src]        # the bits of faults below F
             lz, lx = (flag & valid for flag in flags[:2])
 
             # Enumeration rank within the pass.  The t prefixes of one site
@@ -571,7 +566,7 @@ def prob_more_faults(circuit: Circuit, rates: ErrorRateTable,
     tail = 0.0
     for loc_sites in rates.sites(circuit):
         for site in loc_sites:
-            p = sum(site.row.probs)
+            p = site.total
             tail += exact[weight] * p
             for j in range(weight, 0, -1):
                 exact[j] = exact[j] * (1.0 - p) + exact[j - 1] * p

@@ -255,7 +255,6 @@ def draw_faults(seed: int, trials: np.ndarray,
         return []
     if not trials.size:
         return [(np.zeros(0, np.int32), np.zeros(0, np.uint8)) for _ in draws]
-    B = trials.size
     words = _Words(trials)
     n_words = words.words.size
     base = (words.words << np.uint64(7)) * np.uint64(_GOLDEN)
@@ -271,8 +270,7 @@ def draw_faults(seed: int, trials: np.ndarray,
     # padded with 2^53, above every 53-bit hash
     width = max(len(c) for _, c in tables)
     bounds_of = [c + (1 << 53,) * (width - len(c)) for _, c in tables]
-    classes = np.array([[bounds_of[r][i] for r in row_index]
-                        for i in range(width)], dtype=np.uint64)
+    classes = np.array(bounds_of, dtype=np.uint64)[row_index].T.copy()
     # Groups of draws of about _LIVE cells with a hit in round 0 (a
     # fraction 1 - (1 - p)^64 of a draw's cells), each of one draw or more
     groups, g0, live = [], 0, 0.0
@@ -304,18 +302,16 @@ def draw_faults(seed: int, trials: np.ndarray,
             cell = (h.reshape(s1 - s0, n_words)
                     >= gaps[row_of[s0:s1] + _WORD - 1][:, None]).ravel().nonzero()[0]
             hs.append(h[cell])
-            cells.append(cell + (s0 - d0) * n_words)
-        cell, h = np.concatenate(cells), np.concatenate(hs)
+            cells.append(cell + s0 * n_words)
+        d, w = np.divmod(np.concatenate(cells), n_words)
+        h = np.concatenate(hs)
         del cells, hs
-        d, w = np.divmod(cell, n_words)
-        d += d0
-        start = np.zeros(cell.size, dtype=np.intp)
-        # per round: each hit's draw (less d0), its rank among the draw's
-        # hits, its batch position and its class
-        found = []
-        filled = np.zeros(d1 - d0, dtype=np.intp)     # hits per draw so far
-        rnd = 0
-        while d.size:   # every cell here hits in round rnd
+        start = np.zeros(d.size, dtype=np.intp)
+        # per round: each hit's draw (less d0, in the smallest type that
+        # holds it, for a radix sort), batch position and class; round 0
+        # runs even with no cell, so that ``found`` is not empty
+        found, rnd, index = [], 0, np.min_scalar_type(d1 - d0)
+        while d.size or not found:      # every cell here hits in round rnd
             bit = start + _gap(gaps, row_of[d], h)
             cls = np.zeros(d.size, dtype=np.uint8)
             if len(classes):
@@ -323,26 +319,19 @@ def draw_faults(seed: int, trials: np.ndarray,
                 for bounds in classes:
                     cls += hc >= bounds[d]
             pos, src = words.positions(w * _WORD + bit)
-            dl = d[src] - d0        # ascending, as the ranks below need
-            count = np.bincount(dl, minlength=d1 - d0)
-            rank = np.arange(dl.size) - (np.cumsum(count) - count - filled)[dl]
-            filled += count
-            found.append((dl, rank, pos.astype(np.int32), cls[src]))
+            found.append(((d[src] - d0).astype(index), pos.astype(np.int32), cls[src]))
             start, rnd = bit + 1, rnd + 1
-            keep = (start < _WORD).nonzero()[0]
-            d, w, start = d[keep], w[keep], start[keep]
             h = hashed(d, w, (rnd << 1) | _GAP)
-            keep = (h >= gaps[row_of[d] + _WORD - 1 - start]).nonzero()[0]
+            rest = _WORD - 1 - np.minimum(start, _WORD - 1)  # trials left, less 1
+            keep = ((start < _WORD) & (h >= gaps[row_of[d] + rest])).nonzero()[0]
             d, w, start, h = d[keep], w[keep], start[keep], h[keep]
-        first = np.cumsum(filled) - filled
-        pos = np.empty(int(filled.sum()), dtype=np.int32)
-        cls = np.empty(pos.size, dtype=np.uint8)
-        for dl, rank, p, c in found:
-            at = first[dl] + rank
-            pos[at], cls[at] = p, c
+        # a stable sort by draw keeps each draw's hits in round, then word, order
+        dl, pos, cls = (np.concatenate(a) for a in zip(*found))
         del found
-        out.extend((pos[a:a + n], cls[a:a + n])
-                   for a, n in zip(first.tolist(), filled.tolist()))
+        order = np.argsort(dl, kind="stable")
+        cut = np.cumsum(np.bincount(dl, minlength=d1 - d0))[:-1]
+        out.extend(zip(np.split(pos[order], cut), np.split(cls[order], cut)))
+        del dl, pos, cls, order     # not held through the next group
     return out
 
 

@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import json
+import os
 import warnings
 
 import pytest
 
+from biasrep import cli
 from biasrep.cli import build_parser, main
 from biasrep.gadgets import build_teleport_identity, circuit_to_text
 from biasrep.montecarlo import prob_more_faults
@@ -798,6 +800,44 @@ class TestUnwritableOutput:
         assert out == ""
         assert err.startswith("error: --output: ") and str(path) in err
         assert "invariant" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    def test_rejected_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                      command):
+        def never(*args, **kwargs):
+            raise AssertionError("ran before --output was checked")
+        monkeypatch.setattr(cli, "estimate_logical_rates", never)
+        monkeypatch.setattr(cli, "brute_force_oracle", never)
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, *self.COMMANDS[command],
+                                 "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --output: ") and str(path) in err
+
+    def test_directory_is_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, *self.COMMANDS["bounds"],
+                               "--output", str(tmp_path))
+        assert code == 2 and "--output" in err and "directory" in err
+
+    def test_read_only_file_is_rejected_and_kept(self, capsys, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"kept\n")
+        path.chmod(0o444)
+        if os.access(path, os.W_OK):
+            pytest.skip("file permissions do not bind this user")
+        code, _, err = run_cli(capsys, *self.COMMANDS["bounds"],
+                               "--output", str(path))
+        assert code == 2 and "--output" in err
+        assert path.read_bytes() == b"kept\n"
+
+    def test_other_bad_input_leaves_the_output_file_alone(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"earlier run\n")
+        code, _, err = run_cli(capsys, "simulate", "--gadget", "cnot", "--n",
+                               "2", "--k", "3", "--trials", "10",
+                               "--output", str(path))
+        assert code == 2 and "--output" not in err
+        assert path.read_bytes() == b"earlier run\n"
 
 
 class TestParserReuse:

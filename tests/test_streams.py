@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from biasrep import streams
 from biasrep.noise_model import FaultKind, FaultRow
 from biasrep.streams import (_CELLS, _GOLDEN, _MASK, _MIX1, _MIX2, TAG_FAULT,
                              TAG_LEAK_CZ, draw_faults, fault_bounds, fault_class,
@@ -263,3 +264,54 @@ def test_class_shares_follow_the_row():
                                [(LOC, QUBIT, row)])
     counts = np.bincount(which, minlength=3)
     assert chisquare(counts).pvalue > 1e-4
+
+
+def table1_x5_draws() -> list:
+    """The fault draws of cnot(3,3) on table1 with every rate x5."""
+    from biasrep.gadgets import build_logical_cnot
+    from biasrep.noise_model import ErrorRateTable, Rates, default_rates
+
+    table = ErrorRateTable(entries={
+        k: Rates(5 * r.eps, 5 * r.eps_other, 5 * r.eps_leak)
+        for k, r in default_rates().entries.items()})
+    return [(s.location_id, s.qubit, s.row.thresholds)
+            for sites in table.sites(build_logical_cnot(3, 3)) for s in sites]
+
+
+def test_one_draw_per_group_changes_no_array(monkeypatch):
+    # the grouping only bounds working memory: with one draw per group and
+    # round 0 in 64-cell slices, every array and its order is unchanged
+    trials = np.arange(37, 5_038, dtype=np.uint64)
+    whole = draw_faults(SEED, trials, table1_x5_draws())
+    monkeypatch.setattr(streams, "_LIVE", 1)
+    monkeypatch.setattr(streams, "_CELLS", 64)
+    split = draw_faults(SEED, trials, table1_x5_draws())
+    assert len(split) == len(whole)
+    for (pos, which), (want, want_which) in zip(split, whole):
+        assert pos.dtype == np.int32 and which.dtype == np.uint8
+        assert pos.tolist() == want.tolist()
+        assert which.tolist() == want_which.tolist()
+
+
+def test_a_group_with_no_hit_returns_empty_arrays():
+    got = draw_faults(SEED, np.arange(1_000, dtype=np.uint64),
+                      draws([(0.0,)] * 3))
+    assert len(got) == 3
+    for pos, which in got:
+        assert pos.dtype == np.int32 and which.dtype == np.uint8
+        assert pos.size == which.size == 0
+
+
+def test_a_group_of_more_than_256_draws():
+    # 300 draws at p = 0.01 over two words form one group, so draw indices
+    # within it pass 255
+    rows = [(0.004, 0.01), (0.01,), (0.003, 0.006, 0.01)]
+    many = [(loc, QUBIT, rows[loc % 3]) for loc in range(300)]
+    trials = np.arange(64, 192, dtype=np.uint64)
+    got = draw_faults(SEED, trials, many)
+    assert len(got) == len(many)
+    for (pos, which), (loc, qubit, row) in zip(got, many):
+        classes = [fault_class(SEED, int(t), loc, qubit, row) for t in trials]
+        expected = [(j, c) for j, c in enumerate(classes) if c >= 0]
+        assert as_pairs(pos, which) == expected
+    assert sum(pos.size for pos, _ in got[256:]) > 0
