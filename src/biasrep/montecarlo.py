@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, islice
 from typing import Sequence
 
@@ -172,7 +175,7 @@ class TrialCounts:
 
 # Trials per batch of count_trials; it bounds the batch's working arrays
 # (trial indices, 8 bytes per trial, and the fault hits, 5 bytes per fault;
-# the keyed hashes take a fixed 768 KiB block).
+# the draw phase keeps its own arrays near 128 KiB, see streams._CELLS).
 _BATCH_SIZE = 1 << 17
 
 
@@ -203,32 +206,84 @@ def count_trials(gadget: Circuit, rates: ErrorRateTable, seed: int,
     return total
 
 
+def _forked(tasks: list) -> list:
+    """The results of the calls ``task()``, each made in a child process of
+    its own: the children are forked together and pipe back their pickled
+    result.  A child's exception is raised here with its type and message,
+    and a child that ends without a result (a signal, an out-of-memory kill)
+    raises ``RuntimeError``.  Every child is reaped before this returns or
+    raises; on any exception here (``KeyboardInterrupt`` included) those
+    still running are killed first."""
+    children = []                       # (pid, read end of its pipe)
+    try:
+        for task in tasks:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                # the child never returns into the caller's stack, and
+                # leaves without flushing inherited stdio or running atexit
+                code = 1
+                try:
+                    try:
+                        out = (True, task())
+                    except BaseException as exc:
+                        out = (False, exc)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = []
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status != 0:
+                raise RuntimeError(
+                    f"worker process {pid} ended without a result (exit "
+                    f"code {os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def estimate_logical_rates(gadget: Circuit, rates: ErrorRateTable,
                            trials: int, seed: int, *,
                            leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
                            workers: int = 1
                            ) -> tuple[RateEstimate, RateEstimate]:
     """Monte Carlo estimates of the logical phase-error rate and the logical
-    non-phase rate (X/Y-type, plus leaked outputs).  More than one worker
-    splits the trials into that many spans, counted in a pool of at most
-    ``os.cpu_count()`` processes; draws are keyed by trial index and counts
-    add, so the estimates depend on neither."""
+    non-phase rate (X/Y-type, plus leaked outputs).  The trials are split
+    into min(workers, trials, ``os.cpu_count()``) spans: a single span is
+    counted in this process, and with more each is counted in a forked
+    child process.  Draws are keyed by trial index and counts add, so the
+    estimates depend on neither."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    edges = [trials * i // workers for i in range(workers + 1)]
-    spans = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    if len(spans) > 1:
-        # imported on use: it costs 12-17 ms (2-core Xeon) that no import of
-        # the package should pay
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(len(spans),
-                                                 os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(count_trials, gadget, rates, seed, lo, hi,
-                                   leak_policy=leak_policy)
-                       for lo, hi in spans]
-            counts = sum((f.result() for f in futures), TrialCounts(0, 0, 0, 0, 0))
+    processes = min(workers, trials, os.cpu_count() or 1)
+    if processes > 1:
+        counts = sum(_forked([
+            partial(count_trials, gadget, rates, seed, trials * i // processes,
+                    trials * (i + 1) // processes, leak_policy=leak_policy)
+            for i in range(processes)]), TrialCounts(0, 0, 0, 0, 0))
     else:
         counts = count_trials(gadget, rates, seed, 0, trials,
                               leak_policy=leak_policy)

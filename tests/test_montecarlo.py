@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import signal
+import time
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -148,6 +152,19 @@ class TestRunTrial:
         assert trial.leaked_output
 
 
+def _raise_boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+def _exit_without_result(*args, **kwargs):
+    os._exit(1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestEstimateLogicalRates:
     def test_zero_rates_exactly_zero(self):
         tele = build_teleport_identity(3, 3)
@@ -199,39 +216,69 @@ class TestEstimateLogicalRates:
         (1000, 2, 2), (3, 8, 3), (5, None, 1)])
     def test_pool_capped_at_cpu_count(self, monkeypatch, workers, cpus,
                                       processes):
-        # An inline executor stands in for the process pool: it records its
-        # size and runs each span in this process, so no process starts.
-        import concurrent.futures
+        # An inline stand-in for the fork helper records how many children
+        # it was asked for and runs each task in this process, so no process
+        # starts; count_trials records the spans.  A count of 1 means no fork.
         sizes, spans = [], []
+        counter = montecarlo.count_trials
 
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording_count(gadget, rates, seed, lo, hi, **kwargs):
+            spans.append((lo, hi))
+            return counter(gadget, rates, seed, lo, hi, **kwargs)
 
-            def __enter__(self):
-                return self
+        def inline(tasks):
+            sizes.append(len(tasks))
+            return [task() for task in tasks]
 
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args, **kwargs):
-                spans.append(args[3:5])
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args, **kwargs))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlineExecutor)
+        monkeypatch.setattr(montecarlo, "count_trials", recording_count)
+        monkeypatch.setattr(montecarlo, "_forked", inline)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         tele = build_teleport_identity(3, 3)
         table = uniform_table(0.02, 0.005)
-        pooled = estimate_logical_rates(tele, table, 40, seed=8,
-                                        workers=workers)
-        assert sizes == [processes]
-        # the span split follows the requested worker count, not the pool
-        assert len(spans) == min(workers, 40)
-        assert spans[0][0] == 0 and spans[-1][1] == 40
-        assert pooled == estimate_logical_rates(tele, table, 40, seed=8)
+        split = estimate_logical_rates(tele, table, 40, seed=8,
+                                       workers=workers)
+        assert sizes == ([processes] if processes > 1 else [])
+        # one span per process, contiguous over [0, 40)
+        assert len(spans) == processes
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == 40
+        assert split == estimate_logical_rates(tele, table, 40, seed=8)
+
+    def test_huge_worker_count_starts_cpu_count_processes(self, monkeypatch):
+        # the split is sized by the process count alone, never by workers
+        sizes = []
+        forked = montecarlo._forked
+
+        def recording_fork(tasks):
+            sizes.append(len(tasks))
+            return forked(tasks)
+
+        monkeypatch.setattr(montecarlo, "_forked", recording_fork)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        tele = build_teleport_identity(3, 3)
+        table = uniform_table(0.02, 0.005)
+        assert estimate_logical_rates(tele, table, 40, seed=8,
+                                      workers=10**9) \
+            == estimate_logical_rates(tele, table, 40, seed=8)
+        assert sizes == [2]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count,error,match,code", [
+        (_raise_boom, ValueError, "boom", 2),
+        (_exit_without_result, RuntimeError, None, 3)])
+    def test_worker_failure_reaches_the_caller(self, monkeypatch, count,
+                                                error, match, code):
+        # with two CPUs and two workers every span is counted in a child, so
+        # the patched count_trials never runs in this process
+        monkeypatch.setattr(montecarlo, "count_trials", count)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        with pytest.raises(error, match=match):
+            estimate_logical_rates(build_teleport_identity(3, 1),
+                                   zero_rates(), 100, seed=0, workers=2)
+        assert_no_child_left()
+        assert main(["simulate", "--gadget", "cnot", "--n", "3", "--k", "3",
+                     "--trials", "100", "--workers", "2"]) == code
+        assert_no_child_left()
 
     def test_leaked_output_folds_into_other_rate(self):
         table = table_with(prep_A=Rates(eps_leak=1.0))
@@ -269,6 +316,66 @@ class TestEstimateLogicalRates:
             assert trial.logical_z_error == bool(lz[t])
             assert trial.logical_x_error == bool(lx[t])
             assert trial.leaked_output == bool(lk[t])
+
+
+class TestForked:
+    """``montecarlo._forked`` runs each task in a forked child; no child
+    outlives the call, however it ends."""
+
+    def test_results_in_task_order(self):
+        assert montecarlo._forked([partial(pow, 2, i) for i in range(5)]) \
+            == [1, 2, 4, 8, 16]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("task,code", [
+        (partial(os._exit, 1), "1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
+    def test_child_without_result_is_named(self, task, code):
+        with pytest.raises(RuntimeError, match=rf"worker process \d+ ended "
+                           rf"without a result \(exit code {code}\)"):
+            montecarlo._forked([task])
+        assert_no_child_left()
+
+    def test_failure_kills_running_siblings(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="boom"):
+            montecarlo._forked([_raise_boom, partial(time.sleep, 60)])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_fork_failure_closes_its_pipe(self, monkeypatch):
+        fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(montecarlo.os, "fork", second_fork_fails)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with pytest.raises(BlockingIOError):
+            montecarlo._forked([partial(time.sleep, 60)] * 2)
+        assert time.monotonic() - start < 30
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert_no_child_left()
+
+    def test_interrupt_kills_every_child(self):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(KeyboardInterrupt):
+                montecarlo._forked([partial(time.sleep, 60)] * 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 class TestBruteForceOracle:
