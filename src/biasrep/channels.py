@@ -107,12 +107,12 @@ class PairMap:
     dim: int
 
     @classmethod
-    def from_kraus(cls, kraus: Sequence[np.ndarray], sign: float = 1.0) -> "PairMap":
+    def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "PairMap":
         ops = [np.asarray(m, dtype=complex) for m in kraus]
         if not ops:
             raise ValueError("empty Kraus list")
         dim = ops[0].shape[0]
-        return cls(tuple((sign, m, m) for m in ops), dim)
+        return cls(tuple((1.0, m, m) for m in ops), dim)
 
     @classmethod
     def zero(cls, dim: int) -> "PairMap":
@@ -286,18 +286,15 @@ class ChannelParts:
     full: PairMap
     ihat_coeff: float | None = None
 
-    def decomposition_error(self, probes: Sequence[np.ndarray] | None = None,
-                            seed: int = 7, samples: int = 4) -> float:
+    def decomposition_error(self) -> float:
         """Largest deviation of (ihat + e_phase + e_other + e_leak)(X) from
-        the full channel over probe inputs."""
+        the full channel over four random pure-state probes X (seed 7)."""
         dim = self.full.dim
-        if probes is None:
-            rng = np.random.default_rng(seed)
-            vs = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                  for _ in range(samples))
-            probes = [projector(v / np.linalg.norm(v)) for v in vs]
+        rng = np.random.default_rng(7)
         worst = 0.0
-        for x in probes:
+        for _ in range(4):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            x = projector(v / np.linalg.norm(v))
             recomposed = self.ihat(x) + self.e_phase(x) + self.e_other(x) \
                 + self.e_leak(x)
             worst = max(worst, float(np.abs(recomposed - self.full(x)).max()))
@@ -439,14 +436,15 @@ class PrepRates:
     c_opt: float
 
 
-def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section minimization of a unimodal function on [lo, hi]."""
+def golden_section_min(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimization of a unimodal function on [lo, hi], to a
+    bracket of width 1e-9."""
     inv_phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    while b - a > 1e-9:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv_phi * (b - a)
@@ -459,7 +457,7 @@ def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-9) -> tuple[flo
     return x, fn(x)
 
 
-def prep_error_rates(rho: np.ndarray, ideal: np.ndarray | None = None) -> PrepRates:
+def prep_error_rates(rho: np.ndarray) -> PrepRates:
     """Phase and leakage error rates of a noisy |+> preparation.
 
     ``rho`` is a density matrix on the 4-dim single-qubit space.  The
@@ -477,9 +475,7 @@ def prep_error_rates(rho: np.ndarray, ideal: np.ndarray | None = None) -> PrepRa
     eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -1e-9 or abs(np.trace(rho).real - 1.0) > 1e-9:
         raise ValueError("input is not a density matrix")
-    if ideal is None:
-        ideal = KET_PLUS_T
-    ideal_proj = projector(ideal)
+    ideal_proj = projector(KET_PLUS_T)
 
     p_sym = kron(projector(KET_S), I2)
     rho_d = p_sym @ rho @ p_sym
@@ -488,7 +484,7 @@ def prep_error_rates(rho: np.ndarray, ideal: np.ndarray | None = None) -> PrepRa
     def distance(cc: float) -> float:
         return trace_norm(rho_d - cc * ideal_proj)
 
-    c_opt, eps = golden_section_min(distance, 0.0, 1.0, tol=1e-9)
+    c_opt, eps = golden_section_min(distance, 0.0, 1.0)
     return PrepRates(eps, eps_leak, c_opt)
 
 

@@ -93,6 +93,12 @@ class Circuit:
     def species_of(self, qubit: int) -> Species:
         return self.qubits[qubit].species
 
+    @cached_property
+    def violations(self) -> tuple[tuple[int, str], ...]:
+        """:func:`check_schedule`'s verdict, computed on first use; a copy
+        made by ``dataclasses.replace`` checks itself afresh."""
+        return tuple(check_schedule(self))
+
 
 class ScheduleViolation(ValueError):
     def __init__(self, location_id: int, message: str):
@@ -135,12 +141,11 @@ class _Builder:
         self.groups: dict[str, list[int]] = {}
         self.corrections: list[Correction] = []
 
-    def add_block(self, name: str, size: int, kind: str,
-                  species: Species = Species.A) -> tuple[int, ...]:
+    def add_block(self, name: str, size: int, kind: str) -> tuple[int, ...]:
         start = len(self.qubits)
         ids = tuple(range(start, start + size))
         for i in ids:
-            self.qubits.append(Qubit(i, species, "data", name))
+            self.qubits.append(Qubit(i, Species.A, "data", name))
         self.blocks.append(Block(name, ids, kind))
         return ids
 
@@ -198,13 +203,12 @@ class _Builder:
 # Gadget constructors
 # ---------------------------------------------------------------------------
 
-def build_parity_measurement(block_sizes: Sequence[int], k: int,
-                             group: str = "parity") -> Circuit:
+def build_parity_measurement(block_sizes: Sequence[int], k: int) -> Circuit:
     """Standalone repeated parity measurement of the product of Z over the
     union of the listed blocks (for two coded blocks this reads out the
     product of the two logical Z operators, since logical Z is Z on every
     block qubit).  The majority over the k ancilla outcomes is the parity
-    bit; k must be odd."""
+    bit, group ``"parity"``; k must be odd."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"k must be odd and >= 1, got {k}")
     if not block_sizes:
@@ -215,7 +219,7 @@ def build_parity_measurement(block_sizes: Sequence[int], k: int,
         if size < 1:
             raise ValueError("blocks must be non-empty")
         all_qubits.extend(b.add_block(f"b{i}", size, "input"))
-    b.parity_rounds(all_qubits, k, group)
+    b.parity_rounds(all_qubits, k, "parity")
     return b.build(meta={"gadget": "parity", "k": k})
 
 
@@ -407,10 +411,8 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
 
 
 def assert_valid(circuit: Circuit) -> None:
-    violations = check_schedule(circuit)
-    if violations:
-        loc, msg = violations[0]
-        raise ScheduleViolation(loc, msg)
+    if circuit.violations:
+        raise ScheduleViolation(*circuit.violations[0])
 
 
 # ---------------------------------------------------------------------------

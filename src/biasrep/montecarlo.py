@@ -21,6 +21,8 @@ import math
 import os
 import pickle
 import signal
+import threading
+import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, islice
@@ -144,12 +146,10 @@ def classify_run(circuit: Circuit, result: RunResult) -> TrialResult:
 def run_trial(gadget: Circuit, rates: ErrorRateTable, seed: int,
               trial_index: int = 0, *,
               forced_faults: Sequence[FaultEvent] = (),
-              leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
-              validate: bool = True) -> TrialResult:
+              leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z) -> TrialResult:
     """Execute one trial and classify the residual logical error."""
     result = run_circuit(gadget, rates, seed, trial=trial_index,
-                         forced_faults=forced_faults, leak_policy=leak_policy,
-                         validate=validate)
+                         forced_faults=forced_faults, leak_policy=leak_policy)
     return classify_run(gadget, result)
 
 
@@ -180,14 +180,13 @@ _BATCH_SIZE = 1 << 17
 
 
 def _count_batch(gadget: Circuit, rates: ErrorRateTable, seed: int,
-                 lo: int, hi: int, leak_policy: LeakPolicy | str,
-                 validate: bool) -> TrialCounts:
+                 lo: int, hi: int, leak_policy: LeakPolicy | str) -> TrialCounts:
     """Classify trials [lo, hi) as one batch, decoded on its packed words.
     Every array of the batch is freed on return, before the next batch is
     built."""
     lz, lx, leaked = classify_batch(gadget, run_circuit_batch(
         gadget, rates, seed, np.arange(lo, hi, dtype=np.uint64),
-        leak_policy=leak_policy, validate=validate))
+        leak_policy=leak_policy))
     return TrialCounts(hi - lo, *(int(np.count_nonzero(flag))
                                   for flag in (lz, lx, leaked, lx | leaked)))
 
@@ -201,9 +200,18 @@ def count_trials(gadget: Circuit, rates: ErrorRateTable, seed: int,
     total = TrialCounts(0, 0, 0, 0, 0)
     for lo in range(trial_start, trial_stop, _BATCH_SIZE):
         total = total + _count_batch(gadget, rates, seed, lo,
-                                     min(lo + _BATCH_SIZE, trial_stop),
-                                     leak_policy, lo == trial_start)
+                                     min(lo + _BATCH_SIZE, trial_stop), leak_policy)
     return total
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Start a daemon thread that ends this process, within a quarter of a
+    second, once its parent is no longer ``parent``."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _forked(tasks: list) -> list:
@@ -213,7 +221,9 @@ def _forked(tasks: list) -> list:
     and a child that ends without a result (a signal, an out-of-memory kill)
     raises ``RuntimeError``.  Every child is reaped before this returns or
     raises; on any exception here (``KeyboardInterrupt`` included) those
-    still running are killed first."""
+    still running are killed first.  A child whose parent dies without
+    that cleanup (SIGTERM, SIGKILL) exits by itself within a second."""
+    parent = os.getpid()
     children = []                       # (pid, read end of its pipe)
     try:
         for task in tasks:
@@ -229,6 +239,7 @@ def _forked(tasks: list) -> list:
                 # leaves without flushing inherited stdio or running atexit
                 code = 1
                 try:
+                    _exit_when_orphaned(parent)
                     try:
                         out = (True, task())
                     except BaseException as exc:
@@ -273,11 +284,13 @@ def estimate_logical_rates(gadget: Circuit, rates: ErrorRateTable,
     into min(workers, trials, ``os.cpu_count()``) spans: a single span is
     counted in this process, and with more each is counted in a forked
     child process.  Draws are keyed by trial index and counts add, so the
-    estimates depend on neither."""
+    estimates depend on neither.  The circuit is checked here, once, so an
+    invalid one forks nothing and each child inherits the verdict."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    assert_valid(gadget)
     processes = min(workers, trials, os.cpu_count() or 1)
     if processes > 1:
         counts = sum(_forked([
@@ -337,7 +350,7 @@ def _fault_effects(circuit: Circuit, faults: Sequence[FaultEvent],
     the contiguous columns of a bool array [outcomes + 2 * qubits, faults]."""
     run = run_circuit_batch(circuit, zero, 0, np.zeros(len(faults), np.uint64),
                             forced_faults=[[f] for f in faults],
-                            leak_policy=LeakPolicy.NEVER_Z, validate=False)
+                            leak_policy=LeakPolicy.NEVER_Z)
     return np.asfortranarray(np.concatenate([run.outcome_bits, run.frame_x,
                                              run.frame_z]))
 
@@ -592,7 +605,7 @@ def brute_force_oracle(gadget: Circuit, rates: ErrorRateTable,
                                      TrialResult(False, False, False))
         for events, expected in replay.values():
             trial = run_trial(gadget, zero, 0, 0, forced_faults=events,
-                              leak_policy=LeakPolicy.NEVER_Z, validate=False)
+                              leak_policy=LeakPolicy.NEVER_Z)
             if trial != expected:
                 raise RuntimeError(
                     f"linear fault enumeration gives {expected} for {events}, "

@@ -189,7 +189,8 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     location.  Deterministic given (seed, trial); draws are keyed per
     (location, qubit) so they are independent of execution order.  A
     forced fault at a location the circuit lacks, or on a qubit its
-    location does not act on, raises ``ValueError``.
+    location does not act on, raises ``ValueError``.  ``validate=False``
+    skips only a read of the circuit's cached ``violations``.
     """
     if validate:
         assert_valid(circuit)
@@ -321,7 +322,8 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     order, by one scatter per ``_FORCED_BYTES`` of them, so however many
     groups there are, that much is held at a time.  A forced event at a
     location the circuit lacks, or on a qubit its location does not act on,
-    raises ``ValueError``.
+    raises ``ValueError``.  ``validate=False`` skips only a read of the
+    circuit's cached ``violations``.
     """
     if validate:
         assert_valid(circuit)

@@ -17,6 +17,13 @@ the next hit, by a table of integer bounds, and its class hash the hit's
 fault class.  A span of trials that starts or ends inside a word walks
 the whole word, with the same keys as any other span, and drops the hits
 outside it.
+
+A per-trial draw (:func:`uniform`, :func:`uniform_vector`,
+:func:`keyed_hash`) at the default tag ``TAG_FAULT`` reads the very hash
+of the fault draw at that (location, qubit) whose counter equals the trial
+index: trial 387 is round 1's class hash of word 3.  No simulation draw
+uses that tag per trial; only picks made outside a simulation (a fault
+site to inject into a noiseless run) use the default.
 """
 
 from __future__ import annotations
@@ -112,7 +119,10 @@ def keyed_hash(seed: int, trials: np.ndarray, location: int, qubit: int,
 
 def uniform(seed: int, trial: int, location: int, qubit: int,
             tag: int = TAG_FAULT) -> float:
-    """One double in [0, 1) for the addressed decision."""
+    """One double in [0, 1) for the addressed decision.  At the default
+    ``TAG_FAULT`` it shares its hashes with the fault draws at (location,
+    qubit), counter = trial (see the module docstring), so a per-trial
+    draw in a simulation takes a tag of its own."""
     key = stream_key(seed, location, qubit, tag)
     return to_uniform(_mix((key + trial * _GOLDEN) & _MASK))
 

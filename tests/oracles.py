@@ -468,8 +468,7 @@ def replay_oracle(gadget: Circuit, rates: ErrorRateTable,
                     weight *= p / (1.0 - site.total)
                     events.append(FaultEvent(site.location_id, site.qubit, kind))
                 trial = run_trial(gadget, zero, 0, 0, forced_faults=events,
-                                  leak_policy=LeakPolicy.NEVER_Z,
-                                  validate=False)
+                                  leak_policy=LeakPolicy.NEVER_Z)
                 patterns_run += 1
                 if trial.logical_z_error:
                     by_z[w] += weight

@@ -3,9 +3,9 @@ scalar engine trial by trial, with and without per-trial forced faults, and
 a circuit against its text round trip.  The oracle's batched single-fault
 effects are checked against one scalar run per fault.
 
-Inputs are small gadgets, leaky rate tables with a correlated CPHASE term,
-every leak policy and scattered trial indices.  Examples are derandomized,
-so a run is repeatable."""
+Inputs are small gadgets and random schedule-valid circuits, leaky rate
+tables with a correlated CPHASE term, every leak policy and scattered trial
+indices.  Examples are derandomized, so a run is repeatable."""
 
 import dataclasses
 
@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasrep.gadgets import (build_logical_cnot, build_parity_measurement,
-                             build_teleport_identity, circuit_from_text,
-                             circuit_to_text)
+from biasrep.gadgets import (Block, Circuit, Correction, Location, Qubit,
+                             build_logical_cnot, build_parity_measurement,
+                             build_teleport_identity, check_schedule,
+                             circuit_from_text, circuit_to_text)
 from biasrep.montecarlo import _fault_effects, fault_sites
 from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
                                  OpKind, Rates, Species, default_rates,
@@ -28,13 +29,93 @@ from oracles import fault_effects_by_scalar_runs
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
 odd = st.sampled_from([1, 3])
+
+
+@st.composite
+def random_circuits(draw) -> Circuit:
+    """Circuits that pass ``check_schedule`` with what no built-in gadget
+    has: ancillas measured (or not) and then used again, with or without
+    a new preparation; CPHASEs written data qubit first; transversal
+    readouts between rounds; majority groups over any odd set of
+    measurements; and X/Z corrections from any groups onto output blocks.
+
+    Data blocks take species A and ancillas species B.  Each ancilla
+    couples to output qubits only until it first couples to an input
+    qubit, over all of its rounds, as the leakage rule asks."""
+    kinds = draw(st.lists(st.sampled_from(["input", "output"]), min_size=1,
+                          max_size=3))
+    qubits, blocks = [], []
+    for i, kind in enumerate(kinds):
+        ids = tuple(range(len(qubits), len(qubits) + draw(st.integers(1, 3))))
+        qubits += [Qubit(q, Species.A, "data", f"b{i}") for q in ids]
+        blocks.append(Block(f"b{i}", ids, kind))
+    ancillas = list(range(len(qubits), len(qubits) + draw(st.integers(1, 3))))
+    qubits += [Qubit(q, Species.B, "ancilla", "") for q in ancillas]
+    ops = []            # (kind, qubits, note)
+    for block in blocks:
+        if block.kind == "output" and draw(st.booleans()):
+            ops += [(OpKind.PREP_PLUS, (q,), "") for q in block.qubits]
+    outputs = [q for b in blocks if b.kind == "output" for q in b.qubits]
+    inputs = [q for b in blocks if b.kind == "input" for q in b.qubits]
+    used, touched_input = set(), set()
+    for r in range(draw(st.integers(1, 5))):
+        note = f"rep {r}"
+        if draw(st.integers(0, 3)) == 0 and inputs:
+            # a transversal readout of an input block
+            block = draw(st.sampled_from([b for b in blocks
+                                          if b.kind == "input"]))
+            ops += [(OpKind.MEASURE_X, (q,), "") for q in block.qubits]
+            continue
+        anc = draw(st.sampled_from(ancillas))
+        if anc not in used or draw(st.booleans()):
+            ops.append((OpKind.PREP_PLUS, (anc,), note))
+        used.add(anc)
+        partners = draw(st.lists(st.sampled_from(
+            (outputs if anc not in touched_input else []) + inputs),
+            max_size=4, unique=True))
+        partners.sort(key=lambda q: q in inputs)    # outputs first
+        for q in partners:
+            if q in inputs:
+                touched_input.add(anc)
+            pair = (anc, q) if draw(st.booleans()) else (q, anc)
+            ops.append((OpKind.CPHASE, pair, note))
+        if draw(st.integers(0, 4)):
+            ops.append((OpKind.MEASURE_X, (anc,), note))
+    if not any(kind is OpKind.MEASURE_X for kind, _, _ in ops):
+        ops.append((OpKind.MEASURE_X, (qubits[-1].index,), ""))
+    locations = tuple(
+        Location(i, kind, qs, draw(st.sampled_from([0.0, 0.25]))
+                 if kind is OpKind.MEASURE_X else 0.0, note)
+        for i, (kind, qs, note) in enumerate(ops))
+    measured = [loc.index for loc in locations if loc.kind is OpKind.MEASURE_X]
+    groups = {}
+    for g in range(draw(st.integers(1, 3))):
+        ids = draw(st.lists(st.sampled_from(measured), min_size=1,
+                            max_size=5, unique=True))
+        groups[f"g{g}"] = tuple(ids[:len(ids) - 1 + len(ids) % 2])
+    corrections = tuple(
+        Correction(pauli, block.name, tuple(draw(st.lists(
+            st.sampled_from(sorted(groups)), min_size=1, max_size=2))))
+        for block in blocks if block.kind == "output" for pauli in "XZ"
+        if draw(st.booleans()))
+    return Circuit(tuple(qubits), locations, tuple(blocks), groups,
+                   corrections, {"gadget": "random"})
+
+
 gadgets = st.one_of(
     st.builds(build_teleport_identity, odd, odd),
     st.builds(build_logical_cnot, odd, odd, pre_teleport=st.booleans()),
     st.builds(build_parity_measurement,
               st.lists(st.integers(1, 3), min_size=1, max_size=3), odd),
+    random_circuits(),
 )
 rate = st.floats(0.0, 0.2)
+
+
+@SETTINGS
+@given(random_circuits())
+def test_random_circuits_pass_the_schedule_check(circuit):
+    assert check_schedule(circuit) == []
 
 
 @st.composite
@@ -228,6 +309,13 @@ def test_fault_effects_equal_one_scalar_run_per_fault(circuit, table):
     assert got.shape == want.shape == (
         len(circuit.measure_locations) + 2 * circuit.n_qubits, len(faults))
     assert (got == want).all()
+
+
+@SETTINGS
+@given(gadgets)
+def test_fault_effects_equal_scalar_runs_on_generated_circuits(circuit):
+    test_fault_effects_equal_one_scalar_run_per_fault(circuit,
+                                                      LEAK_FREE_TABLE1)
 
 
 @SETTINGS

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 from functools import partial
 from itertools import combinations, product
@@ -9,10 +11,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from biasrep import montecarlo
+from biasrep import gadgets, montecarlo
 from biasrep.cli import main
-from biasrep.gadgets import (build_logical_cnot, build_teleport_identity,
-                             circuit_from_text)
+from biasrep.gadgets import (ScheduleViolation, build_logical_cnot,
+                             build_teleport_identity, circuit_from_text)
 from biasrep.montecarlo import (RateEstimate, brute_force_oracle,
                                 classify_batch, classify_run, count_trials,
                                 estimate_logical_rates, fault_sites,
@@ -375,6 +377,100 @@ class TestForked:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the process table under /proc")
+    def test_children_exit_when_the_parent_is_killed(self):
+        # SIGTERM ends the parent before any cleanup of its own can run,
+        # so its two counting children must notice that they are orphans
+        script = (
+            "import os\n"
+            "from biasrep.gadgets import build_logical_cnot\n"
+            "from biasrep.montecarlo import estimate_logical_rates\n"
+            "from biasrep.noise_model import default_rates\n"
+            "os.cpu_count = lambda: 2\n"
+            "estimate_logical_rates(build_logical_cnot(5, 7), default_rates(),"
+            " 10**8, seed=1, workers=2)\n")
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        children = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(children) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                children = [pid for pid, (_, ppid) in _process_table().items()
+                            if ppid == parent.pid]
+            assert len(children) == 2
+            parent.send_signal(signal.SIGTERM)
+            assert parent.wait(10) == -signal.SIGTERM
+            deadline = time.monotonic() + 5
+            while _running(children) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _running(children) == []
+        finally:
+            for pid in children:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            parent.kill()
+            parent.wait()
+
+
+def _process_table() -> dict[int, tuple[str, int]]:
+    """State and parent pid of every process, from ``/proc/<pid>/stat``."""
+    table = {}
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        table[int(entry)] = (state, int(ppid))
+    return table
+
+
+def _running(pids: list[int]) -> list[int]:
+    """The processes of ``pids`` that exist and are not zombies."""
+    table = _process_table()
+    return [pid for pid in pids if pid in table and table[pid][0] != "Z"]
+
+
+class TestScheduleCheckedOnce:
+    """A circuit runs ``check_schedule`` once, however many engine calls
+    read its verdict."""
+
+    def test_engines_and_oracle_share_one_check(self, monkeypatch):
+        calls = []
+        check = gadgets.check_schedule
+
+        def counted(circuit):
+            calls.append(circuit)
+            return check(circuit)
+
+        monkeypatch.setattr(gadgets, "check_schedule", counted)
+        monkeypatch.setattr(montecarlo, "_BATCH_SIZE", 64)
+        tele, table = build_teleport_identity(3, 3), uniform_table(0.01)
+        for trial in range(3):
+            run_circuit(tele, table, 4, trial=trial)
+        for _ in range(2):
+            run_circuit_batch(tele, table, 4, np.arange(10, dtype=np.uint64))
+        assert count_trials(tele, table, 4, 0, 150).trials == 150
+        brute_force_oracle(tele, table, 1)
+        assert calls == [tele]
+
+    def test_a_replaced_circuit_checks_itself(self):
+        tele = build_teleport_identity(3, 1)
+        assert tele.violations == ()
+        even = dataclasses.replace(tele, groups={
+            **tele.groups, "xread_in": tele.groups["xread_in"][:2]})
+        with pytest.raises(ScheduleViolation, match="even size 2"):
+            run_circuit(even, zero_rates(), 0)
+        with pytest.raises(ScheduleViolation, match="even size 2"):
+            estimate_logical_rates(even, zero_rates(), 100, seed=0, workers=2)
         assert_no_child_left()
 
 
