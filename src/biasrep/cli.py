@@ -377,7 +377,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.circuit:
+        ignored = [flag for flag, value in (("--gadget", args.gadget),
+                                            ("--pre-teleport", args.pre_teleport))
+                   if value]
+        if ignored:
+            raise ConfigError("--circuit gives the whole circuit; drop "
+                              + " and ".join(ignored))
         circuit = _read(args.circuit, "circuit", circuit_from_text)
+    elif args.gadget is None:
+        raise ConfigError("validate needs --gadget or --circuit")
     else:
         circuit = build_gadget(args.gadget, args.n, args.k,
                                pre_teleport=args.pre_teleport)

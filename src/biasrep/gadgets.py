@@ -327,13 +327,13 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
     """Validate the circuit invariants; returns (location_id, message) pairs,
     empty when the schedule is clean.
 
-    Checks: qubit indices valid and distinct per location; CPHASE couples
-    different species and never two data qubits; data qubits are species A
-    and ancillas species B; prepared qubits are not used before their
-    preparation; within each ancilla chain, output-block couplings precede
-    input-block couplings; majority groups have odd size and name
-    measurement locations; corrections name existing groups and target
-    output blocks.
+    Checks: qubit indices valid and distinct per location; block qubits
+    exist; CPHASE couples different species and never two data qubits; data
+    qubits are species A and ancillas species B; prepared qubits are not
+    used before their preparation; within each ancilla chain, output-block
+    couplings precede input-block couplings; majority groups have odd size
+    and name measurement locations; corrections name existing groups and
+    target output blocks.
     """
     violations: list[tuple[int, str]] = []
     n = circuit.n_qubits
@@ -342,6 +342,11 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
             violations.append((-1, f"data qubit {q.index} must be species A"))
         if q.role == "ancilla" and q.species is not Species.B:
             violations.append((-1, f"ancilla qubit {q.index} must be species B"))
+    for b in circuit.blocks:
+        for q in b.qubits:
+            if not 0 <= q < n:
+                violations.append((-1, f"block {b.name!r} names qubit {q}, "
+                                       f"out of range"))
 
     block_kind = {b.name: b.kind for b in circuit.blocks}
     # reversed, so that a qubit's first preparation is the one kept

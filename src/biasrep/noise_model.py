@@ -148,14 +148,6 @@ class FaultSite(NamedTuple):
     def total(self) -> float:
         return sum(self.row.probs)
 
-    def draw(self, stream: FaultStream) -> list[FaultEvent]:
-        """This draw in the trial of ``stream``: one event per target, or none."""
-        i = stream.fault(self.location_id, self.qubit, self.row.thresholds)
-        if i < 0:
-            return []
-        return [FaultEvent(self.location_id, q, self.row.classes[i])
-                for q in self.targets]
-
 
 class OpFaults(NamedTuple):
     """The fault draws of one operation kind: one per qubit whose species
@@ -304,14 +296,29 @@ def zero_rates() -> ErrorRateTable:
 # Fault sampling
 # ---------------------------------------------------------------------------
 
+def trial_faults(sites: Sequence[FaultSite], seed: int,
+                 trial: int) -> list[FaultEvent]:
+    """The faults that trial ``trial`` of ``seed`` draws at ``sites``, in
+    site order: one event per target of each site that hits.  One
+    :func:`~biasrep.streams.draw_faults` call over a one-trial array makes
+    every draw; no sites, no call."""
+    if not sites:
+        return []
+    hits = draw_faults(seed, np.array([trial], dtype=np.uint64),
+                       [(s.location_id, s.qubit, s.row.thresholds) for s in sites])
+    return [FaultEvent(s.location_id, q, s.row.classes[which[0]])
+            for s, (_, which) in zip(sites, hits) if which.size
+            for q in s.targets]
+
+
 def sample_faults(kind: OpKind, qubits: Sequence[int], species: Sequence[Species],
                   location_id: int, rates: ErrorRateTable,
                   stream: FaultStream) -> list[FaultEvent]:
-    """Draw the faults for one circuit location: one keyed draw per
-    :class:`FaultSite` the location's operation has."""
+    """Draw the faults for one circuit location in the trial of ``stream``:
+    one keyed draw per :class:`FaultSite` the location's operation has."""
     op = rates.faults().get(kind, OpFaults({}))
     sites = op.sites(location_id, qubits, dict(zip(qubits, species)).__getitem__)
-    return [ev for site in sites for ev in site.draw(stream)]
+    return trial_faults(sites, stream.seed, stream.trial)
 
 
 def fault_class_counts(kind: OpKind, species: Species, rates: ErrorRateTable,

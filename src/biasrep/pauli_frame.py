@@ -23,7 +23,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .gadgets import Circuit, assert_valid
-from .noise_model import EFFECTS, Effect, ErrorRateTable, FaultEvent, OpKind
+from .noise_model import (EFFECTS, Effect, ErrorRateTable, FaultEvent, OpKind,
+                          trial_faults)
 from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, draw_faults,
                       uniform_vector)
 
@@ -186,8 +187,9 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
 
     Iterates locations in time order: gate action first (frame conjugation
     for CPHASE), then sampled faults plus any forced faults for that
-    location.  Deterministic given (seed, trial); draws are keyed per
-    (location, qubit) so they are independent of execution order.  A
+    location.  Deterministic given (seed, trial): the trial's fault draws
+    are read from one :func:`~biasrep.streams.draw_faults` call over the
+    circuit's sites, the same draws :func:`run_circuit_batch` makes.  A
     forced fault at a location the circuit lacks, or on a qubit its
     location does not act on, raises ``ValueError``.  ``validate=False``
     skips only a read of the circuit's cached ``violations``.
@@ -199,22 +201,23 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     frame = PauliFrame(circuit.n_qubits)
     record = OutcomeRecord()
     lines: list[str] | None = [] if trace else None
-    forced_by_loc: dict[int, list[FaultEvent]] = {}
-    for ev in forced_faults:
-        forced_by_loc.setdefault(ev.location_id, []).append(ev)
-    if forced_by_loc:
+    if forced_faults:
         _check_forced(circuit, ((ev.location_id, ev.qubit) for ev in forced_faults))
+    # each location's sampled events, then its forced ones
+    events_at: dict[int, list[FaultEvent]] = {}
+    sampled = trial_faults([s for sites in rates.sites(circuit) for s in sites],
+                           seed, trial)
+    for ev in chain(sampled, forced_faults):
+        events_at.setdefault(ev.location_id, []).append(ev)
 
-    for loc, sites in zip(circuit.locations, rates.sites(circuit)):
+    for loc in circuit.locations:
         kind = loc.kind
         if kind is OpKind.PREP_PLUS:
             frame.reset(loc.qubits[0])
         elif kind is OpKind.CPHASE:
             conjugate_through_cz(frame, *loc.qubits, policy=policy,
                                  stream=stream, location_id=loc.index)
-        events = forced_by_loc.get(loc.index, ())
-        if sites:
-            events = [*(ev for s in sites for ev in s.draw(stream)), *events]
+        events = events_at.get(loc.index, ())
         flip = False
         for ev in events:
             if kind is OpKind.MEASURE_X and EFFECTS[ev.error].flip:

@@ -14,9 +14,11 @@ against the bound of ``(1 - p)^64``, the chance that none of its 64
 trials draws a fault, so most words end there.  A word with a hit takes
 one round per hit: its gap hash gives the number of trials skipped before
 the next hit, by a table of integer bounds, and its class hash the hit's
-fault class.  A span of trials that starts or ends inside a word walks
-the whole word, with the same keys as any other span, and drops the hits
-outside it.
+fault class.  One function walks these rounds, :func:`draw_faults`, for
+a batch of trials and for a single trial alike.  A span of trials that
+starts inside a word walks that word from its first bit, with the same
+keys as any other span; a span that ends inside a word stops after its
+last trial; the hits outside the span are dropped.
 
 A per-trial draw (:func:`uniform`, :func:`uniform_vector`,
 :func:`keyed_hash`) at the default tag ``TAG_FAULT`` reads the very hash
@@ -30,8 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -160,39 +160,13 @@ def fault_bounds(thresholds: tuple[float, ...]
     return tuple(gaps), tuple(classes)
 
 
-def _hash53(key: int, counter: int) -> int:
-    return _mix((key + counter * _GOLDEN) & _MASK) >> 11
-
-
-def fault_class(seed: int, trial: int, location: int, qubit: int,
-                thresholds: Sequence[float]) -> int:
-    """The class index of the fault that the draw at (location, qubit)
-    gives ``trial``, or -1 for none: the rounds of the trial's word, walked
-    until a hit reaches the trial's bit or the word ends.  The scalar
-    counterpart of :func:`draw_faults`."""
-    gaps, classes = fault_bounds(tuple(thresholds))
-    key = stream_key(seed, location, qubit, TAG_FAULT)
-    word, bit = (trial & _MASK) >> 6, trial & (_WORD - 1)
-    start, rnd = 0, 0
-    while True:
-        counter = (word << 7) | (rnd << 1)
-        h = _hash53(key, counter | _GAP)
-        if h < gaps[_WORD - 1 - start]:
-            return -1                   # no hit in the rest of the word
-        hit = start + bisect_left(gaps, -h, key=operator.neg)
-        if hit >= bit:
-            if hit > bit:
-                return -1
-            return bisect_right(classes, _hash53(key, counter | _CLASS))
-        start, rnd = hit + 1, rnd + 1
-
-
 class _Words:
     """The absolute 64-trial words that an array of trial indices touches,
     and the way back from a trial of those words to its batch positions.
     An ascending run of consecutive trials (what ``count_trials`` passes)
     maps back by subtraction; any other array, with repeats or in any
-    order, through its sorted copy."""
+    order, through its sorted copy.  ``end`` is one past each word's last
+    bit in the array: the last trial's bit + 1 in a run's last word, else 64."""
 
     def __init__(self, trials: np.ndarray):
         # checked in slices, so that no temporary is as large as the batch
@@ -208,11 +182,14 @@ class _Words:
             self.size = trials.size
             # whether the first or last word holds trials outside the run
             self.partial = bool(self.skip or (first + self.size) & (_WORD - 1))
+            self.end = np.full(self.words.size, _WORD, dtype=np.intp)
+            self.end[-1] = (int(trials[-1]) & (_WORD - 1)) + 1
         else:
             self.order = np.argsort(trials, kind="stable")
             self.sorted = trials[self.order]
             words = self.sorted >> np.uint64(6)
             self.words = words[np.append(True, words[1:] != words[:-1])]
+            self.end = np.full(self.words.size, _WORD, dtype=np.intp)
 
     def positions(self, offset: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
         """For the trials ``offset`` into ``self.words`` (64 per word): the
@@ -248,11 +225,10 @@ def draw_faults(seed: int, trials: np.ndarray,
                 draws: Sequence[tuple[int, int, Sequence[float]]]
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every fault draw of ``draws`` (location, qubit, thresholds) for every
-    trial of ``trials``, as :func:`fault_class` makes it: per draw, the
-    int32 batch positions of the trials that draw a fault and the uint8
-    class index of each.  The positions come in round order, then word
-    order, not sorted.  A trial that appears several times in ``trials``
-    hits at each of its positions.
+    trial of ``trials``: per draw, the int32 batch positions of the trials
+    that draw a fault and the uint8 class index of each.  The positions
+    come in round order, then word order, not sorted.  A trial that appears
+    several times in ``trials`` hits at each of its positions.
 
     The draws are sampled per (draw, word) cell, a group of draws at a
     time: round 0 hashes every cell of the group, and each later round only
@@ -318,10 +294,12 @@ def draw_faults(seed: int, trials: np.ndarray,
         del cells, hs
         start = np.zeros(d.size, dtype=np.intp)
         # per round: each hit's draw (less d0, in the smallest type that
-        # holds it, for a radix sort), batch position and class; round 0
-        # runs even with no cell, so that ``found`` is not empty
-        found, rnd, index = [], 0, np.min_scalar_type(d1 - d0)
-        while d.size or not found:      # every cell here hits in round rnd
+        # holds it, for a radix sort), batch position and class, after an
+        # empty entry, so that ``found`` is not empty
+        index = np.min_scalar_type(d1 - d0)
+        found = [(np.zeros(0, index), np.zeros(0, np.int32), np.zeros(0, np.uint8))]
+        rnd = 0
+        while d.size:                   # every cell here hits in round rnd
             bit = start + _gap(gaps, row_of[d], h)
             cls = np.zeros(d.size, dtype=np.uint8)
             if len(classes):
@@ -333,20 +311,22 @@ def draw_faults(seed: int, trials: np.ndarray,
             start, rnd = bit + 1, rnd + 1
             h = hashed(d, w, (rnd << 1) | _GAP)
             rest = _WORD - 1 - np.minimum(start, _WORD - 1)  # trials left, less 1
-            keep = ((start < _WORD) & (h >= gaps[row_of[d] + rest])).nonzero()[0]
+            keep = ((start < words.end[w]) & (h >= gaps[row_of[d] + rest])).nonzero()[0]
             d, w, start, h = d[keep], w[keep], start[keep], h[keep]
         # a stable sort by draw keeps each draw's hits in round, then word, order
         dl, pos, cls = (np.concatenate(a) for a in zip(*found))
         del found
         order = np.argsort(dl, kind="stable")
-        cut = np.cumsum(np.bincount(dl, minlength=d1 - d0))[:-1]
-        out.extend(zip(np.split(pos[order], cut), np.split(cls[order], cut)))
+        pos, cls = pos[order], cls[order]
+        ends = np.cumsum(np.bincount(dl, minlength=d1 - d0)).tolist()
+        out.extend((pos[a:b], cls[a:b]) for a, b in zip([0, *ends], ends))
         del dl, pos, cls, order     # not held through the next group
     return out
 
 
 class FaultStream:
-    """Per-trial view of the keyed stream, passed to sampling routines."""
+    """Per-trial view of the keyed stream: the (seed, trial) address of one
+    trial, whose leak coins :meth:`uniform` draws."""
 
     __slots__ = ("seed", "trial")
 
@@ -356,8 +336,3 @@ class FaultStream:
 
     def uniform(self, location: int, qubit: int, tag: int = TAG_FAULT) -> float:
         return uniform(self.seed, self.trial, location, qubit, tag)
-
-    def fault(self, location: int, qubit: int, thresholds: Sequence[float]) -> int:
-        """This trial's fault class at (location, qubit), or -1: see
-        :func:`fault_class`."""
-        return fault_class(self.seed, self.trial, location, qubit, thresholds)

@@ -517,6 +517,36 @@ class TestValidate:
         assert code == 3
         assert "violation" in err
 
+    def test_block_naming_a_missing_qubit_is_violation(self, capsys, tmp_path):
+        text = circuit_to_text(build_teleport_identity(3, 1)).replace(
+            "# block out output 3 4 5", "# block out output 3 4 99")
+        path = tmp_path / "block99.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "--circuit", str(path))
+        assert code == 3
+        assert out == ""
+        assert "block 'out' names qubit 99" in err
+
+    def test_no_source_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "validate")
+        assert code == 2
+        assert out == ""
+        assert "--gadget or --circuit" in err
+
+    @pytest.mark.parametrize("flags", [["--gadget", "cnot", "--n", "5", "--k", "7"],
+                                       ["--pre-teleport"],
+                                       ["--gadget", "cnot", "--pre-teleport"]])
+    def test_gadget_flags_beside_circuit_are_config_error(self, capsys,
+                                                          tmp_path, flags):
+        path = tmp_path / "circuit.txt"
+        path.write_text(circuit_to_text(build_teleport_identity(3, 1)))
+        code, out, err = run_cli(capsys, "validate", *flags, "--circuit", str(path))
+        assert code == 2
+        assert out == ""
+        assert "--circuit" in err
+        named = [f for f in ("--gadget", "--pre-teleport") if f in flags]
+        assert all(f in err for f in named)
+
     def test_even_majority_group_is_violation(self, capsys, tmp_path):
         text = circuit_to_text(build_teleport_identity(1, 1)).replace(
             "# group xread_in 5", "# group xread_in 4 5")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from biasrep.gadgets import (Block, Circuit, Correction, Location, Qubit,
-                             GadgetParams, build_gadget, build_logical_cnot,
-                             build_parity_measurement,
+                             GadgetParams, ScheduleViolation, build_gadget,
+                             build_logical_cnot, build_parity_measurement,
                              build_teleport_identity, check_schedule,
                              circuit_from_text, circuit_to_text)
 from biasrep.montecarlo import classify_run, run_trial
@@ -139,6 +139,15 @@ class TestSchedule:
             *tele.corrections, Correction("X", "out", ("missing",))))
         assert any("names no group 'missing'" in msg
                    for _, msg in check_schedule(bad))
+
+    def test_block_qubit_out_of_range_flagged(self):
+        text = circuit_to_text(build_teleport_identity(3, 1)).replace(
+            "# block out output 3 4 5", "# block out output 3 4 99")
+        bad = circuit_from_text(text)
+        assert check_schedule(bad) == [(-1, "block 'out' names qubit 99, "
+                                            "out of range")]
+        with pytest.raises(ScheduleViolation, match="qubit 99"):
+            run_trial(bad, zero_rates(), 0)
 
     def test_correction_on_input_block_flagged(self):
         tele = build_teleport_identity(3, 1)

@@ -10,6 +10,7 @@ from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
                                  Species, default_rates, zero_rates)
 from biasrep.pauli_frame import (LeakPolicy, PauliFrame, conjugate_through_cz,
                                  measure_x, run_circuit, run_circuit_batch)
+import biasrep.noise_model
 import biasrep.pauli_frame
 from biasrep.streams import FaultStream
 
@@ -389,29 +390,17 @@ class TestFaultSiteTable:
     TABLES = [default_rates, lambda: leaky_table(1e3, cphase_zz=0.01)]
 
     @staticmethod
-    def record_scalar(monkeypatch):
-        """Record the (location, qubit) of every scalar fault draw, each call
-        of ``FaultStream.fault``."""
+    def record(monkeypatch, module):
+        """Record the (location, qubit) of every fault draw, per call of
+        ``draw_faults`` from ``module``: the batch engine calls it from
+        ``pauli_frame``, the scalar engine from ``noise_model``."""
         calls = []
-        original = FaultStream.fault
-
-        def recorded(self, location, qubit, thresholds):
-            calls.append((location, qubit))
-            return original(self, location, qubit, thresholds)
-        monkeypatch.setattr(FaultStream, "fault", recorded)
-        return calls
-
-    @staticmethod
-    def record_batch(monkeypatch):
-        """Record the (location, qubit) of every batch fault draw, per call
-        of the batch kernel ``draw_faults``."""
-        calls = []
-        original = biasrep.pauli_frame.draw_faults
+        original = module.draw_faults
 
         def recorded(seed, trials, draws):
             calls.append([(location, qubit) for location, qubit, _ in draws])
             return original(seed, trials, draws)
-        monkeypatch.setattr(biasrep.pauli_frame, "draw_faults", recorded)
+        monkeypatch.setattr(module, "draw_faults", recorded)
         return calls
 
     @pytest.mark.parametrize("table", TABLES, ids=["table1", "leaky-zz"])
@@ -422,12 +411,12 @@ class TestFaultSiteTable:
         assert len(sites) == len(circuit.locations)
         flat = [(s.location_id, s.qubit) for loc_sites in sites for s in loc_sites]
         assert (-1 in {q for _, q in flat}) == (rates.cphase_zz > 0)
-        batch = self.record_batch(monkeypatch)
-        scalar = self.record_scalar(monkeypatch)
+        batch = self.record(monkeypatch, biasrep.pauli_frame)
+        scalar = self.record(monkeypatch, biasrep.noise_model)
         run_circuit_batch(circuit, rates, 5, np.arange(64, dtype=np.uint64))
         run_circuit(circuit, rates, 5, trial=3)
         assert batch == [flat]
-        assert scalar == flat
+        assert scalar == [flat]
 
     def test_batch_draws_the_table_once(self, monkeypatch):
         # several chunks of (draw, word) cells, and a batch that starts and
@@ -435,7 +424,7 @@ class TestFaultSiteTable:
         circuit, rates = build_logical_cnot(3, 3), leaky_table(1e3, cphase_zz=0.01)
         flat = [(s.location_id, s.qubit) for loc_sites in rates.sites(circuit)
                 for s in loc_sites]
-        batch = self.record_batch(monkeypatch)
+        batch = self.record(monkeypatch, biasrep.pauli_frame)
         run_circuit_batch(circuit, rates, 5,
                           np.arange(37, 70_000, dtype=np.uint64))
         assert batch == [flat]
@@ -454,6 +443,6 @@ class TestFaultSiteTable:
     def test_zero_table_draws_nothing(self, monkeypatch):
         circuit = build_logical_cnot(3, 3)
         assert zero_rates().sites(circuit) == [[]] * len(circuit.locations)
-        scalar = self.record_scalar(monkeypatch)
+        scalar = self.record(monkeypatch, biasrep.noise_model)
         run_circuit(circuit, zero_rates(), 5)
         assert scalar == []

@@ -1,5 +1,6 @@
 import functools
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ import pytest
 from biasrep import streams
 from biasrep.noise_model import FaultKind, FaultRow
 from biasrep.streams import (_CELLS, _GOLDEN, _MASK, _MIX1, _MIX2, TAG_FAULT,
-                             TAG_LEAK_CZ, draw_faults, fault_bounds, fault_class,
-                             hash_bound, keyed_hash, stream_key, uniform,
-                             uniform_vector)
+                             TAG_LEAK_CZ, draw_faults, fault_bounds, hash_bound,
+                             keyed_hash, stream_key, uniform, uniform_vector)
 
 SEED, LOC, QUBIT = 31, 17, 4
 
@@ -110,11 +110,46 @@ def draws(rows=ROWS):
 
 
 @functools.lru_cache(maxsize=None)
-def scalar_classes(start: int) -> list[np.ndarray]:
-    """For each of ROWS, the class index that ``fault_class`` gives each
-    of the trials start, start + 1, ... (max(SIZES) of them), or -1."""
-    return [np.array([fault_class(SEED, start + j, LOC, QUBIT, row)
-                      for j in range(max(SIZES))]) for row in ROWS]
+def falling_powers(p: float) -> list[float]:
+    """-(1 - p)^k for k = 1..64, by repeated multiplication: ascending."""
+    powers, q = [], 1.0
+    for _ in range(64):
+        q *= max(1.0 - p, 0.0)
+        powers.append(-q)
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def walked_word(word: int, thresholds: tuple, loc: int, qubit: int) -> dict[int, int]:
+    """Reference for the fault draws of one 64-trial word from the stream's
+    definition alone, in floats: the class of each bit that draws a fault.
+    Round r of the word is the uniform at counter (word << 7) | (r << 1)
+    (gap) or | 1 (class); the gap is the number of k in 1..64 with
+    (1 - p)^k, by repeated multiplication, above it."""
+    p = thresholds[-1]
+    hits, start, rnd = {}, 0, 0
+    while True:
+        u = uniform(SEED, (word << 7) | (rnd << 1), loc, qubit)
+        hit = start + bisect_left(falling_powers(p), -u)
+        if hit >= 64:
+            return hits
+        uc = uniform(SEED, (word << 7) | (rnd << 1) | 1, loc, qubit)
+        hits[hit] = sum(t / p <= uc for t in thresholds[:-1])
+        start, rnd = hit + 1, rnd + 1
+
+
+def walked_class(trial: int, thresholds, loc: int = LOC, qubit: int = QUBIT) -> int:
+    """The class of the fault that ``trial`` draws at (loc, qubit), or -1,
+    by :func:`walked_word`."""
+    return walked_word(trial >> 6, tuple(thresholds), loc, qubit).get(trial & 63, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def walked_classes(start: int) -> list[np.ndarray]:
+    """For each of ROWS, the :func:`walked_class` of each of the trials
+    start, start + 1, ... (max(SIZES) of them)."""
+    return [np.array([walked_class(start + j, row) for j in range(max(SIZES))])
+            for row in ROWS]
 
 
 def as_pairs(pos: np.ndarray, which: np.ndarray) -> list[tuple[int, int]]:
@@ -122,34 +157,31 @@ def as_pairs(pos: np.ndarray, which: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(pos.tolist(), which.tolist()))
 
 
-def walked_class(trial: int, thresholds) -> int:
-    """Reference for ``fault_class`` from the stream's definition alone, in
-    floats: round r of the trial's word is the uniform at counter
-    (word << 7) | (r << 1) (gap) or | 1 (class); the gap is the number of
-    k in 1..64 with (1 - p)^k, by repeated multiplication, above it."""
-    p = thresholds[-1]
-    powers, q = [], 1.0
-    for _ in range(64):
-        q *= max(1.0 - p, 0.0)
-        powers.append(q)
-    word, bit = trial >> 6, trial & 63
-    start, rnd = 0, 0
-    while True:
-        u = uniform(SEED, (word << 7) | (rnd << 1), LOC, QUBIT)
-        hit = start + sum(q > u for q in powers)
-        if hit > bit:
-            return -1
-        if hit == bit:
-            uc = uniform(SEED, (word << 7) | (rnd << 1) | 1, LOC, QUBIT)
-            return sum(t / p <= uc for t in thresholds[:-1])
-        start, rnd = hit + 1, rnd + 1
-
-
 @pytest.mark.parametrize("row", ROWS, ids=range(len(ROWS)))
-def test_fault_class_follows_the_word_walk(row):
-    trials = list(range(200)) + list(range(12_345, 12_545))
-    assert [fault_class(SEED, t, LOC, QUBIT, row) for t in trials] == \
-        [walked_class(t, row) for t in trials]
+def test_draw_faults_follows_the_word_walk(row):
+    trials = np.array(list(range(200)) + list(range(12_345, 12_545)), dtype=np.uint64)
+    want = [walked_class(int(t), row) for t in trials]
+    alone = []
+    for i in range(trials.size):
+        [(_, which)] = draw_faults(SEED, trials[i:i + 1], draws([row]))
+        alone.append(int(which[0]) if which.size else -1)
+    assert alone == want
+    [(pos, which)] = draw_faults(SEED, trials, draws([row]))
+    assert as_pairs(pos, which) == [(j, c) for j, c in enumerate(want) if c >= 0]
+
+
+@pytest.mark.parametrize("row", [row for row in ROWS if row[-1] >= 0.5],
+                         ids=str)
+def test_a_span_stops_after_its_last_trial(row):
+    # a span ending at each bit b of a word holds the whole word's hits at
+    # bits 0..b, the one at b too
+    first = 64 * 193
+    [whole] = draw_faults(SEED, np.arange(first, first + 64, dtype=np.uint64),
+                          draws([row]))
+    for b in range(64):
+        [got] = draw_faults(SEED, np.arange(first, first + b + 1, dtype=np.uint64),
+                            draws([row]))
+        assert as_pairs(*got) == [(j, c) for j, c in as_pairs(*whole) if j <= b]
 
 
 @pytest.mark.parametrize("start", STARTS)
@@ -157,7 +189,7 @@ def test_fault_class_follows_the_word_walk(row):
 def test_draw_faults_equals_scalar_per_trial(size, start):
     trials = np.arange(start, start + size, dtype=np.uint64)
     got = draw_faults(SEED, trials, draws())
-    for (pos, which), classes in zip(got, scalar_classes(start)):
+    for (pos, which), classes in zip(got, walked_classes(start)):
         expected = np.flatnonzero(classes[:size] >= 0)
         assert pos.dtype == np.int32 and which.dtype == np.uint8
         assert as_pairs(pos, which) == list(zip(expected.tolist(),
@@ -171,8 +203,10 @@ def test_certain_and_impossible_draws():
     assert not certain[1].any()
     assert never[0].size == never[1].size == 0
     for trial in (0, 63, 64, 12_345):
-        assert fault_class(SEED, trial, LOC, QUBIT, (1.0,)) == 0
-        assert fault_class(SEED, trial, LOC, QUBIT, (0.0,)) == -1
+        certain, never = draw_faults(SEED, np.array([trial], dtype=np.uint64),
+                                     draws([(1.0,), (0.0,)]))
+        assert as_pairs(*certain) == [(0, 0)]
+        assert never[0].size == 0
 
 
 @pytest.mark.parametrize("split", [1, 37, 64 * 50 + 17, 9_999])
@@ -191,7 +225,7 @@ def test_repeated_and_unordered_trials():
     idx = rng.integers(0, pool.size, 3_000)
     idx[:40] = idx[40]                         # a trial 41 times over
     got = draw_faults(SEED, pool[idx].astype(np.uint64), draws())
-    for (pos, which), classes in zip(got, scalar_classes(12_345)):
+    for (pos, which), classes in zip(got, walked_classes(12_345)):
         expected = [(j, int(classes[i])) for j, i in enumerate(idx)
                     if classes[i] >= 0]
         assert as_pairs(pos, which) == expected
@@ -311,7 +345,7 @@ def test_a_group_of_more_than_256_draws():
     got = draw_faults(SEED, trials, many)
     assert len(got) == len(many)
     for (pos, which), (loc, qubit, row) in zip(got, many):
-        classes = [fault_class(SEED, int(t), loc, qubit, row) for t in trials]
+        classes = [walked_class(int(t), row, loc, qubit) for t in trials]
         expected = [(j, c) for j, c in enumerate(classes) if c >= 0]
         assert as_pairs(pos, which) == expected
     assert sum(pos.size for pos, _ in got[256:]) > 0
