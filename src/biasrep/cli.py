@@ -377,9 +377,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.circuit:
-        ignored = [flag for flag, value in (("--gadget", args.gadget),
+        ignored = [flag for flag, given in (("--gadget", args.gadget is not None),
+                                            ("--n", args.n is not None),
+                                            ("--k", args.k is not None),
                                             ("--pre-teleport", args.pre_teleport))
-                   if value]
+                   if given]
         if ignored:
             raise ConfigError("--circuit gives the whole circuit; drop "
                               + " and ".join(ignored))
@@ -387,7 +389,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     elif args.gadget is None:
         raise ConfigError("validate needs --gadget or --circuit")
     else:
-        circuit = build_gadget(args.gadget, args.n, args.k,
+        circuit = build_gadget(args.gadget, 3 if args.n is None else args.n,
+                               3 if args.k is None else args.k,
                                pre_teleport=args.pre_teleport)
     violations = check_schedule(circuit)
     if violations:
@@ -487,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="schedule and species checks")
     val.add_argument("--gadget", choices=("teleport", "cnot"), default=None)
-    val.add_argument("--n", type=int, default=3)
-    val.add_argument("--k", type=int, default=3)
+    val.add_argument("--n", type=int, default=None, help="default 3")
+    val.add_argument("--k", type=int, default=None, help="default 3")
     val.add_argument("--pre-teleport", action="store_true")
     val.add_argument("--circuit", default=None,
                      help="circuit text file instead of a built gadget")

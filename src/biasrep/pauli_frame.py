@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .gadgets import Circuit, assert_valid
-from .noise_model import (EFFECTS, Effect, ErrorRateTable, FaultEvent, OpKind,
-                          trial_faults)
+from .noise_model import (EFFECTS, Effect, ErrorRateTable, FaultEvent, FaultSite,
+                          OpKind, trial_faults)
 from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, draw_faults,
                       uniform_vector)
 
@@ -297,6 +297,163 @@ class BatchRunResult:
         return rows
 
 
+# Sampled hits that run_circuit_batch applies at once, at most: their
+# flattened arrays stay small and are freed before the next slice.
+_HITS = 1 << 13
+
+
+def _heads(words: np.ndarray, at: np.ndarray, seed: int, trials: np.ndarray,
+           location: np.ndarray, qubit: np.ndarray, tag: int) -> np.ndarray:
+    """The bits of ``words`` [rows, len(at)], the words ``at`` of some rows,
+    whose keyed coin comes up heads (uniform below 1/2); row r's coins are
+    addressed by (``location[r]``, ``qubit[r]``, ``tag``)."""
+    heads = np.zeros_like(words)
+    nonzero = np.flatnonzero(words)
+    bits = np.flatnonzero(np.unpackbits(
+        words.reshape(-1)[nonzero].astype(_WORD_BYTES, copy=False).view(np.uint8),
+        bitorder="little"))
+    if bits.size:
+        row, col = np.divmod(nonzero[bits >> 6], words.shape[1])
+        bit = bits & 63
+        up = uniform_vector(seed, trials[at[col] * 64 + bit], location[row],
+                            qubit[row], tag) < 0.5
+        np.bitwise_or.at(heads, (row[up], col[up]),
+                         np.uint64(1) << bit[up].astype(np.uint64))
+    return heads
+
+
+def _apply_hits(state: np.ndarray, n: int, leaked_words: np.ndarray,
+                leaky: bool, qubit: np.ndarray, pos: np.ndarray,
+                first: np.ndarray, second: np.ndarray) -> bool:
+    """Hits on the flat rows of ``state`` [rows * W], stacked as leak flags,
+    x and z bits of the ``n`` qubits, then outcomes: hit i on qubit
+    ``qubit[i]`` at batch position ``pos[i]`` XORs its bit into rows
+    ``first[i]`` and ``second[i]`` (if not negative), or leaks the qubit
+    when ``first[i]`` is its leak row.  Leaks go first and each XOR is
+    masked by the qubit's leak flag, so that a Pauli on a leaked qubit is
+    dropped whichever of its location's hits leaked it (a masked outcome
+    flip is drawn afresh anyway).  ``leaked_words``, a flag per word, is
+    set for the words of new leaks.  ``leaky`` says whether any trial has
+    leaked before; the return value, whether any has now."""
+    W = leaked_words.size
+    word = pos >> 6
+    bit = np.uint64(1) << (pos & 63).astype(np.uint64)
+    leak = (first < n).nonzero()[0]
+    if leak.size:
+        at, b = first[leak] * W + word[leak], bit[leak]
+        np.bitwise_or.at(state, at, b)
+        np.bitwise_and.at(state, at + n * W, ~b)
+        np.bitwise_and.at(state, at + 2 * n * W, ~b)
+        leaked_words[word[leak]] = True
+        leaky = True
+    if leaky:
+        bit &= ~state[qubit * W + word]
+    np.bitwise_xor.at(state, first * W + word, bit)
+    two = (second >= 0).nonzero()[0]
+    if two.size:
+        np.bitwise_xor.at(state, second[two] * W + word[two], bit[two])
+    return leaky
+
+
+def _apply_mask(effect: Effect, q: int, m: np.ndarray, x: np.ndarray,
+                z: np.ndarray, lk: np.ndarray, out: np.ndarray, row: int | None,
+                leaked_words: np.ndarray, leaky: bool) -> bool:
+    """A fault on qubit q in the trials of the word mask ``m``, at a
+    location whose outcome row is ``out[row]`` (``row`` None off a
+    measurement); ``leaky`` and the return value as in
+    :func:`_apply_hits`."""
+    if effect.leak:
+        lk[q] |= m
+        x[q] &= ~m
+        z[q] &= ~m
+        leaked_words |= m != 0
+        return True
+    if leaky:
+        m = m & ~lk[q]
+    if effect.x:
+        x[q] ^= m
+    if effect.z:
+        z[q] ^= m
+    if effect.flip:
+        if row is None:
+            raise ValueError("an outcome flip needs a measurement location")
+        out[row] ^= m
+    return leaky
+
+
+def _hit_slices(hits: list, draw_of: list[int], first: int, last: int):
+    """The sampled hits of entries [first, last), entry e applying those of
+    draw ``draw_of[e]`` (its (positions, classes) in ``hits``), as (entry,
+    position, class) arrays of at most ``_HITS`` hits.  A draw's arrays in
+    ``hits`` are dropped once its last entry is read, so that they are
+    freed once sliced."""
+    cuts = []
+    for e in range(first, last):
+        d = draw_of[e]
+        pos, cls = hits[d]
+        cuts += [(e, pos[a:a + _HITS], cls[a:a + _HITS])
+                 for a in range(0, pos.size, _HITS)]
+        if e + 1 == last or draw_of[e + 1] != d:
+            hits[d] = None
+    while cuts:
+        size, n = cuts[0][1].size, 1
+        while n < len(cuts) and size + cuts[n][1].size <= _HITS:
+            size += cuts[n][1].size
+            n += 1
+        group, cuts = cuts[:n], cuts[n:]
+        yield (np.repeat([e for e, _, _ in group], [p.size for _, p, _ in group]),
+               np.concatenate([p for _, p, _ in group]),
+               np.concatenate([c for _, _, c in group]))
+
+
+def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> tuple:
+    """How :func:`run_circuit_batch` applies the hits of the fault draws
+    ``table`` (``rates.sites(circuit)``): one entry per draw and target, in
+    layer order.  Returns one past each layer's last entry, and for each
+    entry its draw's index in time order, its qubit, and per class the two
+    rows of the stacked state of :func:`_apply_hits` that a hit acts on."""
+    first_draw = list(accumulate((len(t) for t in table), initial=0))
+    meas_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
+    entries = []            # (draw, qubit, outcome row, classes)
+    layer_end = []
+    for layer in circuit.layers:
+        for i in layer.locations:
+            for d, s in enumerate(table[i], first_draw[i]):
+                row = meas_row.get(s.location_id, -1)
+                entries.extend((d, q, row, s.row.classes) for q in s.targets)
+        layer_end.append(len(entries))
+    n = circuit.n_qubits
+    qs, rows = (np.array([e[k] for e in entries], dtype=np.intp).reshape(-1, 1)
+                for k in (1, 2))
+    # the x, z and leak bits of each class, by distinct class lists
+    number: dict[tuple, int] = {}
+    kind = np.array([number.setdefault(e[3], len(number)) for e in entries],
+                    dtype=np.intp)
+    bits = np.zeros((len(number), max(map(len, number), default=0), 3), dtype=bool)
+    for classes, k in number.items():
+        bits[k, :len(classes)] = [EFFECTS[c][:3] for c in classes]
+    is_x, is_z, is_leak = bits[kind].transpose(2, 0, 1)
+    # a class without a Pauli or a leak is an outcome flip
+    row1 = np.where(is_leak, qs, np.where(is_x, n + qs, np.where(
+        is_z, 2 * n + qs, 3 * n + rows)))
+    row2 = np.where(is_x & is_z, 2 * n + qs, -1)
+    return layer_end, [e[0] for e in entries], qs[:, 0], row1, row2
+
+
+def _forced_masks(members: list[list[int]], W: int):
+    """The word mask of each forced group in turn (group g's trials are
+    ``members[g]``), set by one scatter per ``_FORCED_BYTES`` of masks."""
+    per_scatter = max(1, _FORCED_BYTES // (8 * max(W, 1)))
+    for first in range(0, len(members), per_scatter):
+        rows = members[first:first + per_scatter]
+        masks = np.zeros((len(rows), W), dtype=np.uint64)
+        pos = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
+        group = np.repeat(np.arange(len(rows)), [len(t) for t in rows])
+        np.bitwise_or.at(masks, (group, pos >> 6),
+                         np.uint64(1) << (pos & 63).astype(np.uint64))
+        yield from masks
+
+
 def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                       trials: np.ndarray, *,
                       forced_faults: Sequence[Sequence[FaultEvent]] = (),
@@ -311,22 +468,31 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     a leak coin by (seed, trial, location, qubit, purpose).  Batch
     boundaries therefore never affect outcomes, and a coin that can matter
     only to leaked trials (the random Z on a leaked qubit's partner, the
-    outcome of a leaked measurement) is drawn for those trials alone; until
-    the first leak of the batch, leak bookkeeping is skipped altogether.
-    Gates, resets and measurement are word operations; the trials a keyed
-    draw selects are set into a word mask.  Every fault draw is made first,
-    by :func:`~biasrep.streams.draw_faults`, and the location loop then
-    applies the hits.  ``trials`` may hold any trial indices, repeated or
-    in any order.
+    outcome of a leaked measurement) is drawn for those trials alone.
+    ``trials`` may hold any trial indices, repeated or in any order.
+
+    Every fault draw is made first, by
+    :func:`~biasrep.streams.draw_faults`, and the circuit is then stepped
+    one ASAP layer (``Circuit.layers``) at a time: the layer's resets, its
+    CPHASEs as one word operation, one keyed hash for the partner coins of
+    its leaked qubits, one scatter of its sampled hits per ``_HITS`` of
+    them, its forced faults, and its measurements as one word operation
+    with one keyed hash for leaked outcomes.  This gives the bits of time
+    order: a layer's locations act on disjoint qubits, each update touches
+    only its location's qubits and outcome row, the coins are keyed by
+    address, and within one location Pauli faults commute and a leak
+    absorbs whatever comes with it.  The leak bookkeeping of CPHASEs and
+    measurements is done only in the words that have held a leaked trial,
+    and none at all before the batch first leaks.
 
     ``forced_faults`` holds one event list per trial (or none); a location
-    applies them after its sampled faults, in list order, as run_circuit does.
-    Trials forced alike share one word mask.  The masks are set in time
-    order, by one scatter per ``_FORCED_BYTES`` of them, so however many
-    groups there are, that much is held at a time.  A forced event at a
-    location the circuit lacks, or on a qubit its location does not act on,
-    raises ``ValueError``.  ``validate=False`` skips only a read of the
-    circuit's cached ``violations``.
+    applies them after its sampled faults, as run_circuit does.  Trials
+    forced alike share one word mask.  The masks are set in layer order,
+    by one scatter per ``_FORCED_BYTES`` of them, so however many groups
+    there are, that much is held at a time.  A forced event at a location
+    the circuit lacks, or on a qubit its location does not act on, raises
+    ``ValueError``.  ``validate=False`` skips only a read of the circuit's
+    cached ``violations``.
     """
     if validate:
         assert_valid(circuit)
@@ -344,122 +510,82 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     if by_loc:
         _check_forced(circuit, ((loc, q) for loc, groups in by_loc.items()
                                 for _, q, _ in groups))
-    # location -> [(group, qubit, class)] in rank order, groups numbered in
-    # time order; group g's trials are members[g]
+    layers = circuit.layers
+    locations = circuit.locations
+    meas_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
+    # location -> [(qubit, class)] in rank order; the groups' trials in
+    # layer order, the order in which their masks are read
     forced: dict[int, list] = {}
     members: list[list[int]] = []
-    for loc in circuit.locations:
-        for (_, q, cls), t in sorted(by_loc.get(loc.index, {}).items()):
-            forced.setdefault(loc.index, []).append((len(members), q, cls))
-            members.append(t)
+    for layer in layers:
+        for i in layer.locations:
+            index = locations[i].index
+            for (_, q, cls), t in sorted(by_loc.get(index, {}).items()):
+                forced.setdefault(index, []).append((q, cls))
+                members.append(t)
     W = (B + 63) >> 6
-    # masks holds the word masks of groups [first, first + len(masks)); the
-    # location loop reads the groups in order, so each is set only once
-    per_scatter = max(1, _FORCED_BYTES // (8 * max(W, 1)))
-    first, masks = 0, np.zeros((0, W), dtype=np.uint64)
+    masks = _forced_masks(members, W)
 
-    def forced_mask(g: int) -> np.ndarray:
-        nonlocal first, masks
-        if g >= first + len(masks):
-            first, rows = g, members[g:g + per_scatter]
-            masks = np.zeros((len(rows), W), dtype=np.uint64)
-            pos = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
-            group = np.repeat(np.arange(len(rows)), [len(t) for t in rows])
-            np.bitwise_or.at(masks, (group, pos >> 6),
-                             np.uint64(1) << (pos & 63).astype(np.uint64))
-        return masks[g - first]
-
+    table = rates.sites(circuit)
+    meas_locs = circuit.measure_locations
+    N = circuit.n_qubits
+    layer_end, draw_of, ent_q, row1, row2 = _hit_plan(circuit, table)
     # Draw phase: every fault draw of the batch, made before the frame rows
     # are allocated, so that the draws' working memory is free again for them
-    table = rates.sites(circuit)
-    hits = iter(draw_faults(seed, trials, [
-        (s.location_id, s.qubit, s.row.thresholds) for sites in table for s in sites]))
-    meas_locs = circuit.measure_locations
-    row_of = {loc: i for i, loc in enumerate(meas_locs)}
-    x, z, lk = np.zeros((3, circuit.n_qubits, W), dtype=np.uint64)
-    out_bits, out_leakrand = np.zeros((2, len(meas_locs), W), dtype=np.uint64)
-
-    def mask(pos: np.ndarray) -> np.ndarray:
-        """The word row with the bits at batch positions ``pos`` set."""
-        m = np.zeros(W, dtype=np.uint64)
-        pos = np.asarray(pos, dtype=np.intp)
-        np.bitwise_or.at(m, pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64))
-        return m
-
-    def heads(m: np.ndarray, location: int, q: int, tag: int) -> np.ndarray:
-        """The trials of ``m`` whose keyed coin at (location, q, tag) comes
-        up heads (uniform below 1/2)."""
-        words = np.flatnonzero(m)
-        if not words.size:
-            return m
-        bits = np.flatnonzero(unpack_words(m[words], 64 * words.size))
-        idx = words[bits >> 6] * 64 + (bits & 63)     # ascending positions
-        return mask(idx[uniform_vector(seed, trials[idx], location, q, tag) < 0.5])
-
-    # Whether any trial has leaked yet.  Until then lk is all zero, so the
-    # leak bookkeeping (masking by lk, partner coins, leaked measurements)
-    # changes nothing and is skipped.
+    hits = draw_faults(seed, trials, [(s.location_id, s.qubit, s.row.thresholds)
+                                      for sites in table for s in sites])
+    state = np.zeros((3 * N + len(meas_locs), W), dtype=np.uint64)
+    flat = state.reshape(-1)
+    frame = state[:3 * N].reshape(3, N, W)
+    lk, x, z = frame
+    out_bits = state[3 * N:]
+    out_leakrand = np.zeros_like(out_bits)
+    # whether each word has held a leaked trial (lk is zero in the others),
+    # and whether any has
+    leaked_words = np.zeros(W, dtype=bool)
     leaky = False
 
-    def apply(effect: Effect, q: int, m: np.ndarray, bit: np.ndarray | None) -> None:
-        """A fault on qubit q in the trials of ``m``."""
-        nonlocal leaky
-        if leaky:
-            m = m & ~lk[q]
-        if effect.x:
-            x[q] ^= m
-        if effect.z:
-            z[q] ^= m
-        if effect.leak:
-            leaky = True
-            lk[q] |= m
-            x[q] &= ~m
-            z[q] &= ~m
-        if effect.flip:
-            if bit is None:
-                raise ValueError("an outcome flip needs a measurement location")
-            bit ^= m
-
-    for loc, sites in zip(circuit.locations, table):
-        kind = loc.kind
-        bit = None
-        if kind is OpKind.PREP_PLUS:
-            q = loc.qubits[0]
-            x[q] = z[q] = lk[q] = 0
-        elif kind is OpKind.CPHASE:
-            q1, q2 = loc.qubits
-            x1, x2 = x[q1], x[q2]
+    start = 0
+    for layer, end in zip(layers, layer_end):
+        if layer.prep.size:
+            frame[:, layer.prep] = 0
+        n = layer.cz_loc.size
+        if n:
+            # each CPHASE qubit's z takes its partner's x, both ways at once
+            dst = layer.cz[::-1].reshape(-1)        # second qubits, then first
+            z[dst] ^= x[layer.cz.reshape(-1)]
+        if n and leaky:
+            # a leaked qubit's x is zero, so only a leaked qubit's z took a
+            # wrong bit; then the coin of a leaked qubit's normal partner
+            w = np.flatnonzero(leaked_words)
+            lz = lk[dst[:, None], w]
+            zz = z[dst[:, None], w] & ~lz
+            if policy is not LeakPolicy.NEVER_Z:
+                m = np.concatenate([lz[n:], lz[:n]]) & ~lz  # partner leaked
+                if policy is LeakPolicy.RANDOM_Z:
+                    m = _heads(m, w, seed, trials, np.tile(layer.cz_loc, 2),
+                               dst, TAG_LEAK_CZ)
+                zz ^= m
+            z[dst[:, None], w] = zz
+        for e, pos, cls in _hit_slices(hits, draw_of, start, end):
+            leaky = _apply_hits(flat, N, leaked_words, leaky, ent_q[e], pos,
+                                row1[e, cls], row2[e, cls])
+        start = end
+        for i in layer.locations if forced else ():
+            index = locations[i].index
+            for q, cls in forced.get(index, ()):
+                leaky = _apply_mask(EFFECTS[cls], q, next(masks), x, z, lk, out_bits,
+                                    meas_row.get(index), leaked_words, leaky)
+        q, r = layer.meas, layer.meas_row
+        if q.size:
+            out_bits[r] ^= z[q]
             if leaky:
-                ok = ~(lk[q1] | lk[q2])
-                x1, x2 = x1 & ok, x2 & ok
-            z[q2] ^= x1
-            z[q1] ^= x2
-            if leaky and policy is not LeakPolicy.NEVER_Z:
-                for leaked_q, normal_q in ((q1, q2), (q2, q1)):
-                    # trials where leaked_q is leaked and normal_q is not
-                    m = lk[leaked_q] & ~lk[normal_q]
-                    if policy is LeakPolicy.RANDOM_Z:
-                        m = heads(m, loc.index, normal_q, TAG_LEAK_CZ)
-                    z[normal_q] ^= m
-        else:
-            bit = out_bits[row_of[loc.index]]
-        for site in sites:
-            hit, which = next(hits)
-            for i, cls in enumerate(site.row.classes):
-                drawn = hit[which == i]
-                if drawn.size:
-                    m = mask(drawn)
-                    for q in site.targets:
-                        apply(EFFECTS[cls], q, m, bit)
-        for g, q, cls in forced.get(loc.index, ()):
-            apply(EFFECTS[cls], q, forced_mask(g), bit)
-        if kind is OpKind.MEASURE_X:
-            q = loc.qubits[0]
-            bit ^= z[q]
-            if leaky:
-                bit &= ~lk[q]
-                bit |= heads(lk[q], loc.index, q, TAG_LEAK_OUTCOME)
-                out_leakrand[row_of[loc.index]] = lk[q]
-            x[q] = z[q] = lk[q] = 0
+                w = np.flatnonzero(leaked_words)
+                lq = lk[q[:, None], w]
+                out_bits[r[:, None], w] = (out_bits[r[:, None], w] & ~lq) | _heads(
+                    lq, w, seed, trials, layer.meas_loc, q, TAG_LEAK_OUTCOME)
+                out_leakrand[r[:, None], w] = lq
+            frame[:, q] = 0
     return BatchRunResult(trials, meas_locs,
                           PackedRun(out_bits, out_leakrand, x, z, lk))
+

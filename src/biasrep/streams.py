@@ -108,12 +108,30 @@ def hash_bound(t: float) -> int:
     return math.ceil(min(t, 1.0) * 2.0**53) << 11
 
 
-def keyed_hash(seed: int, trials: np.ndarray, location: int, qubit: int,
-               tag: int = TAG_FAULT) -> np.ndarray:
+def _stream_keys(seed: int, location: np.ndarray, qubit: np.ndarray,
+                 tag: int) -> np.ndarray:
+    """:func:`stream_key` of each (location, qubit) pair of two int arrays,
+    by the same mixes on uint64 arrays."""
+    y = np.multiply(location, _GOLDEN, dtype=np.uint64, casting="unsafe")
+    y ^= np.uint64(_mix(seed & _MASK))
+    y = _mix_array(y)
+    y ^= np.multiply(qubit, _MIX1, dtype=np.uint64, casting="unsafe")
+    y = _mix_array(y)
+    y ^= np.uint64(tag)
+    return _mix_array(y)
+
+
+def keyed_hash(seed: int, trials: np.ndarray, location: int | np.ndarray,
+               qubit: int | np.ndarray, tag: int = TAG_FAULT) -> np.ndarray:
     """The hash of every counter of ``trials`` at the address, the
-    vectorized counterpart of the hash inside :func:`uniform`."""
+    vectorized counterpart of the hash inside :func:`uniform`.
+    ``location`` and ``qubit`` are ints, or int arrays of the shape of
+    ``trials`` that give each counter an address of its own."""
     y = np.asarray(trials, dtype=np.uint64) * np.uint64(_GOLDEN)
-    y += np.uint64(stream_key(seed, location, qubit, tag))
+    if np.ndim(location) or np.ndim(qubit):
+        y += _stream_keys(seed, *np.broadcast_arrays(location, qubit), tag)
+    else:
+        y += np.uint64(stream_key(seed, location, qubit, tag))
     return _mix_array(y)
 
 
@@ -127,9 +145,10 @@ def uniform(seed: int, trial: int, location: int, qubit: int,
     return to_uniform(_mix((key + trial * _GOLDEN) & _MASK))
 
 
-def uniform_vector(seed: int, trials: np.ndarray, location: int, qubit: int,
-                   tag: int = TAG_FAULT) -> np.ndarray:
-    """Vectorized :func:`uniform` over an array of trial indices."""
+def uniform_vector(seed: int, trials: np.ndarray, location: int | np.ndarray,
+                   qubit: int | np.ndarray, tag: int = TAG_FAULT) -> np.ndarray:
+    """Vectorized :func:`uniform` over an array of trial indices, at one
+    address or, as in :func:`keyed_hash`, at one address per trial."""
     return to_uniform(keyed_hash(seed, trials, location, qubit, tag))
 
 

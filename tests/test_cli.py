@@ -2,13 +2,16 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 from biasrep import cli
 from biasrep.cli import build_parser, main
-from biasrep.gadgets import build_teleport_identity, circuit_to_text
+from biasrep.gadgets import (build_logical_cnot, build_teleport_identity,
+                             circuit_to_text)
 from biasrep.montecarlo import prob_more_faults
 from biasrep.noise_model import ErrorRateTable, Rates, default_rates
 
@@ -547,6 +550,25 @@ class TestValidate:
         named = [f for f in ("--gadget", "--pre-teleport") if f in flags]
         assert all(f in err for f in named)
 
+    @pytest.mark.parametrize("flags", [["--n", "5", "--k", "9"], ["--n", "5"],
+                                       ["--k", "3"]])
+    def test_size_flags_beside_circuit_are_config_error(self, capsys,
+                                                        tmp_path, flags):
+        # --n and --k size a built gadget; a circuit file has its own size
+        path = tmp_path / "teleport.txt"
+        path.write_text(circuit_to_text(build_teleport_identity(3, 1)))
+        code, out, err = run_cli(capsys, "validate", *flags, "--circuit", str(path))
+        assert code == 2
+        assert out == ""
+        assert "drop" in err
+        assert all(f in err for f in flags if f.startswith("--"))
+
+    def test_built_gadget_defaults_to_n3_k3(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--gadget", "cnot")
+        assert code == 0
+        assert out.strip() == (f"ok: {len(build_logical_cnot(3, 3).locations)} "
+                               f"locations, {build_logical_cnot(3, 3).n_qubits} qubits")
+
     def test_even_majority_group_is_violation(self, capsys, tmp_path):
         text = circuit_to_text(build_teleport_identity(1, 1)).replace(
             "# group xread_in 5", "# group xread_in 4 5")
@@ -577,6 +599,28 @@ def scaled_table1(scale: float, phase_only: bool = False) -> ErrorRateTable:
     return ErrorRateTable(entries={
         key: Rates(scale * r.eps, keep * r.eps_other, keep * r.eps_leak)
         for key, r in default_rates().entries.items()})
+
+
+@pytest.mark.parametrize("policy", ["random-z", "always-z", "never-z"])
+def test_simulate_leaves_numpy_ma_unimported(tmp_path, policy):
+    # numpy.ma takes about 14 ms to import, and np.unique or np.union1d
+    # import it on first use; a forked worker would pay that in its first
+    # batch.  table1 x5 on cnot(3,3) leaks in every batch of 2^17 trials.
+    path = tmp_path / "x5.json"
+    path.write_text(scaled_table1(5.0).to_json())
+    argv = ["simulate", "--gadget", "cnot", "--n", "3", "--k", "3", "--rates",
+            str(path), "--trials", str(2**17), "--leak-policy", policy]
+    script = ("import contextlib, io, sys\n"
+              "from biasrep.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    assert main({argv!r}) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False"]
 
 
 class TestGoldenOutputs:

@@ -118,6 +118,36 @@ def test_random_circuits_pass_the_schedule_check(circuit):
     assert check_schedule(circuit) == []
 
 
+@SETTINGS
+@given(gadgets)
+def test_layers_are_the_asap_schedule(circuit):
+    # the layers partition the locations; no qubit appears twice in one
+    # layer; a location's layer is one past the latest of any earlier
+    # location sharing a qubit with it
+    layer_of = {}
+    for n, layer in enumerate(circuit.layers):
+        locs = [circuit.locations[i] for i in layer.locations]
+        qubits = [q for loc in locs for q in loc.qubits]
+        assert len(qubits) == len(set(qubits))
+        assert list(layer.locations) == sorted(layer.locations)
+        layer_of.update((i, n) for i in layer.locations)
+        of = {kind: [loc for loc in locs if loc.kind is kind] for kind in OpKind}
+        assert layer.prep.tolist() == [loc.qubits[0] for loc in of[OpKind.PREP_PLUS]]
+        assert layer.cz.T.tolist() == [list(loc.qubits) for loc in of[OpKind.CPHASE]]
+        assert layer.cz_loc.tolist() == [loc.index for loc in of[OpKind.CPHASE]]
+        meas = of[OpKind.MEASURE_X]
+        assert layer.meas.tolist() == [loc.qubits[0] for loc in meas]
+        assert layer.meas_loc.tolist() == [loc.index for loc in meas]
+        assert [circuit.measure_locations[r] for r in layer.meas_row] == \
+            layer.meas_loc.tolist()
+    assert sum(len(layer.locations) for layer in circuit.layers) == len(layer_of)
+    assert sorted(layer_of) == list(range(len(circuit.locations)))
+    for i, loc in enumerate(circuit.locations):
+        earlier = [layer_of[j] for j in range(i)
+                   if set(circuit.locations[j].qubits) & set(loc.qubits)]
+        assert layer_of[i] == max(earlier, default=-1) + 1
+
+
 @st.composite
 def leaky_tables(draw) -> ErrorRateTable:
     """Every (operation, species) row drawn separately; measurements take
@@ -243,6 +273,42 @@ def test_shared_forced_groups_and_first_leak_match_scalar_engine(
     forced = [[leak] * (j % 3 > 0) + [x] * (j % 4 == 1) + [z] * (j % 5 == 2)
               for j in range(size)]
     trials = [2**35 + 11 * j for j in range(size)]
+    assert_batch_matches_scalar(CNOT33, table(), 5, trials, policy, forced)
+
+
+def leaky_zz_table() -> ErrorRateTable:
+    """table1 with a leak rate of 1% off the measurements, and a correlated
+    CPHASE term of 1%."""
+    return ErrorRateTable({
+        key: r if key[0] is OpKind.MEASURE_X else dataclasses.replace(r, eps_leak=0.01)
+        for key, r in default_rates().entries.items()}, cphase_zz=0.01)
+
+
+@pytest.mark.parametrize("table", [zero_rates, leaky_zz_table], ids=["zero", "leaky"])
+@pytest.mark.parametrize("policy", list(LeakPolicy))
+def test_forced_faults_within_one_layer_match_scalar_engine(
+        monkeypatch, policy, table):
+    # Layer 7 of cnot(3,3) holds measurements 13 and 63 and CPHASEs 20 and
+    # 54.  Measurement 21 is in layer 8 but comes before 63 in time, so the
+    # forced groups are read in an order other than time order.  Trial j
+    # carries the events whose bits are set in j, and each mask is set by a
+    # scatter of its own.
+    from biasrep import pauli_frame
+    monkeypatch.setattr(pauli_frame, "_FORCED_BYTES", 8)
+    layer = [CNOT33.locations[i] for i in CNOT33.layers[7].locations]
+    assert [(loc.index, loc.qubits) for loc in layer] == [
+        (13, (12,)), (20, (13, 2)), (27, (14, 1)), (34, (15, 9)),
+        (44, (16, 8)), (54, (17, 7)), (63, (0,))]
+    assert CNOT33.layers[8].locations[0] == 21
+    Z, X, LEAK, FLIP = (FaultKind.Z, FaultKind.X, FaultKind.LEAK,
+                        FaultKind.MEAS_FLIP)
+    events = [FaultEvent(13, 12, FLIP), FaultEvent(20, 13, LEAK),
+              FaultEvent(20, 2, Z), FaultEvent(54, 7, X),
+              FaultEvent(63, 0, LEAK), FaultEvent(63, 0, FLIP),
+              FaultEvent(21, 13, FLIP)]
+    forced = [[ev for b, ev in enumerate(events) if j >> b & 1]
+              for j in range(2 ** len(events))]
+    trials = [2**36 + 3 * j for j in range(len(forced))]
     assert_batch_matches_scalar(CNOT33, table(), 5, trials, policy, forced)
 
 

@@ -304,3 +304,20 @@ def test_forced_masks_set_a_few_rows_at_a_time(monkeypatch):
     monkeypatch.setattr(pauli_frame, "_FORCED_BYTES", 8)
     for got, want in zip(run().words, whole.words):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("limit", [1, 7, 100])
+def test_hits_applied_a_slice_at_a_time(monkeypatch, limit):
+    """Sampled hits applied at most ``limit`` at once (so that a draw's
+    hits are cut across slices, and a slice joins draws) equal hits
+    applied one layer at once."""
+    from biasrep import pauli_frame
+
+    circuit, rates = build_logical_cnot(3, 3), leaky(cphase_zz=0.02)
+    trials = np.arange(5, 5 + 300, dtype=np.uint64)
+    monkeypatch.setattr(pauli_frame, "_HITS", 1 << 30)
+    whole = run_circuit_batch(circuit, rates, 9, trials)
+    monkeypatch.setattr(pauli_frame, "_HITS", limit)
+    for got, want in zip(run_circuit_batch(circuit, rates, 9, trials).words,
+                         whole.words):
+        assert np.array_equal(got, want)

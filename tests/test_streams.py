@@ -89,6 +89,22 @@ def test_uniform_vector_on_fancy_indexed_trials():
     assert uniform_vector(SEED, trials[idx[:0]], LOC, QUBIT).shape == (0,)
 
 
+def test_uniform_vector_with_an_address_per_trial():
+    # location and qubit arrays give each trial its own address, as one
+    # scalar draw each; a scalar beside an array broadcasts
+    rng = np.random.default_rng(7)
+    trials = rng.integers(0, 2**40, 300, dtype=np.uint64)
+    locs = rng.integers(0, 4_000, 300)
+    qubits = rng.integers(-1, 200, 300)
+    for seed in (SEED, 2**64 - 1):
+        got = uniform_vector(seed, trials, locs, qubits, TAG_LEAK_CZ)
+        assert got.tolist() == [uniform(seed, int(t), int(loc), int(q), TAG_LEAK_CZ)
+                                for t, loc, q in zip(trials, locs, qubits)]
+    assert uniform_vector(SEED, trials, locs, QUBIT).tolist() == [
+        uniform(SEED, int(t), int(loc), QUBIT) for t, loc in zip(trials, locs)]
+    assert uniform_vector(SEED, trials[:0], locs[:0], qubits[:0]).shape == (0,)
+
+
 # -- the sparse fault draws --------------------------------------------------
 
 # Rows of the draw tests: one class at each of THRESHOLDS, table1's CPHASE
