@@ -411,7 +411,17 @@ def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> tuple:
     ``table`` (``rates.sites(circuit)``): one entry per draw and target, in
     layer order.  Returns one past each layer's last entry, and for each
     entry its draw's index in time order, its qubit, and per class the two
-    rows of the stacked state of :func:`_apply_hits` that a hit acts on."""
+    rows of the stacked state of :func:`_apply_hits` that a hit acts on.
+    Built on first use and kept on the circuit, as ``Circuit.layers`` is,
+    until it is asked for with another table."""
+    cached = circuit.__dict__.get("_hit_plan")
+    if cached is None or cached[0] is not table:
+        cached = (table, _build_hit_plan(circuit, table))
+        circuit.__dict__["_hit_plan"] = cached
+    return cached[1]
+
+
+def _build_hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> tuple:
     first_draw = list(accumulate((len(t) for t in table), initial=0))
     meas_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
     entries = []            # (draw, qubit, outcome row, classes)

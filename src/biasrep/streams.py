@@ -15,7 +15,9 @@ trials draws a fault, so most words end there.  A word with a hit takes
 one round per hit: its gap hash gives the number of trials skipped before
 the next hit, by a table of integer bounds, and its class hash the hit's
 fault class.  One function walks these rounds, :func:`draw_faults`, for
-a batch of trials and for a single trial alike.  A span of trials that
+a batch of trials and for a single trial alike; as the round is in the
+counter, it steps the cells of many draws at different rounds as one
+pool, one hash per cell a step.  A span of trials that
 starts inside a word walks that word from its first bit, with the same
 keys as any other span; a span that ends inside a word stops after its
 last trial; the hits outside the span are dropped.
@@ -53,14 +55,20 @@ _STEPS = ((30, _MIX1), (27, _MIX2))
 _LAST_SHIFT = 31
 
 _WORD = 64           # trials per word of a fault draw
-_GAP, _CLASS = 0, 1  # purposes of a fault draw's hashes in one round
+_CLASS = 1           # purpose of a round's class hash; its gap hash's is 0
 
-# draw_faults hashes round 0 in slices of about _CELLS (draw, word) cells
-# and takes the later rounds of about _LIVE cells at once, so its arrays
-# stay near 128 KiB or below: in cache, and small enough that the heap
-# reuses them (larger ones raised the Monte Carlo jobs' peak RSS).
+# draw_faults hashes round 0 in slices of about _CELLS (draw, word) cells,
+# a group of draws with about _LIVE cells that hit at a time, and steps the
+# later rounds of every group in one pool of live cells, which takes in the
+# next group once it holds fewer than _ADMIT cells.  It hands on the hits of
+# finished draws once it holds _FLUSH of them.  So its arrays stay near
+# 128 KiB or below: in cache, and small enough that the heap reuses them
+# (larger ones, a larger pool or a later hand-off raised the Monte Carlo
+# jobs' peak RSS).
 _CELLS = 1 << 14
 _LIVE = 1 << 13
+_ADMIT = 1 << 10
+_FLUSH = 1 << 13
 
 
 def _mix(x: int) -> int:
@@ -184,8 +192,9 @@ class _Words:
     and the way back from a trial of those words to its batch positions.
     An ascending run of consecutive trials (what ``count_trials`` passes)
     maps back by subtraction; any other array, with repeats or in any
-    order, through its sorted copy.  ``end`` is one past each word's last
-    bit in the array: the last trial's bit + 1 in a run's last word, else 64."""
+    order, through its sorted copy.  ``stop`` is the offset (64 per word)
+    one past the run's last trial, or 0 when every word is walked to its
+    end."""
 
     def __init__(self, trials: np.ndarray):
         # checked in slices, so that no temporary is as large as the batch
@@ -193,6 +202,7 @@ class _Words:
             bool((part[1:] - part[:-1] == 1).all())
             for part in (trials[i:i + _CELLS + 1]
                          for i in range(0, trials.size - 1, _CELLS)))
+        self.stop = 0
         if self.run:
             first = int(trials[0])
             self.words = np.arange(first >> 6, (int(trials[-1]) >> 6) + 1,
@@ -201,14 +211,13 @@ class _Words:
             self.size = trials.size
             # whether the first or last word holds trials outside the run
             self.partial = bool(self.skip or (first + self.size) & (_WORD - 1))
-            self.end = np.full(self.words.size, _WORD, dtype=np.intp)
-            self.end[-1] = (int(trials[-1]) & (_WORD - 1)) + 1
+            if (first + self.size) & (_WORD - 1):
+                self.stop = self.skip + self.size
         else:
             self.order = np.argsort(trials, kind="stable")
             self.sorted = trials[self.order]
             words = self.sorted >> np.uint64(6)
             self.words = words[np.append(True, words[1:] != words[:-1])]
-            self.end = np.full(self.words.size, _WORD, dtype=np.intp)
 
     def positions(self, offset: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
         """For the trials ``offset`` into ``self.words`` (64 per word): the
@@ -230,14 +239,44 @@ class _Words:
         return self.order[at], src
 
 
-def _gap(gaps: np.ndarray, row: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The entries of each cell's 64-entry table (at ``row``, a multiple of
-    64, of the stacked tables ``gaps``) above its hash ``h``, by binary
-    search: at most 63, as the cell is known to hit."""
-    at = row + (_WORD // 2 - 1)
-    for step in (32, 16, 8, 4, 2):
-        at += (gaps[at] > h) * step - step // 2
-    return at + (gaps[at] > h) - row
+def _gap(levels: Sequence[np.ndarray], row: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The entries of each cell's 64-entry table (table ``row / 64``) above
+    its hash ``h``, by binary search: at most 63, as the cell is known to
+    hit.  Level k finds the count's bit 5 - k: with the bits above it j,
+    entry (2j + 1) * 2^(5 - k) - 1 of the table, at 2^k * row / 64 + j in
+    ``levels[k]``, is above h exactly when that bit is set."""
+    at = row >> 6
+    for bounds in levels:
+        above = bounds[at] > h
+        at += at
+        at += above
+    at -= row
+    return at
+
+
+@functools.lru_cache(maxsize=1 << 6)
+def _stacked(rows: tuple[tuple[float, ...], ...]) -> tuple:
+    """The read-only tables of :func:`draw_faults` for these distinct rows
+    (thresholds), table r at index 64r, a cell's ``row``: each table's round
+    0 bound; the levels of :func:`_gap`; at row + b, the bound of a further
+    hit after one at bit b (63 - b trials; above every hash at b = 63); at
+    ``row``, one per class past the first, the class bounds, padded with
+    2^53; and the share of each row's cells that hit in round 0."""
+    tables = [fault_bounds(t) for t in rows]
+    gaps = np.array([g for g, _ in tables], dtype=np.uint64)
+    levels = tuple(gaps[:, (_WORD >> (k + 1)) - 1::_WORD >> k].ravel()
+                   for k in range(6))
+    after = np.full_like(gaps, _MASK)
+    after[:, :-1] = gaps[:, -2::-1]
+    width = max(len(c) for _, c in tables)
+    classes = np.zeros((width, gaps.size), dtype=np.uint64)
+    classes[:, ::_WORD] = np.array(
+        [c + (1 << 53,) * (width - len(c)) for _, c in tables], dtype=np.uint64).T
+    last, after = gaps[:, -1].copy(), after.ravel()
+    for a in (last, *levels, after, classes):
+        a.flags.writeable = False
+    return (last, levels, after, classes,
+            tuple(1.0 - g[-1] * 2.0**-53 for g, _ in tables))
 
 
 def draw_faults(seed: int, trials: np.ndarray,
@@ -249,12 +288,15 @@ def draw_faults(seed: int, trials: np.ndarray,
     come in round order, then word order, not sorted.  A trial that appears
     several times in ``trials`` hits at each of its positions.
 
-    The draws are sampled per (draw, word) cell, a group of draws at a
-    time: round 0 hashes every cell of the group, and each later round only
-    the cells whose last round hit, so a sparse draw costs about one hash
-    per 64 trials.  Each hash is a function of its address alone, so
-    neither the grouping nor the batch changes a result.  No draws cost
-    nothing."""
+    The draws are sampled per (draw, word) cell.  Round 0 hashes every cell,
+    a group of draws at a time; the cells that hit join one pool of live
+    cells, and each step of the pool takes every cell in it one round on,
+    keeping those whose round hits again, so a sparse draw costs about one
+    hash per 64 trials.  The next group joins once the pool holds fewer
+    than ``_ADMIT`` cells, so the cells of several groups, at different
+    rounds, share a step.  A cell carries its round in its hash key.  Each
+    hash is a function of its address alone, so neither the grouping nor
+    the batch changes a result.  No draws cost nothing."""
     trials = np.asarray(trials, dtype=np.uint64)
     if not draws:
         return []
@@ -265,22 +307,16 @@ def draw_faults(seed: int, trials: np.ndarray,
     base = (words.words << np.uint64(7)) * np.uint64(_GOLDEN)
     keys = np.array([stream_key(seed, location, qubit, TAG_FAULT)
                      for location, qubit, _ in draws], dtype=np.uint64)
-    # one table per distinct row; rows 64 entries apart in ``gaps``
     rows: dict[tuple, int] = {}
     row_index = [rows.setdefault(tuple(t), len(rows)) for *_, t in draws]
     row_of = np.array(row_index, dtype=np.intp) * _WORD
-    tables = [fault_bounds(t) for t in rows]
-    gaps = np.array([g for g, _ in tables], dtype=np.uint64).ravel()
-    # class bounds, one row per class past the first, over the draws;
-    # padded with 2^53, above every 53-bit hash
-    width = max(len(c) for _, c in tables)
-    bounds_of = [c + (1 << 53,) * (width - len(c)) for _, c in tables]
-    classes = np.array(bounds_of, dtype=np.uint64)[row_index].T.copy()
+    last, levels, after, classes, share = _stacked(tuple(rows))
+    any_hit = last[row_index]           # round 0's bound, per draw
     # Groups of draws of about _LIVE cells with a hit in round 0 (a
     # fraction 1 - (1 - p)^64 of a draw's cells), each of one draw or more
     groups, g0, live = [], 0, 0.0
     for d, r in enumerate(row_index):
-        expect = n_words * (1.0 - tables[r][0][-1] * 2.0**-53)
+        expect = n_words * share[r]
         if live + expect > _LIVE and d > g0:
             groups.append((g0, d))
             g0, live = d, 0.0
@@ -288,58 +324,105 @@ def draw_faults(seed: int, trials: np.ndarray,
     groups.append((g0, len(draws)))
     per = max(1, _CELLS // n_words)     # draws per slice of round 0
 
-    def hashed(d: np.ndarray, w: np.ndarray, counter: int) -> np.ndarray:
-        """Top 53 bits of the hash of cells (d, w) at a round's counter."""
-        y = keys[d] + base[w]
-        y += np.uint64(counter * _GOLDEN & _MASK)
-        y = _mix_array(y)
-        y >>= np.uint64(11)
-        return y
-
-    out = []
-    for d0, d1 in groups:
-        # round 0: every cell of the group, [draw, word], in slices
+    def round0(d0: int, d1: int):
+        """The cells of draws [d0, d1) that hit in round 0, in (draw, word)
+        order: their draws, words and gap hashes (top 53 bits)."""
         cells, hs = [], []
         for s0 in range(d0, d1, per):
             s1 = min(s0 + per, d1)
             h = _mix_array(keys[s0:s1, None] + base).ravel()
             h >>= np.uint64(11)
             cell = (h.reshape(s1 - s0, n_words)
-                    >= gaps[row_of[s0:s1] + _WORD - 1][:, None]).ravel().nonzero()[0]
+                    >= any_hit[s0:s1, None]).ravel().nonzero()[0]
             hs.append(h[cell])
             cells.append(cell + s0 * n_words)
         d, w = np.divmod(np.concatenate(cells), n_words)
-        h = np.concatenate(hs)
-        del cells, hs
-        start = np.zeros(d.size, dtype=np.intp)
-        # per round: each hit's draw (less d0, in the smallest type that
-        # holds it, for a radix sort), batch position and class, after an
-        # empty entry, so that ``found`` is not empty
-        index = np.min_scalar_type(d1 - d0)
-        found = [(np.zeros(0, index), np.zeros(0, np.int32), np.zeros(0, np.uint8))]
-        rnd = 0
-        while d.size:                   # every cell here hits in round rnd
-            bit = start + _gap(gaps, row_of[d], h)
-            cls = np.zeros(d.size, dtype=np.uint8)
-            if len(classes):
-                hc = hashed(d, w, (rnd << 1) | _CLASS)
-                for bounds in classes:
-                    cls += hc >= bounds[d]
-            pos, src = words.positions(w * _WORD + bit)
-            found.append(((d[src] - d0).astype(index), pos.astype(np.int32), cls[src]))
-            start, rnd = bit + 1, rnd + 1
-            h = hashed(d, w, (rnd << 1) | _GAP)
-            rest = _WORD - 1 - np.minimum(start, _WORD - 1)  # trials left, less 1
-            keep = ((start < words.end[w]) & (h >= gaps[row_of[d] + rest])).nonzero()[0]
-            d, w, start, h = d[keep], w[keep], start[keep], h[keep]
-        # a stable sort by draw keeps each draw's hits in round, then word, order
-        dl, pos, cls = (np.concatenate(a) for a in zip(*found))
-        del found
+        return d, w, np.concatenate(hs)
+
+    # The pool, in (draw, word) order, as the groups join in draw order and
+    # a step keeps its cells in order: per cell its draw (in the smallest
+    # type that holds it, for a radix sort), the key of its round's gap
+    # hash (the round is in the key, so cells at any round share a step),
+    # that hash, its next trial's offset (64 per word) and its table row.
+    index = np.min_scalar_type(len(draws))
+    d = np.zeros(0, index)
+    key, h = np.zeros(0, np.uint64), np.zeros(0, np.uint64)
+    at, row = np.zeros(0, np.intp), np.zeros(0, np.intp)
+    # per step: each hit's draw, batch position and class, in draw order
+    held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    empty = (d, np.zeros(0, np.int32), np.zeros(0, np.uint8))
+    n_held, done, out = 0, 0, []
+
+    def release(first: int) -> None:
+        """Hand off the hits of draws [done, first), which have no live cell:
+        a stable sort by draw keeps each draw's in round, then word, order."""
+        nonlocal held, n_held, done
+        cut = [int(np.count_nonzero(step[0] < first)) for step in held]
+        dl, pos, cls = (np.concatenate(a) for a in zip(
+            empty, *(tuple(a[:c] for a in step) for step, c in zip(held, cut))))
+        held = [tuple(a[c:] for a in step) for step, c in zip(held, cut)
+                if c < step[0].size]
+        n_held = sum(step[0].size for step in held)
         order = np.argsort(dl, kind="stable")
         pos, cls = pos[order], cls[order]
-        ends = np.cumsum(np.bincount(dl, minlength=d1 - d0)).tolist()
+        ends = np.cumsum(np.bincount(dl, minlength=first)[done:]).tolist()
         out.extend((pos[a:b], cls[a:b]) for a, b in zip([0, *ends], ends))
-        del dl, pos, cls, order     # not held through the next group
+        done = first
+
+    g = 0
+    while True:
+        while d.size < _ADMIT and g < len(groups):
+            nd, nw, nh = round0(*groups[g])
+            g += 1
+            d = np.concatenate((d, nd.astype(index)))
+            key = np.concatenate((key, keys[nd] + base[nw]))
+            h = np.concatenate((h, nh))
+            at = np.concatenate((at, nw * _WORD))
+            row = np.concatenate((row, row_of[nd]))
+        if not d.size:
+            break
+        # every cell here hits in its round, at trial offset ``at``
+        at += _gap(levels, row, h)
+        if len(classes):
+            hc = _mix_array(key + np.uint64(_CLASS * _GOLDEN & _MASK))
+            hc >>= np.uint64(11)
+            # the bounds ascend, so only a hit past one bound can pass the next
+            cls = (hc >= classes[0][row]).view(np.uint8)
+            past = cls.nonzero()[0]
+            for bounds in classes[1:]:
+                past = past[hc[past] >= bounds[row[past]]]
+                cls[past] += 1
+            del hc
+        else:
+            cls = np.zeros(d.size, dtype=np.uint8)
+        pos, src = words.positions(at)
+        held.append((d[src], pos.astype(np.int32), cls[src]))
+        n_held += pos.size
+        del pos, cls
+        # the next round's gap hash, and whether it hits in the trials left
+        key += np.uint64(2 * _GOLDEN & _MASK)     # the counter steps by 2
+        np.copyto(h, key)
+        h = _mix_array(h)
+        h >>= np.uint64(11)
+        bound = at & (_WORD - 1)
+        bound += row
+        hit = h >= after[bound]
+        del bound
+        at += 1
+        if words.stop:
+            hit &= at < words.stop
+        keep = hit.nonzero()[0]
+        d = d[keep]
+        key = key[keep]
+        h = h[keep]
+        at = at[keep]
+        row = row[keep]
+        if n_held >= _FLUSH:
+            first = int(d[0]) if d.size else (groups[g][0] if g < len(groups)
+                                             else len(draws))
+            if first > done:
+                release(first)
+    release(len(draws))
     return out
 
 

@@ -440,6 +440,29 @@ class TestFaultSiteTable:
                 assert s.targets == (loc.qubits if s.qubit < 0 else (s.qubit,))
                 assert s.total == sum(p for _, p in s.choices)
 
+    def test_hit_plan_is_built_once_per_circuit_and_table(self, monkeypatch):
+        # batches of one circuit and table share one plan; another table
+        # gets a plan of its own, and each gives what a fresh circuit gives
+        built = []
+        original = biasrep.pauli_frame._build_hit_plan
+
+        def recorded(circuit, table):
+            built.append(circuit)
+            return original(circuit, table)
+        monkeypatch.setattr(biasrep.pauli_frame, "_build_hit_plan", recorded)
+        circuit = build_logical_cnot(3, 3)
+        tables = (default_rates(), default_rates(), leaky_table(1e3))
+        spans = [np.arange(lo, lo + 200, dtype=np.uint64) for lo in (0, 100)]
+        runs = [run_circuit_batch(circuit, rates, 5, trials)
+                for rates in tables for trials in spans]
+        fresh = [run_circuit_batch(build_logical_cnot(3, 3), rates, 5, trials)
+                 for rates in tables for trials in spans]
+        # one plan per table object: default_rates() builds a new one
+        assert sum(c is circuit for c in built) == 3
+        for got, want in zip(runs, fresh):
+            for a, b in zip(got.words, want.words):
+                assert np.array_equal(a, b)
+
     def test_zero_table_draws_nothing(self, monkeypatch):
         circuit = build_logical_cnot(3, 3)
         assert zero_rates().sites(circuit) == [[]] * len(circuit.locations)

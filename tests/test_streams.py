@@ -343,6 +343,73 @@ def test_one_draw_per_group_changes_no_array(monkeypatch):
         assert which.tolist() == want_which.tolist()
 
 
+# The pool's test inputs: table1 x5 on cnot(3,3), and the rows of ROWS with
+# p >= 1/2, each at a location of its own, whose cells stay live for many
+# rounds; and trials in whole words, a run that starts and ends inside a
+# word, and trials repeated and out of order.
+HIGH_P = [row for row in ROWS if row[-1] >= 0.5]
+POOL_TRIALS = {
+    "words": np.arange(64 * 40, 64 * 120, dtype=np.uint64),
+    "inside": np.arange(37, 5_038, dtype=np.uint64),
+    "unordered": np.concatenate([[4_321] * 7, np.random.default_rng(11).integers(
+        0, 5_000, 3_000)]).astype(np.uint64)[::-1].copy(),
+}
+
+
+def pool_draws(inputs: str) -> list:
+    if inputs == "x5":
+        return table1_x5_draws()
+    return [(LOC + i, QUBIT, row) for i, row in enumerate(HIGH_P)]
+
+
+@pytest.mark.parametrize("inputs", ["x5", "high-p"])
+@pytest.mark.parametrize("trials", list(POOL_TRIALS))
+def test_pool_and_hand_off_sizes_change_no_array(monkeypatch, inputs, trials):
+    # the pool's admission size and the hits it holds before a hand-off
+    # only bound working memory: with one draw per group and round 0 in
+    # 64-cell slices, a pool that takes in a group only once empty, one
+    # that takes in every group at once and one that takes in a group
+    # beside cells many rounds on, each handing off at every step or only
+    # at the end, every array and its order is unchanged
+    trials = POOL_TRIALS[trials]
+    the_draws = pool_draws(inputs)
+    whole = draw_faults(SEED, trials, the_draws)
+    for (pos, which), (loc, qubit, row) in zip(whole, the_draws):
+        classes = [walked_class(int(t), row, loc, qubit) for t in trials]
+        assert as_pairs(pos, which) == [(j, c) for j, c in enumerate(classes) if c >= 0]
+    monkeypatch.setattr(streams, "_LIVE", 1)
+    monkeypatch.setattr(streams, "_CELLS", 64)
+    for admit in (1, 40, 1 << 40):
+        for flush in (1, 1 << 40):
+            monkeypatch.setattr(streams, "_ADMIT", admit)
+            monkeypatch.setattr(streams, "_FLUSH", flush)
+            split = draw_faults(SEED, trials, the_draws)
+            assert len(split) == len(whole)
+            for (pos, which), (want, want_which) in zip(split, whole):
+                assert pos.dtype == np.int32 and which.dtype == np.uint8
+                assert pos.tolist() == want.tolist()
+                assert which.tolist() == want_which.tolist()
+
+
+def test_gap_counts_the_entries_above_each_hash():
+    # every table of ROWS, stacked as draw_faults stacks them, at each
+    # hash that hits (none does at p = 0): 0, 2^53 - 1, and each entry and
+    # its neighbours; the count is the entries above the hash
+    tables = [fault_bounds(row)[0] for row in ROWS]
+    cells = []
+    for r, table in enumerate(tables):
+        hashes = {0, (1 << 53) - 1} | {g + e for g in table for e in (-1, 0, 1)}
+        cells += [(64 * r, h, sum(g > h for g in table))
+                  for h in sorted(hashes) if table[-1] <= h < 1 << 53]
+    assert {row // 64 for row, _, _ in cells} == {
+        r for r, row in enumerate(ROWS) if row[-1] > 0}
+    row, h, want = zip(*cells)
+    levels = streams._stacked(tuple(ROWS))[1]
+    got = streams._gap(levels, np.array(row, dtype=np.intp),
+                       np.array(h, dtype=np.uint64))
+    assert got.tolist() == list(want)
+
+
 def test_a_group_with_no_hit_returns_empty_arrays():
     got = draw_faults(SEED, np.arange(1_000, dtype=np.uint64),
                       draws([(0.0,)] * 3))
