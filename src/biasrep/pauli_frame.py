@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, islice
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .gadgets import Circuit, assert_valid
-from .noise_model import (EFFECTS, Effect, ErrorRateTable, FaultEvent, FaultSite,
+from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultKind, FaultSite,
                           OpKind, trial_faults)
 from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, draw_faults,
                       uniform_vector)
@@ -165,18 +165,60 @@ class RunResult:
     trace: list[str] | None = None
 
 
-def _check_forced(circuit: Circuit, events: Iterable[tuple[int, int]]) -> None:
-    """Reject a forced fault, given as (location id, qubit), at a location
-    the circuit does not have (no location would apply it) or on a qubit
-    that location does not act on."""
-    qubits = {loc.index: loc.qubits for loc in circuit.locations}
-    for location, q in events:
-        if location not in qubits:
-            raise ValueError(f"forced fault at location {location}, "
+# The x, z and leak bits [3, kinds] of each FaultKind, coded by its
+# position in FaultKind
+_KIND_CODE = {kind: i for i, kind in enumerate(FaultKind)}
+_KIND_BITS = np.array([EFFECTS[kind][:3] for kind in FaultKind], dtype=bool).T
+
+
+def _location_table(circuit: Circuit) -> tuple[dict[int, int], np.ndarray]:
+    """Each location's position in ``circuit.locations`` by its id, and per
+    position int32 (qubit, qubit, layer, outcome row): a one-qubit
+    location's qubit twice, and outcome row -1 off a measurement.  A last
+    row, (-1, -1, 0, -1), stands for a location the circuit does not have.
+    Built on first use and kept on the circuit, as ``Circuit.layers`` is."""
+    cached = circuit.__dict__.get("_location_table")
+    if cached is None:
+        locations = circuit.locations
+        out_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
+        layer = {i: k for k, ly in enumerate(circuit.layers) for i in ly.locations}
+        table = np.array([(*(loc.qubits * 2)[:2], layer[i], out_row.get(loc.index, -1))
+                          for i, loc in enumerate(locations)] + [(-1, -1, 0, -1)],
+                         dtype=np.int32)
+        cached = ({loc.index: i for i, loc in enumerate(locations)}, table)
+        circuit.__dict__["_location_table"] = cached
+    return cached
+
+
+def _check_forced(circuit: Circuit,
+                  forced_faults: Sequence[Sequence[FaultEvent]]) -> np.ndarray:
+    """The events of each trial's list ``forced_faults[j]``, in order, as
+    int32 rows (qubit, j, position of the event's location, FaultKind
+    code).  Raises ``ValueError`` for the first event at a location the
+    circuit does not have (no location would apply it), on a qubit its
+    location does not act on, or (an outcome flip) off a measurement."""
+    position, table = _location_table(circuit)
+    rows = np.fromiter(((ev.qubit, j, position.get(ev.location_id, -1),
+                         _KIND_CODE[ev.error])
+                        for j, events in enumerate(forced_faults) for ev in events),
+                       dtype=np.dtype((np.int32, 4)),
+                       count=sum(map(len, forced_faults)))
+    q, _, at, kind = rows.T
+    bad = (at < 0) | ((table[at, 0] != q) & (table[at, 1] != q))
+    bad |= (kind == _KIND_CODE[FaultKind.MEAS_FLIP]) & (table[at, 3] < 0)
+    if bad.any():
+        r = int(bad.argmax())
+        ev = next(islice(chain.from_iterable(forced_faults), r, None))
+        if at[r] < 0:
+            raise ValueError(f"forced fault at location {ev.location_id}, "
                              "which the circuit does not have")
-        if q not in qubits[location]:
-            raise ValueError(f"forced fault on qubit {q} at location "
-                             f"{location}, which acts on {qubits[location]}")
+        loc = circuit.locations[at[r]]
+        if ev.qubit not in loc.qubits:
+            raise ValueError(f"forced fault on qubit {ev.qubit} at location "
+                             f"{loc.index}, which acts on {loc.qubits}")
+        raise ValueError("an outcome flip needs a measurement location, not "
+                         f"{loc.kind.value} location {loc.index}")
+    return rows
 
 
 def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
@@ -189,9 +231,10 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     for CPHASE), then sampled faults plus any forced faults for that
     location.  Deterministic given (seed, trial): the trial's fault draws
     are read from one :func:`~biasrep.streams.draw_faults` call over the
-    circuit's sites, the same draws :func:`run_circuit_batch` makes.  A
-    forced fault at a location the circuit lacks, or on a qubit its
-    location does not act on, raises ``ValueError``.  ``validate=False``
+    circuit's sites, the same draws :func:`run_circuit_batch` makes.  The
+    forced faults are checked before any work: one at a location the
+    circuit lacks, on a qubit its location does not act on, or an outcome
+    flip off a measurement raises ``ValueError``.  ``validate=False``
     skips only a read of the circuit's cached ``violations``.
     """
     if validate:
@@ -202,7 +245,7 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     record = OutcomeRecord()
     lines: list[str] | None = [] if trace else None
     if forced_faults:
-        _check_forced(circuit, ((ev.location_id, ev.qubit) for ev in forced_faults))
+        _check_forced(circuit, [forced_faults])
     # each location's sampled events, then its forced ones
     events_at: dict[int, list[FaultEvent]] = {}
     sampled = trial_faults([s for sites in rates.sites(circuit) for s in sites],
@@ -246,9 +289,6 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
 # j % 64 of word j // 64 of each row.  Words are read as bytes only through
 # this little-endian view, so the layout does not depend on the host.
 _WORD_BYTES = np.dtype("<u8")
-
-# Bytes of forced-fault word masks that run_circuit_batch holds at once.
-_FORCED_BYTES = 1 << 20
 
 
 def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
@@ -355,32 +395,6 @@ def _apply_hits(state: np.ndarray, n: int, leaked_words: np.ndarray,
     return leaky
 
 
-def _apply_mask(effect: Effect, q: int, m: np.ndarray, x: np.ndarray,
-                z: np.ndarray, lk: np.ndarray, out: np.ndarray, row: int | None,
-                leaked_words: np.ndarray, leaky: bool) -> bool:
-    """A fault on qubit q in the trials of the word mask ``m``, at a
-    location whose outcome row is ``out[row]`` (``row`` None off a
-    measurement); ``leaky`` and the return value as in
-    :func:`_apply_hits`."""
-    if effect.leak:
-        lk[q] |= m
-        x[q] &= ~m
-        z[q] &= ~m
-        leaked_words |= m != 0
-        return True
-    if leaky:
-        m = m & ~lk[q]
-    if effect.x:
-        x[q] ^= m
-    if effect.z:
-        z[q] ^= m
-    if effect.flip:
-        if row is None:
-            raise ValueError("an outcome flip needs a measurement location")
-        out[row] ^= m
-    return leaky
-
-
 def _hit_slices(hits: list, draw_of: list[int], first: int, last: int):
     """The sampled hits of entries [first, last), entry e applying those of
     draw ``draw_of[e]`` (its (positions, classes) in ``hits``), as (entry,
@@ -423,45 +437,50 @@ def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> tuple:
 
 def _build_hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> tuple:
     first_draw = list(accumulate((len(t) for t in table), initial=0))
-    meas_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
+    out_row = _location_table(circuit)[1][:, 3].tolist()
     entries = []            # (draw, qubit, outcome row, classes)
     layer_end = []
     for layer in circuit.layers:
         for i in layer.locations:
             for d, s in enumerate(table[i], first_draw[i]):
-                row = meas_row.get(s.location_id, -1)
-                entries.extend((d, q, row, s.row.classes) for q in s.targets)
+                entries.extend((d, q, out_row[i], s.row.classes) for q in s.targets)
         layer_end.append(len(entries))
-    n = circuit.n_qubits
     qs, rows = (np.array([e[k] for e in entries], dtype=np.intp).reshape(-1, 1)
                 for k in (1, 2))
-    # the x, z and leak bits of each class, by distinct class lists
-    number: dict[tuple, int] = {}
-    kind = np.array([number.setdefault(e[3], len(number)) for e in entries],
-                    dtype=np.intp)
-    bits = np.zeros((len(number), max(map(len, number), default=0), 3), dtype=bool)
-    for classes, k in number.items():
-        bits[k, :len(classes)] = [EFFECTS[c][:3] for c in classes]
-    is_x, is_z, is_leak = bits[kind].transpose(2, 0, 1)
-    # a class without a Pauli or a leak is an outcome flip
-    row1 = np.where(is_leak, qs, np.where(is_x, n + qs, np.where(
-        is_z, 2 * n + qs, 3 * n + rows)))
-    row2 = np.where(is_x & is_z, 2 * n + qs, -1)
+    # each entry's classes as FaultKind codes, padded with Z codes never read
+    width = max((len(e[3]) for e in entries), default=0)
+    kind = np.array([[_KIND_CODE[c] for c in e[3]] + [0] * (width - len(e[3]))
+                     for e in entries], dtype=np.intp).reshape(len(entries), width)
+    row1, row2 = _hit_rows(circuit.n_qubits, kind, qs, rows)
     return layer_end, [e[0] for e in entries], qs[:, 0], row1, row2
 
 
-def _forced_masks(members: list[list[int]], W: int):
-    """The word mask of each forced group in turn (group g's trials are
-    ``members[g]``), set by one scatter per ``_FORCED_BYTES`` of masks."""
-    per_scatter = max(1, _FORCED_BYTES // (8 * max(W, 1)))
-    for first in range(0, len(members), per_scatter):
-        rows = members[first:first + per_scatter]
-        masks = np.zeros((len(rows), W), dtype=np.uint64)
-        pos = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
-        group = np.repeat(np.arange(len(rows)), [len(t) for t in rows])
-        np.bitwise_or.at(masks, (group, pos >> 6),
-                         np.uint64(1) << (pos & 63).astype(np.uint64))
-        yield from masks
+def _hit_rows(n: int, kind: np.ndarray, q: np.ndarray, row: np.ndarray):
+    """The two rows of the stacked state of :func:`_apply_hits` that a hit
+    of the FaultKind codes ``kind`` on qubit ``q`` acts on, where ``row`` is
+    its location's outcome row (read for an outcome flip alone)."""
+    is_x, is_z, is_leak = _KIND_BITS[:, kind]
+    # a class without a Pauli or a leak is an outcome flip
+    first = np.where(is_leak, q, np.where(is_x, n + q, np.where(
+        is_z, 2 * n + q, 3 * n + row)))
+    return first, np.where(is_x & is_z, 2 * n + q, -1)
+
+
+def _forced_hits(circuit: Circuit,
+                 forced_faults: Sequence[Sequence[FaultEvent]]) -> list[np.ndarray]:
+    """The events of each trial's list ``forced_faults[j]`` as hits for
+    :func:`_apply_hits`, after :func:`_check_forced`: for each layer of
+    ``circuit.layers`` in turn, int32 rows (qubit, batch position j, first
+    row, second row), in list order within a layer."""
+    rows = _check_forced(circuit, forced_faults)
+    table = _location_table(circuit)[1]
+    key = table[rows[:, 2], 2]
+    rows = rows[np.argsort(key, kind="stable")]
+    ends = np.cumsum(np.bincount(key, minlength=len(circuit.layers))).tolist()
+    del key
+    q, _, at, kind = rows.T
+    rows[:, 2], rows[:, 3] = _hit_rows(circuit.n_qubits, kind, q, table[at, 3])
+    return [rows[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
@@ -485,9 +504,9 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     :func:`~biasrep.streams.draw_faults`, and the circuit is then stepped
     one ASAP layer (``Circuit.layers``) at a time: the layer's resets, its
     CPHASEs as one word operation, one keyed hash for the partner coins of
-    its leaked qubits, one scatter of its sampled hits per ``_HITS`` of
-    them, its forced faults, and its measurements as one word operation
-    with one keyed hash for leaked outcomes.  This gives the bits of time
+    its leaked qubits, its sampled hits and then its forced ones, by one
+    scatter per ``_HITS`` of them, and its measurements as one word
+    operation with one keyed hash for leaked outcomes.  This gives the bits of time
     order: a layer's locations act on disjoint qubits, each update touches
     only its location's qubits and outcome row, the coins are keyed by
     address, and within one location Pauli faults commute and a leak
@@ -495,12 +514,13 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     measurements is done only in the words that have held a leaked trial,
     and none at all before the batch first leaks.
 
-    ``forced_faults`` holds one event list per trial (or none); a location
-    applies them after its sampled faults, as run_circuit does.  Trials
-    forced alike share one word mask.  The masks are set in layer order,
-    by one scatter per ``_FORCED_BYTES`` of them, so however many groups
-    there are, that much is held at a time.  A forced event at a location
-    the circuit lacks, or on a qubit its location does not act on, raises
+    ``forced_faults`` holds one event list per trial (or none).  Each event
+    is a hit like a sampled one, held as int32 (qubit, batch position, and
+    the two rows it acts on), and the hits are sorted stably by layer, so
+    a location applies a trial's forced events in list order after its
+    sampled faults, as run_circuit does.  Every event is checked before
+    any work: one at a location the circuit lacks, on a qubit its location
+    does not act on, or an outcome flip off a measurement raises
     ``ValueError``.  ``validate=False`` skips only a read of the circuit's
     cached ``violations``.
     """
@@ -511,30 +531,11 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     B = trials.shape[0]
     if forced_faults and len(forced_faults) != B:
         raise ValueError(f"{len(forced_faults)} forced-fault lists for {B} trials")
-    # location -> (rank in a trial's list, qubit, class) -> trials, each once
-    by_loc: dict[int, dict] = {}
-    for j, events in enumerate(forced_faults):
-        for r, ev in enumerate(events):
-            by_loc.setdefault(ev.location_id, {}).setdefault(
-                (r, ev.qubit, ev.error), []).append(j)
-    if by_loc:
-        _check_forced(circuit, ((loc, q) for loc, groups in by_loc.items()
-                                for _, q, _ in groups))
     layers = circuit.layers
-    locations = circuit.locations
-    meas_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
-    # location -> [(qubit, class)] in rank order; the groups' trials in
-    # layer order, the order in which their masks are read
-    forced: dict[int, list] = {}
-    members: list[list[int]] = []
-    for layer in layers:
-        for i in layer.locations:
-            index = locations[i].index
-            for (_, q, cls), t in sorted(by_loc.get(index, {}).items()):
-                forced.setdefault(index, []).append((q, cls))
-                members.append(t)
+    # each layer's forced hits, or none
+    forced = (_forced_hits(circuit, forced_faults) if forced_faults
+              else [()] * len(layers))
     W = (B + 63) >> 6
-    masks = _forced_masks(members, W)
 
     table = rates.sites(circuit)
     meas_locs = circuit.measure_locations
@@ -556,7 +557,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     leaky = False
 
     start = 0
-    for layer, end in zip(layers, layer_end):
+    for layer, end, f in zip(layers, layer_end, forced):
         if layer.prep.size:
             frame[:, layer.prep] = 0
         n = layer.cz_loc.size
@@ -581,11 +582,8 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
             leaky = _apply_hits(flat, N, leaked_words, leaky, ent_q[e], pos,
                                 row1[e, cls], row2[e, cls])
         start = end
-        for i in layer.locations if forced else ():
-            index = locations[i].index
-            for q, cls in forced.get(index, ()):
-                leaky = _apply_mask(EFFECTS[cls], q, next(masks), x, z, lk, out_bits,
-                                    meas_row.get(index), leaked_words, leaky)
+        for a in range(0, len(f), _HITS):
+            leaky = _apply_hits(flat, N, leaked_words, leaky, *f[a:a + _HITS].T)
         q, r = layer.meas, layer.meas_row
         if q.size:
             out_bits[r] ^= z[q]

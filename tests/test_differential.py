@@ -290,11 +290,11 @@ def test_forced_faults_within_one_layer_match_scalar_engine(
         monkeypatch, policy, table):
     # Layer 7 of cnot(3,3) holds measurements 13 and 63 and CPHASEs 20 and
     # 54.  Measurement 21 is in layer 8 but comes before 63 in time, so the
-    # forced groups are read in an order other than time order.  Trial j
-    # carries the events whose bits are set in j, and each mask is set by a
-    # scatter of its own.
+    # forced events are applied in an order other than time order.  Trial j
+    # carries the events whose bits are set in j, and each forced hit is
+    # applied by a scatter of its own.
     from biasrep import pauli_frame
-    monkeypatch.setattr(pauli_frame, "_FORCED_BYTES", 8)
+    monkeypatch.setattr(pauli_frame, "_HITS", 1)
     layer = [CNOT33.locations[i] for i in CNOT33.layers[7].locations]
     assert [(loc.index, loc.qubits) for loc in layer] == [
         (13, (12,)), (20, (13, 2)), (27, (14, 1)), (34, (15, 9)),
@@ -319,7 +319,7 @@ def test_forced_flip_off_a_measurement_raises():
     with pytest.raises(ValueError, match="outcome flip"):
         run_circuit_batch(circuit, zero_rates(), 0, np.arange(2),
                           forced_faults=[[], [flip]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outcome flip"):
         run_circuit(circuit, zero_rates(), 0, forced_faults=[flip])
 
 

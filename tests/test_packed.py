@@ -280,44 +280,64 @@ def test_one_batch_alive(monkeypatch):
     assert four < 1.25 * one, (one, four)
 
 
-def test_forced_masks_set_a_few_rows_at_a_time(monkeypatch):
-    """Forced-fault masks set one row per scatter equal those set all at
-    once: the location loop reads the groups in the order they are set."""
-    from biasrep import pauli_frame
+def single_faults(circuit):
+    """Every (site, class) fault of a leak-free table with phase and
+    non-phase faults at every location."""
     from biasrep.montecarlo import fault_sites
 
     from conftest import uniform_table
 
-    circuit = build_logical_cnot(3, 3)
-    faults = [FaultEvent(s.location_id, s.qubit, kind)
-              for s in fault_sites(circuit, uniform_table(1e-3, 1e-4))
-              for kind in s.row.classes]
-    forced = [[faults[j % len(faults)], faults[(7 * j) % len(faults)]]
-              for j in range(3 * len(faults) + 5)]
-
-    def run():
-        return run_circuit_batch(circuit, zero_rates(), 0,
-                                 np.zeros(len(forced), np.uint64),
-                                 forced_faults=forced, leak_policy="never-z")
-
-    whole = run()
-    monkeypatch.setattr(pauli_frame, "_FORCED_BYTES", 8)
-    for got, want in zip(run().words, whole.words):
-        assert np.array_equal(got, want)
+    return [FaultEvent(s.location_id, s.qubit, kind)
+            for s in fault_sites(circuit, uniform_table(1e-3, 1e-4))
+            for kind in s.row.classes]
 
 
+def test_forced_faults_held_lean():
+    """A 131,072-trial cnot(5,7) batch on the zero table, each trial forced
+    with one leak-free fault (as the oracle forces its faults), peaks at
+    most 32 bytes per forced event above the same batch with none."""
+    circuit, zero = build_logical_cnot(5, 7), zero_rates()
+    faults = single_faults(circuit)
+    trials = np.zeros(1 << 17, np.uint64)
+    forced = [[faults[j % len(faults)]] for j in range(len(trials))]
+
+    def peak(forced_faults):
+        tracemalloc.start()
+        try:
+            run_circuit_batch(circuit, zero, 0, trials, forced_faults=forced_faults)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # fill the caches first
+    run_circuit_batch(circuit, zero, 0, trials[:64], forced_faults=forced[:64])
+    unforced, all_forced = peak(()), peak(forced)
+    assert all_forced - unforced <= 32 * len(trials), (unforced, all_forced)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["sampled", "forced"])
 @pytest.mark.parametrize("limit", [1, 7, 100])
-def test_hits_applied_a_slice_at_a_time(monkeypatch, limit):
-    """Sampled hits applied at most ``limit`` at once (so that a draw's
-    hits are cut across slices, and a slice joins draws) equal hits
-    applied one layer at once."""
+def test_hits_applied_a_slice_at_a_time(monkeypatch, limit, forced):
+    """Hits applied at most ``limit`` at once (so that a draw's hits are cut
+    across slices, and a slice joins draws) equal hits applied one layer at
+    once: the sampled hits of a leaky table, or forced events on the zero
+    table, two per trial, so that events at one location come from many
+    trials."""
     from biasrep import pauli_frame
 
-    circuit, rates = build_logical_cnot(3, 3), leaky(cphase_zz=0.02)
-    trials = np.arange(5, 5 + 300, dtype=np.uint64)
+    circuit = build_logical_cnot(3, 3)
+    if forced:
+        faults = single_faults(circuit)
+        events = [[faults[j % len(faults)], faults[(7 * j) % len(faults)]]
+                  for j in range(3 * len(faults) + 5)]
+        args = (zero_rates(), 0, np.zeros(len(events), np.uint64))
+        kwargs = {"forced_faults": events, "leak_policy": "never-z"}
+    else:
+        args = (leaky(cphase_zz=0.02), 9, np.arange(5, 5 + 300, dtype=np.uint64))
+        kwargs = {}
     monkeypatch.setattr(pauli_frame, "_HITS", 1 << 30)
-    whole = run_circuit_batch(circuit, rates, 9, trials)
+    whole = run_circuit_batch(circuit, *args, **kwargs)
     monkeypatch.setattr(pauli_frame, "_HITS", limit)
-    for got, want in zip(run_circuit_batch(circuit, rates, 9, trials).words,
+    for got, want in zip(run_circuit_batch(circuit, *args, **kwargs).words,
                          whole.words):
         assert np.array_equal(got, want)
