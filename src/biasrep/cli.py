@@ -167,6 +167,8 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     rates = _load_rates(args.rates)
     trials = _parse_trials(args.trials)
     gadget = build_gadget(args.gadget, args.n, args.k,
@@ -348,6 +350,8 @@ def cmd_channel(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.max_patterns < 0:
         raise ConfigError(f"--max-patterns must be >= 0, got {args.max_patterns}")
+    if args.weight < 0:
+        raise ConfigError(f"--weight must be >= 0, got {args.weight}")
     rates = _load_rates(args.rates)
     gadget = build_gadget(args.gadget, args.n, args.k)
     result = brute_force_oracle(gadget, rates, args.weight,

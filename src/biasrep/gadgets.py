@@ -387,8 +387,9 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
     """Validate the circuit invariants; returns (location_id, message) pairs,
     empty when the schedule is clean.
 
-    Checks: qubit indices valid and distinct per location; block qubits
-    exist; CPHASE couples different species and never two data qubits; data
+    Checks: location ids are their positions; qubit indices valid and
+    distinct per location; block qubits exist; CPHASE couples different
+    species and never two data qubits; data
     qubits are species A and ancillas species B; prepared qubits are not
     used before their preparation; within each ancilla chain, output-block
     couplings precede input-block couplings; majority groups have odd size
@@ -414,6 +415,8 @@ def check_schedule(circuit: Circuit) -> list[tuple[int, str]]:
                    if loc.kind is OpKind.PREP_PLUS}
     anc_touched_input: dict[int, int] = {}  # ancilla -> first input-coupling loc
 
+    violations += [(loc.index, f"location id {loc.index} at position {i}")
+                   for i, loc in enumerate(circuit.locations) if loc.index != i]
     for loc in circuit.locations:
         for q in loc.qubits:
             if not 0 <= q < n:

@@ -174,8 +174,8 @@ class TrialCounts:
 
 
 # Trials per batch of count_trials; it bounds the batch's working arrays
-# (trial indices, 8 bytes per trial, and the fault hits, 5 bytes per fault;
-# the draw phase keeps its own arrays near 128 KiB, see streams._CELLS).
+# (packed rows, a bit per trial and row, and the fault hits, 5 bytes per
+# fault; the draw phase keeps its own near 128 KiB, see streams._CELLS).
 _BATCH_SIZE = 1 << 17
 
 
@@ -185,8 +185,7 @@ def _count_batch(gadget: Circuit, rates: ErrorRateTable, seed: int,
     Every array of the batch is freed on return, before the next batch is
     built."""
     lz, lx, leaked = classify_batch(gadget, run_circuit_batch(
-        gadget, rates, seed, np.arange(lo, hi, dtype=np.uint64),
-        leak_policy=leak_policy))
+        gadget, rates, seed, range(lo, hi), leak_policy=leak_policy))
     return TrialCounts(hi - lo, *(int(np.count_nonzero(flag))
                                   for flag in (lz, lx, leaked, lx | leaked)))
 
@@ -348,7 +347,7 @@ def _fault_effects(circuit: Circuit, faults: Sequence[FaultEvent],
     table under ``never-z`` with trial j forced with fault j: outcome bits
     (in ``measure_locations`` order), then output frame x and z bits, in
     the contiguous columns of a bool array [outcomes + 2 * qubits, faults]."""
-    run = run_circuit_batch(circuit, zero, 0, np.zeros(len(faults), np.uint64),
+    run = run_circuit_batch(circuit, zero, 0, range(len(faults)),
                             forced_faults=[[f] for f in faults],
                             leak_policy=LeakPolicy.NEVER_Z)
     return np.asfortranarray(np.concatenate([run.outcome_bits, run.frame_x,

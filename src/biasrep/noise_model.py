@@ -300,11 +300,11 @@ def trial_faults(sites: Sequence[FaultSite], seed: int,
                  trial: int) -> list[FaultEvent]:
     """The faults that trial ``trial`` of ``seed`` draws at ``sites``, in
     site order: one event per target of each site that hits.  One
-    :func:`~biasrep.streams.draw_faults` call over a one-trial array makes
+    :func:`~biasrep.streams.draw_faults` call over a one-trial span makes
     every draw; no sites, no call."""
     if not sites:
         return []
-    hits = draw_faults(seed, np.array([trial], dtype=np.uint64),
+    hits = draw_faults(seed, range(trial, trial + 1),
                        [(s.location_id, s.qubit, s.row.thresholds) for s in sites])
     return [FaultEvent(s.location_id, q, s.row.classes[which[0]])
             for s, (_, which) in zip(sites, hits) if which.size
@@ -329,7 +329,7 @@ def fault_class_counts(kind: OpKind, species: Species, rates: ErrorRateTable,
     row = rates.faults().get(kind, OpFaults({})).rows.get(species)
     if row is None:
         return {}
-    [(_, which)] = draw_faults(seed, np.arange(trials, dtype=np.uint64),
+    [(_, which)] = draw_faults(seed, range(trials),
                                [(location_id, qubit, row.thresholds)])
     counts = np.bincount(which, minlength=len(row.classes))
     return {cls: int(n) for cls, n in zip(row.classes, counts)}

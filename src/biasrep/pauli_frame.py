@@ -26,7 +26,7 @@ from .gadgets import Circuit, assert_valid
 from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultKind, FaultSite,
                           OpKind, trial_faults)
 from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, draw_faults,
-                      uniform_vector)
+                      trial_span, uniform_vector)
 
 
 class LeakPolicy(str, Enum):
@@ -310,8 +310,8 @@ class PackedRun(NamedTuple):
 
 
 class BatchRunResult:
-    """Trial-parallel run output for the uint64 trial indices ``trials``
-    [B]: the packed rows ``words``, a :class:`PackedRun`.
+    """Trial-parallel run output for the span of B consecutive trials
+    ``trials`` (a range): the packed rows ``words``, a :class:`PackedRun`.
 
     Each row of ``words`` is also an attribute of the same name, a boolean
     array indexed [column, trial]: ``outcome_bits`` and ``leaked_random``
@@ -322,7 +322,7 @@ class BatchRunResult:
     [rows, B] array.
     """
 
-    def __init__(self, trials: np.ndarray, meas_locations: tuple[int, ...],
+    def __init__(self, trials: range, meas_locations: tuple[int, ...],
                  words: PackedRun):
         self.trials = trials
         self.meas_locations = meas_locations
@@ -342,11 +342,12 @@ class BatchRunResult:
 _HITS = 1 << 13
 
 
-def _heads(words: np.ndarray, at: np.ndarray, seed: int, trials: np.ndarray,
+def _heads(words: np.ndarray, at: np.ndarray, seed: int, first: int,
            location: np.ndarray, qubit: np.ndarray, tag: int) -> np.ndarray:
     """The bits of ``words`` [rows, len(at)], the words ``at`` of some rows,
     whose keyed coin comes up heads (uniform below 1/2); row r's coins are
-    addressed by (``location[r]``, ``qubit[r]``, ``tag``)."""
+    addressed by (``first`` + batch position, ``location[r]``, ``qubit[r]``,
+    ``tag``)."""
     heads = np.zeros_like(words)
     nonzero = np.flatnonzero(words)
     bits = np.flatnonzero(np.unpackbits(
@@ -355,8 +356,8 @@ def _heads(words: np.ndarray, at: np.ndarray, seed: int, trials: np.ndarray,
     if bits.size:
         row, col = np.divmod(nonzero[bits >> 6], words.shape[1])
         bit = bits & 63
-        up = uniform_vector(seed, trials[at[col] * 64 + bit], location[row],
-                            qubit[row], tag) < 0.5
+        trial = (at[col] * 64 + bit).astype(np.uint64) + np.uint64(first)
+        up = uniform_vector(seed, trial, location[row], qubit[row], tag) < 0.5
         np.bitwise_or.at(heads, (row[up], col[up]),
                          np.uint64(1) << bit[up].astype(np.uint64))
     return heads
@@ -484,7 +485,7 @@ def _forced_hits(circuit: Circuit,
 
 
 def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
-                      trials: np.ndarray, *,
+                      trials: range | np.ndarray, *,
                       forced_faults: Sequence[Sequence[FaultEvent]] = (),
                       leak_policy: LeakPolicy | str = LeakPolicy.RANDOM_Z,
                       validate: bool = True) -> BatchRunResult:
@@ -498,7 +499,8 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     boundaries therefore never affect outcomes, and a coin that can matter
     only to leaked trials (the random Z on a leaked qubit's partner, the
     outcome of a leaked measurement) is drawn for those trials alone.
-    ``trials`` may hold any trial indices, repeated or in any order.
+    ``trials`` is one span of trials, as :func:`~biasrep.streams.trial_span`
+    takes it; anything else raises ``ValueError``.
 
     Every fault draw is made first, by
     :func:`~biasrep.streams.draw_faults`, and the circuit is then stepped
@@ -527,8 +529,8 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     if validate:
         assert_valid(circuit)
     policy = LeakPolicy(leak_policy)
-    trials = np.asarray(trials, dtype=np.uint64)
-    B = trials.shape[0]
+    first, B = trial_span(trials)
+    trials = range(first, first + B)
     if forced_faults and len(forced_faults) != B:
         raise ValueError(f"{len(forced_faults)} forced-fault lists for {B} trials")
     layers = circuit.layers
@@ -574,7 +576,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
             if policy is not LeakPolicy.NEVER_Z:
                 m = np.concatenate([lz[n:], lz[:n]]) & ~lz  # partner leaked
                 if policy is LeakPolicy.RANDOM_Z:
-                    m = _heads(m, w, seed, trials, np.tile(layer.cz_loc, 2),
+                    m = _heads(m, w, seed, first, np.tile(layer.cz_loc, 2),
                                dst, TAG_LEAK_CZ)
                 zz ^= m
             z[dst[:, None], w] = zz
@@ -591,7 +593,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                 w = np.flatnonzero(leaked_words)
                 lq = lk[q[:, None], w]
                 out_bits[r[:, None], w] = (out_bits[r[:, None], w] & ~lq) | _heads(
-                    lq, w, seed, trials, layer.meas_loc, q, TAG_LEAK_OUTCOME)
+                    lq, w, seed, first, layer.meas_loc, q, TAG_LEAK_OUTCOME)
                 out_leakrand[r[:, None], w] = lq
             frame[:, q] = 0
     return BatchRunResult(trials, meas_locs,

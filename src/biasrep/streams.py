@@ -187,56 +187,21 @@ def fault_bounds(thresholds: tuple[float, ...]
     return tuple(gaps), tuple(classes)
 
 
-class _Words:
-    """The absolute 64-trial words that an array of trial indices touches,
-    and the way back from a trial of those words to its batch positions.
-    An ascending run of consecutive trials (what ``count_trials`` passes)
-    maps back by subtraction; any other array, with repeats or in any
-    order, through its sorted copy.  ``stop`` is the offset (64 per word)
-    one past the run's last trial, or 0 when every word is walked to its
-    end."""
-
-    def __init__(self, trials: np.ndarray):
-        # checked in slices, so that no temporary is as large as the batch
-        self.run = trials.size > 0 and all(
-            bool((part[1:] - part[:-1] == 1).all())
-            for part in (trials[i:i + _CELLS + 1]
-                         for i in range(0, trials.size - 1, _CELLS)))
-        self.stop = 0
-        if self.run:
-            first = int(trials[0])
-            self.words = np.arange(first >> 6, (int(trials[-1]) >> 6) + 1,
-                                   dtype=np.uint64)
-            self.skip = first & (_WORD - 1)     # trials before the run
-            self.size = trials.size
-            # whether the first or last word holds trials outside the run
-            self.partial = bool(self.skip or (first + self.size) & (_WORD - 1))
-            if (first + self.size) & (_WORD - 1):
-                self.stop = self.skip + self.size
-        else:
-            self.order = np.argsort(trials, kind="stable")
-            self.sorted = trials[self.order]
-            words = self.sorted >> np.uint64(6)
-            self.words = words[np.append(True, words[1:] != words[:-1])]
-
-    def positions(self, offset: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-        """For the trials ``offset`` into ``self.words`` (64 per word): the
-        batch position of each time it is in the batch, and the index (or a
-        slice) of the offsets they come from."""
-        if self.run:
-            pos = offset - self.skip
-            if not self.partial:
-                return pos, slice(None)
-            src = ((pos >= 0) & (pos < self.size)).nonzero()[0]
-            return pos[src], src
-        trial = (self.words[offset >> 6] * np.uint64(_WORD)
-                 + (offset & (_WORD - 1)).astype(np.uint64))
-        lo = np.searchsorted(self.sorted, trial, "left")
-        count = np.searchsorted(self.sorted, trial, "right") - lo
-        src = np.repeat(np.arange(trial.size), count)
-        first = np.cumsum(count) - count
-        at = lo[src] + np.arange(src.size) - first[src]
-        return self.order[at], src
+def trial_span(trials: range | np.ndarray) -> tuple[int, int]:
+    """(first, size) of a batch that is one span of trials >= 0: a step-1
+    ``range``, or a 1-D integer array (empty, or ascending by one).  Raises
+    ``ValueError`` for anything else: batch position j is trial first + j."""
+    if isinstance(trials, range):
+        if trials.step == 1 and trials.start >= 0:
+            return trials.start, len(trials)
+    else:
+        a = np.asarray(trials)
+        if a.ndim == 1 and not a.size:
+            return 0, 0
+        if (a.ndim == 1 and np.issubdtype(a.dtype, np.integer) and a[0] >= 0
+                and int(a[-1]) - int(a[0]) == a.size - 1 and (np.diff(a) == 1).all()):
+            return int(a[0]), a.size
+    raise ValueError("trials must be one span of consecutive trials >= 0")
 
 
 def _gap(levels: Sequence[np.ndarray], row: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -279,14 +244,13 @@ def _stacked(rows: tuple[tuple[float, ...], ...]) -> tuple:
             tuple(1.0 - g[-1] * 2.0**-53 for g, _ in tables))
 
 
-def draw_faults(seed: int, trials: np.ndarray,
+def draw_faults(seed: int, trials: range | np.ndarray,
                 draws: Sequence[tuple[int, int, Sequence[float]]]
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every fault draw of ``draws`` (location, qubit, thresholds) for every
-    trial of ``trials``: per draw, the int32 batch positions of the trials
-    that draw a fault and the uint8 class index of each.  The positions
-    come in round order, then word order, not sorted.  A trial that appears
-    several times in ``trials`` hits at each of its positions.
+    trial of the span ``trials`` (see :func:`trial_span`): per draw, the
+    int32 batch positions of the trials that draw a fault and the uint8
+    class index of each, in round order, then word order, not sorted.
 
     The draws are sampled per (draw, word) cell.  Round 0 hashes every cell,
     a group of draws at a time; the cells that hit join one pool of live
@@ -297,14 +261,16 @@ def draw_faults(seed: int, trials: np.ndarray,
     rounds, share a step.  A cell carries its round in its hash key.  Each
     hash is a function of its address alone, so neither the grouping nor
     the batch changes a result.  No draws cost nothing."""
-    trials = np.asarray(trials, dtype=np.uint64)
-    if not draws:
-        return []
-    if not trials.size:
+    first, size = trial_span(trials)
+    if not (draws and size):
         return [(np.zeros(0, np.int32), np.zeros(0, np.uint8)) for _ in draws]
-    words = _Words(trials)
-    n_words = words.words.size
-    base = (words.words << np.uint64(7)) * np.uint64(_GOLDEN)
+    words = np.arange(first >> 6, ((first + size - 1) >> 6) + 1, dtype=np.uint64)
+    n_words = words.size
+    base = (words << np.uint64(7)) * np.uint64(_GOLDEN)
+    # offsets (64 per word) of the span's first trial and one past its last
+    skip = first & (_WORD - 1)
+    stop = skip + size
+    partial = bool(skip or stop & (_WORD - 1))
     keys = np.array([stream_key(seed, location, qubit, TAG_FAULT)
                      for location, qubit, _ in draws], dtype=np.uint64)
     rows: dict[tuple, int] = {}
@@ -395,8 +361,9 @@ def draw_faults(seed: int, trials: np.ndarray,
             del hc
         else:
             cls = np.zeros(d.size, dtype=np.uint8)
-        pos, src = words.positions(at)
-        held.append((d[src], pos.astype(np.int32), cls[src]))
+        src = ((at >= skip) & (at < stop)).nonzero()[0] if partial else slice(None)
+        pos = (at[src] - skip).astype(np.int32)
+        held.append((d[src], pos, cls[src]))
         n_held += pos.size
         del pos, cls
         # the next round's gap hash, and whether it hits in the trials left
@@ -409,8 +376,8 @@ def draw_faults(seed: int, trials: np.ndarray,
         hit = h >= after[bound]
         del bound
         at += 1
-        if words.stop:
-            hit &= at < words.stop
+        if partial:
+            hit &= at < stop
         keep = hit.nonzero()[0]
         d = d[keep]
         key = key[keep]

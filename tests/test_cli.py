@@ -234,7 +234,7 @@ class TestSimulate:
                                  "--n", "1", "--k", "1", "--rates", "zero",
                                  "--trials", "10", "--workers", workers)
         assert code == 2
-        assert "workers must be >= 1" in err
+        assert f"--workers must be >= 1, got {workers}" in err
         assert out == ""
 
     def test_worker_invariance(self, capsys, tmp_path):
@@ -456,7 +456,7 @@ class TestOracleCommand:
                                  "--weight", weight)
         assert code == 2
         assert out == ""
-        assert "weight" in err
+        assert f"--weight must be >= 0, got {weight}" in err
 
     @pytest.mark.parametrize("limit", ["-1", "-5"])
     def test_negative_max_patterns_rejected(self, capsys, limit):

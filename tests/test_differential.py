@@ -4,8 +4,9 @@ a circuit against its text round trip.  The oracle's batched single-fault
 effects are checked against one scalar run per fault.
 
 Inputs are small gadgets and random schedule-valid circuits, leaky rate
-tables with a correlated CPHASE term, every leak policy and scattered trial
-indices.  Examples are derandomized, so a run is repeatable."""
+tables with a correlated CPHASE term, every leak policy and short spans of
+trials from up to 2^40, some crossing the end of a 64-trial word.  Examples are
+derandomized, so a run is repeatable."""
 
 import dataclasses
 
@@ -160,8 +161,14 @@ def leaky_tables(draw) -> ErrorRateTable:
     return ErrorRateTable(entries, cphase_zz=draw(rate))
 
 
-trial_lists = st.lists(st.integers(0, 2**40), min_size=1, max_size=6,
-                       unique=True)
+# Spans of 1-8 trials; half of them start at one of a word's last 7 bits,
+# so that the longer ones cross into the next word.
+trial_spans = st.builds(
+    lambda start, size: range(start, start + size),
+    st.one_of(st.integers(0, 2**40),
+              st.builds(lambda word, bit: 64 * word + bit,
+                        st.integers(0, 2**34 - 1), st.integers(57, 63))),
+    st.integers(1, 8))
 seeds = st.integers(0, 2**32 - 1)
 policies = st.sampled_from(list(LeakPolicy))
 
@@ -176,8 +183,7 @@ def assert_batch_matches_scalar(circuit, table, seed, trials, policy,
     """Every result array of one batched run equals the scalar engine's,
     trial by trial, with trial j forced with ``forced[j]`` if given."""
     forced = forced or [[] for _ in trials]
-    batch = run_circuit_batch(circuit, table, seed,
-                              np.array(trials, dtype=np.uint64),
+    batch = run_circuit_batch(circuit, table, seed, trials,
                               forced_faults=forced, leak_policy=policy)
     for j, trial in enumerate(trials):
         run = run_circuit(circuit, table, seed, trial=trial,
@@ -191,7 +197,7 @@ def assert_batch_matches_scalar(circuit, table, seed, trials, policy,
 
 
 @SETTINGS
-@given(gadgets, leaky_tables(), seeds, trial_lists, policies)
+@given(gadgets, leaky_tables(), seeds, trial_spans, policies)
 def test_batch_engine_matches_scalar_engine(circuit, table, seed, trials,
                                             policy):
     assert_batch_matches_scalar(circuit, table, seed, trials, policy)
@@ -215,7 +221,7 @@ def event_lists(circuit, count: int):
 
 
 @SETTINGS
-@given(gadgets, leaky_tables(), seeds, trial_lists, policies, st.data())
+@given(gadgets, leaky_tables(), seeds, trial_spans, policies, st.data())
 def test_forced_faults_match_scalar_engine(circuit, table, seed, trials,
                                            policy, data):
     forced = data.draw(event_lists(circuit, len(trials)))
@@ -237,7 +243,7 @@ def test_forced_events_on_one_qubit_apply_in_list_order(policy):
         [LEAK, Z], [Z, LEAK], [Z, Z], [X, Z], [Z], [])]
     forced += [[FaultEvent(meas.index, m, k) for k in ks] for ks in (
         [FLIP, LEAK], [LEAK, FLIP], [FLIP, FLIP], [FLIP, Z])]
-    trials = [7 * j + 2**33 for j in range(len(forced))]
+    trials = range(2**33 + 60, 2**33 + 60 + len(forced))
     table = ErrorRateTable(default_rates().entries, cphase_zz=0.01)
     assert_batch_matches_scalar(circuit, table, 5, trials, policy, forced)
 
@@ -272,7 +278,7 @@ def test_shared_forced_groups_and_first_leak_match_scalar_engine(
     z = FaultEvent(ROUND[0].index, ROUND[0].qubits[1], FaultKind.Z)
     forced = [[leak] * (j % 3 > 0) + [x] * (j % 4 == 1) + [z] * (j % 5 == 2)
               for j in range(size)]
-    trials = [2**35 + 11 * j for j in range(size)]
+    trials = range(2**35 + 11, 2**35 + 11 + size)
     assert_batch_matches_scalar(CNOT33, table(), 5, trials, policy, forced)
 
 
@@ -308,7 +314,7 @@ def test_forced_faults_within_one_layer_match_scalar_engine(
               FaultEvent(21, 13, FLIP)]
     forced = [[ev for b, ev in enumerate(events) if j >> b & 1]
               for j in range(2 ** len(events))]
-    trials = [2**36 + 3 * j for j in range(len(forced))]
+    trials = range(2**36 + 3, 2**36 + 3 + len(forced))
     assert_batch_matches_scalar(CNOT33, table(), 5, trials, policy, forced)
 
 
@@ -385,7 +391,7 @@ def test_fault_effects_equal_scalar_runs_on_generated_circuits(circuit):
 
 
 @SETTINGS
-@given(gadgets, leaky_tables(), seeds, trial_lists, policies)
+@given(gadgets, leaky_tables(), seeds, trial_spans, policies)
 def test_text_round_trip_runs_identically(circuit, table, seed, trials,
                                           policy):
     parsed = circuit_from_text(circuit_to_text(circuit))

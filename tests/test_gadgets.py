@@ -149,6 +149,33 @@ class TestSchedule:
         with pytest.raises(ScheduleViolation, match="qubit 99"):
             run_trial(bad, zero_rates(), 0)
 
+    def test_location_id_off_its_position_flagged(self):
+        # location 5 given id 4: two CPHASEs would share location 4's fault
+        # streams on ancilla 6 and its forced-fault address
+        tele = build_teleport_identity(3, 1)
+        assert [tele.locations[i].kind for i in (4, 5)] == [OpKind.CPHASE] * 2
+        assert 6 in tele.locations[4].qubits and 6 in tele.locations[5].qubits
+        locations = list(tele.locations)
+        locations[5] = dataclasses.replace(locations[5], index=4)
+        bad = dataclasses.replace(tele, locations=tuple(locations))
+        assert check_schedule(bad) == [(4, "location id 4 at position 5")]
+
+    def test_location_ids_shifted_flagged(self):
+        # every id (and every group's) shifted by 100: the text format
+        # numbers locations by position, so the round trip would differ
+        tele = build_teleport_identity(3, 1)
+        bad = dataclasses.replace(
+            tele, locations=tuple(dataclasses.replace(loc, index=loc.index + 100)
+                                  for loc in tele.locations),
+            groups={name: tuple(i + 100 for i in ids)
+                    for name, ids in tele.groups.items()})
+        assert check_schedule(bad) == [
+            (i + 100, f"location id {i + 100} at position {i}")
+            for i in range(len(tele.locations))]
+        assert circuit_from_text(circuit_to_text(bad)) != bad
+        with pytest.raises(ScheduleViolation, match="at position 0"):
+            run_trial(bad, zero_rates(), 0)
+
     def test_correction_on_input_block_flagged(self):
         tele = build_teleport_identity(3, 1)
         bad = dataclasses.replace(tele, corrections=(

@@ -55,7 +55,7 @@ def random_batch(circuit, trials: int, seed: int) -> BatchRunResult:
     rng = np.random.default_rng(seed)
     meas = circuit.measure_locations
     rows = lambda m: pack(rng.random((m, trials)) < 0.5)
-    return BatchRunResult(np.arange(trials, dtype=np.uint64), meas, PackedRun(
+    return BatchRunResult(range(trials), meas, PackedRun(
         rows(len(meas)), pack(np.zeros((len(meas), trials), bool)),
         rows(circuit.n_qubits), rows(circuit.n_qubits),
         pack(rng.random((circuit.n_qubits, trials)) < 0.05)))

@@ -240,7 +240,7 @@ class TestEvenOutputBlock:
         circuit = circuit_from_text(EVEN_BLOCK)
         assert_valid(circuit)
         batch = run_circuit_batch(
-            circuit, zero_rates(), 0, np.zeros(len(self.PATTERNS), np.uint64),
+            circuit, zero_rates(), 0, range(len(self.PATTERNS)),
             forced_faults=[self.forced(*p) for p in self.PATTERNS])
         lz, lx, _ = classify_batch(circuit, batch)
         for i, pattern in enumerate(self.PATTERNS):
@@ -298,7 +298,7 @@ def test_forced_faults_held_lean():
     most 32 bytes per forced event above the same batch with none."""
     circuit, zero = build_logical_cnot(5, 7), zero_rates()
     faults = single_faults(circuit)
-    trials = np.zeros(1 << 17, np.uint64)
+    trials = range(1 << 17)
     forced = [[faults[j % len(faults)]] for j in range(len(trials))]
 
     def peak(forced_faults):
@@ -330,7 +330,7 @@ def test_hits_applied_a_slice_at_a_time(monkeypatch, limit, forced):
         faults = single_faults(circuit)
         events = [[faults[j % len(faults)], faults[(7 * j) % len(faults)]]
                   for j in range(3 * len(faults) + 5)]
-        args = (zero_rates(), 0, np.zeros(len(events), np.uint64))
+        args = (zero_rates(), 0, range(len(events)))
         kwargs = {"forced_faults": events, "leak_policy": "never-z"}
     else:
         args = (leaky(cphase_zz=0.02), 9, np.arange(5, 5 + 300, dtype=np.uint64))

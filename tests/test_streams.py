@@ -9,7 +9,8 @@ from biasrep import streams
 from biasrep.noise_model import FaultKind, FaultRow
 from biasrep.streams import (_CELLS, _GOLDEN, _MASK, _MIX1, _MIX2, TAG_FAULT,
                              TAG_LEAK_CZ, draw_faults, fault_bounds, hash_bound,
-                             keyed_hash, stream_key, uniform, uniform_vector)
+                             keyed_hash, stream_key, trial_span, uniform,
+                             uniform_vector)
 
 SEED, LOC, QUBIT = 31, 17, 4
 
@@ -175,15 +176,15 @@ def as_pairs(pos: np.ndarray, which: np.ndarray) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("row", ROWS, ids=range(len(ROWS)))
 def test_draw_faults_follows_the_word_walk(row):
-    trials = np.array(list(range(200)) + list(range(12_345, 12_545)), dtype=np.uint64)
-    want = [walked_class(int(t), row) for t in trials]
-    alone = []
-    for i in range(trials.size):
-        [(_, which)] = draw_faults(SEED, trials[i:i + 1], draws([row]))
-        alone.append(int(which[0]) if which.size else -1)
-    assert alone == want
-    [(pos, which)] = draw_faults(SEED, trials, draws([row]))
-    assert as_pairs(pos, which) == [(j, c) for j, c in enumerate(want) if c >= 0]
+    for trials in (range(200), range(12_345, 12_545)):
+        want = [walked_class(t, row) for t in trials]
+        alone = []
+        for t in trials:
+            [(_, which)] = draw_faults(SEED, range(t, t + 1), draws([row]))
+            alone.append(int(which[0]) if which.size else -1)
+        assert alone == want
+        [(pos, which)] = draw_faults(SEED, trials, draws([row]))
+        assert as_pairs(pos, which) == [(j, c) for j, c in enumerate(want) if c >= 0]
 
 
 @pytest.mark.parametrize("row", [row for row in ROWS if row[-1] >= 0.5],
@@ -235,31 +236,44 @@ def test_spans_split_inside_a_word_add_up(split):
         assert as_pairs(*w) == as_pairs(*a) + as_pairs(b[0] + split, b[1])
 
 
-def test_repeated_and_unordered_trials():
-    rng = np.random.default_rng(5)
-    pool = np.arange(12_345, 12_345 + max(SIZES))
-    idx = rng.integers(0, pool.size, 3_000)
-    idx[:40] = idx[40]                         # a trial 41 times over
-    got = draw_faults(SEED, pool[idx].astype(np.uint64), draws())
-    for (pos, which), classes in zip(got, walked_classes(12_345)):
-        expected = [(j, int(classes[i])) for j, i in enumerate(idx)
-                    if classes[i] >= 0]
-        assert as_pairs(pos, which) == expected
-
-
 @pytest.mark.parametrize("k", [1, _CELLS - 1, _CELLS, _CELLS + 1, 2 * _CELLS + 3,
                                3 * _CELLS + 4])
-def test_a_swap_anywhere_leaves_the_ascending_run(k):
-    # trials k - 1 and k swapped: the run check must see it wherever it lies
+def test_trial_span_refuses_a_swap_anywhere(k):
+    # trials k - 1 and k swapped: the span check must see it wherever it lies
     n = 3 * _CELLS + 5
-    swapped = np.arange(n, dtype=np.uint64)
-    swapped[[k - 1, k]] = swapped[[k, k - 1]]
-    whole = draw_faults(SEED, np.arange(n, dtype=np.uint64), draws(ROWS[-3:]))
-    got = draw_faults(SEED, swapped, draws(ROWS[-3:]))
-    moved = {k - 1: k, k: k - 1}
-    for (pos, which), (want, want_which) in zip(got, whole):
-        want = [moved.get(j, j) for j in want.tolist()]
-        assert as_pairs(pos, which) == sorted(zip(want, want_which.tolist()))
+    trials = np.arange(12_345, 12_345 + n, dtype=np.uint64)
+    assert trial_span(trials) == trial_span(range(12_345, 12_345 + n)) == (12_345, n)
+    trials[[k - 1, k]] = trials[[k, k - 1]]
+    with pytest.raises(ValueError):
+        trial_span(trials)
+    with pytest.raises(ValueError):
+        draw_faults(SEED, trials, draws())
+
+
+@pytest.mark.parametrize("trials", [
+    np.array([5, 6, 6, 7]),                     # a repeated trial
+    np.array([5, 6, 7, 7]),                     # repeated at the end
+    np.arange(9, 1, -1),                        # descending
+    np.arange(8).reshape(2, 4),                 # 2-D
+    range(0, 10, 2),                            # step 2
+    range(4, 0, -1),
+    range(-1, 3),                               # a negative start
+    np.arange(-2, 3),
+    np.array([0.0, 1.0]),                       # not integers
+], ids=["repeat", "repeat-last", "descending", "2-d", "step-2", "step-minus-1",
+        "negative-range", "negative-array", "floats"])
+def test_trial_span_refuses_all_but_one_span(trials):
+    with pytest.raises(ValueError):
+        trial_span(trials)
+
+
+def test_trial_span_accepts_empty_and_one_trial_spans():
+    assert trial_span(range(7, 7)) == (7, 0)
+    assert trial_span(np.zeros(0, np.uint64)) == (0, 0)
+    assert trial_span(np.array([2**40], dtype=np.uint64)) == (2**40, 1)
+    assert trial_span([3, 4, 5]) == (3, 3)
+    for pos, which in draw_faults(SEED, range(7, 7), draws()):
+        assert pos.size == which.size == 0
 
 
 def test_fault_bounds_by_repeated_multiplication():
@@ -345,14 +359,12 @@ def test_one_draw_per_group_changes_no_array(monkeypatch):
 
 # The pool's test inputs: table1 x5 on cnot(3,3), and the rows of ROWS with
 # p >= 1/2, each at a location of its own, whose cells stay live for many
-# rounds; and trials in whole words, a run that starts and ends inside a
-# word, and trials repeated and out of order.
+# rounds; and trials in whole words, and a span that starts and ends inside
+# a word.
 HIGH_P = [row for row in ROWS if row[-1] >= 0.5]
 POOL_TRIALS = {
     "words": np.arange(64 * 40, 64 * 120, dtype=np.uint64),
     "inside": np.arange(37, 5_038, dtype=np.uint64),
-    "unordered": np.concatenate([[4_321] * 7, np.random.default_rng(11).integers(
-        0, 5_000, 3_000)]).astype(np.uint64)[::-1].copy(),
 }
 
 
