@@ -173,9 +173,10 @@ class TrialCounts:
                            self.logical_other + other.logical_other)
 
 
-# Trials per batch of count_trials; it bounds the batch's working arrays
-# (packed rows, a bit per trial and row, and the fault hits, 5 bytes per
-# fault; the draw phase keeps its own near 128 KiB, see streams._CELLS).
+# Trials per batch of count_trials; it bounds the batch's working arrays:
+# packed rows, a bit per trial and row, and one layer's fault hits at a
+# time, 6 or 7 bytes per fault.  The walk of the fault draws keeps its own
+# arrays near 128 KiB (see streams._CELLS).
 _BATCH_SIZE = 1 << 17
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .gadgets import Circuit, assert_valid
 from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultKind, FaultSite,
                           OpKind, trial_faults)
-from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, draw_faults,
+from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, fault_hits,
                       trial_span, uniform_vector)
 
 
@@ -171,23 +171,23 @@ _KIND_CODE = {kind: i for i, kind in enumerate(FaultKind)}
 _KIND_BITS = np.array([EFFECTS[kind][:3] for kind in FaultKind], dtype=bool).T
 
 
-def _location_table(circuit: Circuit) -> tuple[dict[int, int], np.ndarray]:
-    """Each location's position in ``circuit.locations`` by its id, and per
-    position int32 (qubit, qubit, layer, outcome row): a one-qubit
-    location's qubit twice, and outcome row -1 off a measurement.  A last
-    row, (-1, -1, 0, -1), stands for a location the circuit does not have.
-    Built on first use and kept on the circuit, as ``Circuit.layers`` is."""
-    cached = circuit.__dict__.get("_location_table")
-    if cached is None:
+def _location_table(circuit: Circuit) -> np.ndarray:
+    """Per location position in ``circuit.locations``, which is also its id
+    (``check_schedule`` requires it), int32 (qubit, qubit, layer, outcome
+    row): a one-qubit location's qubit twice, and outcome row -1 off a
+    measurement.  A last row, (-1, -1, 0, -1), stands for a location the
+    circuit does not have.  Built on first use and kept on the circuit, as
+    ``Circuit.layers`` is."""
+    table = circuit.__dict__.get("_location_table")
+    if table is None:
         locations = circuit.locations
         out_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
         layer = {i: k for k, ly in enumerate(circuit.layers) for i in ly.locations}
         table = np.array([(*(loc.qubits * 2)[:2], layer[i], out_row.get(loc.index, -1))
                           for i, loc in enumerate(locations)] + [(-1, -1, 0, -1)],
                          dtype=np.int32)
-        cached = ({loc.index: i for i, loc in enumerate(locations)}, table)
-        circuit.__dict__["_location_table"] = cached
-    return cached
+        circuit.__dict__["_location_table"] = table
+    return table
 
 
 def _check_forced(circuit: Circuit,
@@ -197,8 +197,9 @@ def _check_forced(circuit: Circuit,
     code).  Raises ``ValueError`` for the first event at a location the
     circuit does not have (no location would apply it), on a qubit its
     location does not act on, or (an outcome flip) off a measurement."""
-    position, table = _location_table(circuit)
-    rows = np.fromiter(((ev.qubit, j, position.get(ev.location_id, -1),
+    table = _location_table(circuit)
+    n = len(circuit.locations)
+    rows = np.fromiter(((ev.qubit, j, ev.location_id if 0 <= ev.location_id < n else -1,
                          _KIND_CODE[ev.error])
                         for j, events in enumerate(forced_faults) for ev in events),
                        dtype=np.dtype((np.int32, 4)),
@@ -396,39 +397,28 @@ def _apply_hits(state: np.ndarray, n: int, leaked_words: np.ndarray,
     return leaky
 
 
-def _hit_slices(hits: list, draw_of: list[int], first: int, last: int):
-    """The sampled hits of entries [first, last), entry e applying those of
-    draw ``draw_of[e]`` (its (positions, classes) in ``hits``), as (entry,
-    position, class) arrays of at most ``_HITS`` hits.  A draw's arrays in
-    ``hits`` are dropped once its last entry is read, so that they are
-    freed once sliced."""
-    cuts = []
-    for e in range(first, last):
-        d = draw_of[e]
-        pos, cls = hits[d]
-        cuts += [(e, pos[a:a + _HITS], cls[a:a + _HITS])
-                 for a in range(0, pos.size, _HITS)]
-        if e + 1 == last or draw_of[e + 1] != d:
-            hits[d] = None
-    while cuts:
-        size, n = cuts[0][1].size, 1
-        while n < len(cuts) and size + cuts[n][1].size <= _HITS:
-            size += cuts[n][1].size
-            n += 1
-        group, cuts = cuts[:n], cuts[n:]
-        yield (np.repeat([e for e, _, _ in group], [p.size for _, p, _ in group]),
-               np.concatenate([p for _, p, _ in group]),
-               np.concatenate([c for _, _, c in group]))
+class _HitPlan(NamedTuple):
+    """How :func:`run_circuit_batch` draws and applies the fault draws of a
+    table.  For the hit of class c of draw d, at d * ``width`` + c, ``q``
+    holds the qubit of its first target and ``row1``/``row2`` the two rows
+    of the stacked state of :func:`_apply_hits` that it acts on there; for
+    a pair draw, the same for its second target sits ``len(draws) *
+    width`` further on."""
+
+    draws: list            # as fault_hits takes them: by layer, pairs last
+    layer_end: list[int]   # one past each layer's last draw
+    pair_from: list[int] | None    # each layer's first pair draw, if any
+    width: int             # the most classes of a draw
+    q: np.ndarray
+    row1: np.ndarray
+    row2: np.ndarray
 
 
-def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> tuple:
-    """How :func:`run_circuit_batch` applies the hits of the fault draws
-    ``table`` (``rates.sites(circuit)``): one entry per draw and target, in
-    layer order.  Returns one past each layer's last entry, and for each
-    entry its draw's index in time order, its qubit, and per class the two
-    rows of the stacked state of :func:`_apply_hits` that a hit acts on.
-    Built on first use and kept on the circuit, as ``Circuit.layers`` is,
-    until it is asked for with another table."""
+def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
+    """The :class:`_HitPlan` of the fault draws ``table``
+    (``rates.sites(circuit)``).  Built on first use and kept on the
+    circuit, as ``Circuit.layers`` is, until it is asked for with another
+    table."""
     cached = circuit.__dict__.get("_hit_plan")
     if cached is None or cached[0] is not table:
         cached = (table, _build_hit_plan(circuit, table))
@@ -436,24 +426,31 @@ def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> tuple:
     return cached[1]
 
 
-def _build_hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> tuple:
-    first_draw = list(accumulate((len(t) for t in table), initial=0))
-    out_row = _location_table(circuit)[1][:, 3].tolist()
-    entries = []            # (draw, qubit, outcome row, classes)
-    layer_end = []
+def _build_hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
+    out_row = _location_table(circuit)[:, 3].tolist()
+    sites = []              # (site, outcome row)
+    layer_end, pair_from = [], []
     for layer in circuit.layers:
-        for i in layer.locations:
-            for d, s in enumerate(table[i], first_draw[i]):
-                entries.extend((d, q, out_row[i], s.row.classes) for q in s.targets)
-        layer_end.append(len(entries))
-    qs, rows = (np.array([e[k] for e in entries], dtype=np.intp).reshape(-1, 1)
-                for k in (1, 2))
-    # each entry's classes as FaultKind codes, padded with Z codes never read
-    width = max((len(e[3]) for e in entries), default=0)
-    kind = np.array([[_KIND_CODE[c] for c in e[3]] + [0] * (width - len(e[3]))
-                     for e in entries], dtype=np.intp).reshape(len(entries), width)
+        own = [(s, out_row[i]) for i in layer.locations for s in table[i]]
+        sites += [e for e in own if len(e[0].targets) == 1]
+        pair_from.append(len(sites))
+        sites += [e for e in own if len(e[0].targets) > 1]
+        layer_end.append(len(sites))
+    n_targets = max((len(s.targets) for s, _ in sites), default=1)
+    width = max((len(s.row.classes) for s, _ in sites), default=1)
+    # per target, draw and class: the qubit, the outcome row and the class as
+    # a FaultKind code, padded with Z codes on qubit 0 that no hit reads
+    qs = np.zeros((n_targets, len(sites), width), dtype=np.intp)
+    rows = np.zeros_like(qs)
+    kind = np.zeros_like(qs)
+    for d, (s, r) in enumerate(sites):
+        qs[:len(s.targets), d] = np.array(s.targets)[:, None]
+        rows[:, d] = r
+        kind[:, d, :len(s.row.classes)] = [_KIND_CODE[c] for c in s.row.classes]
     row1, row2 = _hit_rows(circuit.n_qubits, kind, qs, rows)
-    return layer_end, [e[0] for e in entries], qs[:, 0], row1, row2
+    draws = [(s.location_id, s.qubit, s.row.thresholds) for s, _ in sites]
+    return _HitPlan(draws, layer_end, pair_from if n_targets > 1 else None,
+                    width, qs.ravel(), row1.ravel(), row2.ravel())
 
 
 def _hit_rows(n: int, kind: np.ndarray, q: np.ndarray, row: np.ndarray):
@@ -467,6 +464,21 @@ def _hit_rows(n: int, kind: np.ndarray, q: np.ndarray, row: np.ndarray):
     return first, np.where(is_x & is_z, 2 * n + q, -1)
 
 
+def _layer_entries(plan: _HitPlan, k: int, d: np.ndarray, pos: np.ndarray,
+                   cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``plan`` that sampled hits of layer ``k`` (their
+    draws, batch positions and classes) act by, and the batch position of
+    each: one per hit, and one more for a hit of a pair draw."""
+    e = np.multiply(d, plan.width, dtype=np.intp)
+    e += cls
+    if plan.pair_from is not None:
+        two = (d >= plan.pair_from[k]).nonzero()[0]
+        if two.size:
+            e = np.concatenate((e, e[two] + len(plan.draws) * plan.width))
+            pos = np.concatenate((pos, pos[two]))
+    return e, pos
+
+
 def _forced_hits(circuit: Circuit,
                  forced_faults: Sequence[Sequence[FaultEvent]]) -> list[np.ndarray]:
     """The events of each trial's list ``forced_faults[j]`` as hits for
@@ -474,7 +486,7 @@ def _forced_hits(circuit: Circuit,
     ``circuit.layers`` in turn, int32 rows (qubit, batch position j, first
     row, second row), in list order within a layer."""
     rows = _check_forced(circuit, forced_faults)
-    table = _location_table(circuit)[1]
+    table = _location_table(circuit)
     key = table[rows[:, 2], 2]
     rows = rows[np.argsort(key, kind="stable")]
     ends = np.cumsum(np.bincount(key, minlength=len(circuit.layers))).tolist()
@@ -502,13 +514,16 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     ``trials`` is one span of trials, as :func:`~biasrep.streams.trial_span`
     takes it; anything else raises ``ValueError``.
 
-    Every fault draw is made first, by
-    :func:`~biasrep.streams.draw_faults`, and the circuit is then stepped
-    one ASAP layer (``Circuit.layers``) at a time: the layer's resets, its
-    CPHASEs as one word operation, one keyed hash for the partner coins of
-    its leaked qubits, its sampled hits and then its forced ones, by one
-    scatter per ``_HITS`` of them, and its measurements as one word
-    operation with one keyed hash for leaked outcomes.  This gives the bits of time
+    The circuit is stepped one ASAP layer (``Circuit.layers``) at a time:
+    the layer's resets, its CPHASEs as one word operation, one keyed hash
+    for the partner coins of its leaked qubits, its sampled hits and then
+    its forced ones, by one scatter per ``_HITS`` of them (a pair draw's
+    hit acting on two qubits), and its measurements as one word operation
+    with one keyed hash for leaked outcomes.  The sampled hits come from one walk of the fault draws,
+    :func:`~biasrep.streams.fault_hits`, over the draws in layer order,
+    which hands on each layer's hits, flat, once it has finished that
+    layer's draws, so the draws are made as the layers need them and no
+    hit array of the whole batch is held.  This gives the bits of time
     order: a layer's locations act on disjoint qubits, each update touches
     only its location's qubits and outcome row, the coins are keyed by
     address, and within one location Pauli faults commute and a leak
@@ -542,11 +557,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     table = rates.sites(circuit)
     meas_locs = circuit.measure_locations
     N = circuit.n_qubits
-    layer_end, draw_of, ent_q, row1, row2 = _hit_plan(circuit, table)
-    # Draw phase: every fault draw of the batch, made before the frame rows
-    # are allocated, so that the draws' working memory is free again for them
-    hits = draw_faults(seed, trials, [(s.location_id, s.qubit, s.row.thresholds)
-                                      for sites in table for s in sites])
+    plan = _hit_plan(circuit, table)
     state = np.zeros((3 * N + len(meas_locs), W), dtype=np.uint64)
     flat = state.reshape(-1)
     frame = state[:3 * N].reshape(3, N, W)
@@ -558,8 +569,8 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     leaked_words = np.zeros(W, dtype=bool)
     leaky = False
 
-    start = 0
-    for layer, end, f in zip(layers, layer_end, forced):
+    hits = fault_hits(seed, trials, plan.draws, plan.layer_end)
+    for k, (layer, f) in enumerate(zip(layers, forced)):
         if layer.prep.size:
             frame[:, layer.prep] = 0
         n = layer.cz_loc.size
@@ -580,10 +591,13 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
                                dst, TAG_LEAK_CZ)
                 zz ^= m
             z[dst[:, None], w] = zz
-        for e, pos, cls in _hit_slices(hits, draw_of, start, end):
-            leaky = _apply_hits(flat, N, leaked_words, leaky, ent_q[e], pos,
-                                row1[e, cls], row2[e, cls])
-        start = end
+        d, pos, cls = next(hits)
+        for a in range(0, d.size, _HITS):
+            e, at = _layer_entries(plan, k, d[a:a + _HITS], pos[a:a + _HITS],
+                                   cls[a:a + _HITS])
+            leaky = _apply_hits(flat, N, leaked_words, leaky, plan.q[e], at,
+                                plan.row1[e], plan.row2[e])
+        del d, pos, cls
         for a in range(0, len(f), _HITS):
             leaky = _apply_hits(flat, N, leaked_words, leaky, *f[a:a + _HITS].T)
         q, r = layer.meas, layer.meas_row

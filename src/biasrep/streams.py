@@ -14,13 +14,17 @@ against the bound of ``(1 - p)^64``, the chance that none of its 64
 trials draws a fault, so most words end there.  A word with a hit takes
 one round per hit: its gap hash gives the number of trials skipped before
 the next hit, by a table of integer bounds, and its class hash the hit's
-fault class.  One function walks these rounds, :func:`draw_faults`, for
-a batch of trials and for a single trial alike; as the round is in the
+fault class.  One function walks these rounds, :func:`fault_hits`, for a
+batch of trials and for a single trial alike; as the round is in the
 counter, it steps the cells of many draws at different rounds as one
-pool, one hash per cell a step.  A span of trials that
-starts inside a word walks that word from its first bit, with the same
-keys as any other span; a span that ends inside a word stops after its
-last trial; the hits outside the span are dropped.
+pool, one hash per cell a step.  It hands on its hits at cuts in the list
+of draws that its caller sets, each piece once the walk has finished the
+draws before the cut: the batch engine cuts at each layer's end and
+applies a layer's hits while the later draws are still being made, and
+:func:`draw_faults` cuts once, at the end, and sorts the hits by draw.
+A span of trials that starts inside a word walks that word from its first
+bit, with the same keys as any other span; a span that ends inside a word
+stops after its last trial; the hits outside the span are dropped.
 
 A per-trial draw (:func:`uniform`, :func:`uniform_vector`,
 :func:`keyed_hash`) at the default tag ``TAG_FAULT`` reads the very hash
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,18 +61,21 @@ _LAST_SHIFT = 31
 _WORD = 64           # trials per word of a fault draw
 _CLASS = 1           # purpose of a round's class hash; its gap hash's is 0
 
-# draw_faults hashes round 0 in slices of about _CELLS (draw, word) cells,
+# fault_hits hashes round 0 in slices of about _CELLS (draw, word) cells,
 # a group of draws with about _LIVE cells that hit at a time, and steps the
 # later rounds of every group in one pool of live cells, which takes in the
 # next group once it holds fewer than _ADMIT cells.  It hands on the hits of
-# finished draws once it holds _FLUSH of them.  So its arrays stay near
+# finished draws at each cut its caller sets.  So its arrays stay near
 # 128 KiB or below: in cache, and small enough that the heap reuses them
 # (larger ones, a larger pool or a later hand-off raised the Monte Carlo
 # jobs' peak RSS).
 _CELLS = 1 << 14
 _LIVE = 1 << 13
 _ADMIT = 1 << 10
-_FLUSH = 1 << 13
+
+# A gap hash's bucket is its top _BUCKET_BITS of 53 bits (see _gap).
+_BUCKET_BITS = 10
+_BUCKET_SHIFT = 53 - _BUCKET_BITS
 
 
 def _mix(x: int) -> int:
@@ -204,33 +211,52 @@ def trial_span(trials: range | np.ndarray) -> tuple[int, int]:
     raise ValueError("trials must be one span of consecutive trials >= 0")
 
 
-def _gap(levels: Sequence[np.ndarray], row: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _gap(top: np.ndarray, levels: Sequence[tuple[int, np.ndarray]],
+         row: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The entries of each cell's 64-entry table (table ``row / 64``) above
-    its hash ``h``, by binary search: at most 63, as the cell is known to
-    hit.  Level k finds the count's bit 5 - k: with the bits above it j,
-    entry (2j + 1) * 2^(5 - k) - 1 of the table, at 2^k * row / 64 + j in
-    ``levels[k]``, is above h exactly when that bit is set."""
-    at = row >> 6
-    for bounds in levels:
+    its hash ``h``: at most 63, as the cell is known to hit.  The entries
+    descend.  The hash's bucket, its top 10 bits, gives the count of the
+    entries above the bucket, at ``top[16 * row + (h >> 43)]``; the entries
+    inside the bucket come next, and ``levels`` count those above h by
+    binary search, a level per bit of the most entries that one bucket of
+    one table holds: level (s, bounds) adds s when ``bounds[at]``, the
+    table's entry at at + s - 1 (0 past the table's end), is above h."""
+    at = (h >> np.uint64(_BUCKET_SHIFT)).view(np.intp)
+    at += row << (_BUCKET_BITS - 6)          # table r's buckets start at 1024 r
+    np.add(row, top[at], out=at)
+    for s, bounds in levels:
         above = bounds[at] > h
-        at += at
-        at += above
+        at += above if s == 1 else above * s
     at -= row
     return at
 
 
 @functools.lru_cache(maxsize=1 << 6)
 def _stacked(rows: tuple[tuple[float, ...], ...]) -> tuple:
-    """The read-only tables of :func:`draw_faults` for these distinct rows
+    """The read-only tables of :func:`fault_hits` for these distinct rows
     (thresholds), table r at index 64r, a cell's ``row``: each table's round
-    0 bound; the levels of :func:`_gap`; at row + b, the bound of a further
-    hit after one at bit b (63 - b trials; above every hash at b = 63); at
-    ``row``, one per class past the first, the class bounds, padded with
-    2^53; and the share of each row's cells that hit in round 0."""
+    0 bound; the bucket counts and the levels of :func:`_gap`; at row + b,
+    the bound of a further hit after one at bit b (63 - b trials; above
+    every hash at b = 63); at ``row``, one per class past the first, the
+    class bounds, padded with 2^53; and the share of each row's cells that
+    hit in round 0."""
     tables = [fault_bounds(t) for t in rows]
     gaps = np.array([g for g, _ in tables], dtype=np.uint64)
-    levels = tuple(gaps[:, (_WORD >> (k + 1)) - 1::_WORD >> k].ravel()
-                   for k in range(6))
+    # per row and bucket, the entries in it (the zeros, never above a hash,
+    # left out; p = 0's 2^53, above every hash, in a last bucket) and the
+    # entries above it
+    n_buckets = 1 << _BUCKET_BITS
+    bucket = (gaps >> np.uint64(_BUCKET_SHIFT)).astype(np.intp)
+    bucket += np.arange(len(rows))[:, None] * (n_buckets + 1)
+    inside = np.bincount(bucket[gaps > 0], minlength=len(rows) * (n_buckets + 1))
+    inside = inside.reshape(len(rows), n_buckets + 1)
+    top = np.cumsum(inside[:, :0:-1], axis=1)[:, ::-1].astype(np.uint8).ravel()
+    span = int(inside[:, :-1].max())
+    levels = []
+    for k in reversed(range(span.bit_length())):
+        bounds = np.zeros_like(gaps)
+        bounds[:, :_WORD - (1 << k) + 1] = gaps[:, (1 << k) - 1:]
+        levels.append((1 << k, bounds.ravel()))
     after = np.full_like(gaps, _MASK)
     after[:, :-1] = gaps[:, -2::-1]
     width = max(len(c) for _, c in tables)
@@ -238,19 +264,24 @@ def _stacked(rows: tuple[tuple[float, ...], ...]) -> tuple:
     classes[:, ::_WORD] = np.array(
         [c + (1 << 53,) * (width - len(c)) for _, c in tables], dtype=np.uint64).T
     last, after = gaps[:, -1].copy(), after.ravel()
-    for a in (last, *levels, after, classes):
+    for a in (last, top, *(b for _, b in levels), after, classes):
         a.flags.writeable = False
-    return (last, levels, after, classes,
+    return (last, top, tuple(levels), after, classes,
             tuple(1.0 - g[-1] * 2.0**-53 for g, _ in tables))
 
 
-def draw_faults(seed: int, trials: range | np.ndarray,
-                draws: Sequence[tuple[int, int, Sequence[float]]]
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
+def fault_hits(seed: int, trials: range | np.ndarray,
+               draws: Sequence[tuple[int, int, Sequence[float]]], cuts: Sequence[int]
+               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every fault draw of ``draws`` (location, qubit, thresholds) for every
-    trial of the span ``trials`` (see :func:`trial_span`): per draw, the
-    int32 batch positions of the trials that draw a fault and the uint8
-    class index of each, in round order, then word order, not sorted.
+    trial of the span ``trials`` (see :func:`trial_span`), yielded in
+    pieces: for each cut c of ``cuts`` (ascending, the last one
+    ``len(draws)``), the hits of the draws from the previous cut (or 0) up
+    to c, as soon as the walk has finished those draws.  A piece is three
+    flat arrays, one entry per hit: its draw's index (in the smallest
+    unsigned type that holds ``len(draws)``), its trial's int32 batch
+    position and its uint8 class index.  A draw's hits come in round order,
+    then word order; the draws' hits are interleaved.
 
     The draws are sampled per (draw, word) cell.  Round 0 hashes every cell,
     a group of draws at a time; the cells that hit join one pool of live
@@ -260,10 +291,14 @@ def draw_faults(seed: int, trials: range | np.ndarray,
     than ``_ADMIT`` cells, so the cells of several groups, at different
     rounds, share a step.  A cell carries its round in its hash key.  Each
     hash is a function of its address alone, so neither the grouping nor
-    the batch changes a result.  No draws cost nothing."""
+    the batch nor the cuts change a hit.  No draws cost nothing."""
     first, size = trial_span(trials)
+    empty = (np.zeros(0, np.min_scalar_type(len(draws))), np.zeros(0, np.int32),
+             np.zeros(0, np.uint8))
     if not (draws and size):
-        return [(np.zeros(0, np.int32), np.zeros(0, np.uint8)) for _ in draws]
+        for _ in cuts:
+            yield empty
+        return
     words = np.arange(first >> 6, ((first + size - 1) >> 6) + 1, dtype=np.uint64)
     n_words = words.size
     base = (words << np.uint64(7)) * np.uint64(_GOLDEN)
@@ -276,7 +311,7 @@ def draw_faults(seed: int, trials: range | np.ndarray,
     rows: dict[tuple, int] = {}
     row_index = [rows.setdefault(tuple(t), len(rows)) for *_, t in draws]
     row_of = np.array(row_index, dtype=np.intp) * _WORD
-    last, levels, after, classes, share = _stacked(tuple(rows))
+    last, top, levels, after, classes, share = _stacked(tuple(rows))
     any_hit = last[row_index]           # round 0's bound, per draw
     # Groups of draws of about _LIVE cells with a hit in round 0 (a
     # fraction 1 - (1 - p)^64 of a draw's cells), each of one draw or more
@@ -284,10 +319,10 @@ def draw_faults(seed: int, trials: range | np.ndarray,
     for d, r in enumerate(row_index):
         expect = n_words * share[r]
         if live + expect > _LIVE and d > g0:
-            groups.append((g0, d))
+            groups.append(g0)
             g0, live = d, 0.0
         live += expect
-    groups.append((g0, len(draws)))
+    groups += [g0, len(draws)]
     per = max(1, _CELLS // n_words)     # draws per slice of round 0
 
     def round0(d0: int, d1: int):
@@ -306,91 +341,96 @@ def draw_faults(seed: int, trials: range | np.ndarray,
         return d, w, np.concatenate(hs)
 
     # The pool, in (draw, word) order, as the groups join in draw order and
-    # a step keeps its cells in order: per cell its draw (in the smallest
-    # type that holds it, for a radix sort), the key of its round's gap
-    # hash (the round is in the key, so cells at any round share a step),
-    # that hash, its next trial's offset (64 per word) and its table row.
-    index = np.min_scalar_type(len(draws))
-    d = np.zeros(0, index)
+    # a step keeps its cells in order: per cell its draw (of a piece's
+    # type), the key of its round's gap hash (the round is in the key, so
+    # cells at any round share a step), that hash, its next trial's offset
+    # (64 per word) and its table row.
+    d = empty[0]
     key, h = np.zeros(0, np.uint64), np.zeros(0, np.uint64)
     at, row = np.zeros(0, np.intp), np.zeros(0, np.intp)
-    # per step: each hit's draw, batch position and class, in draw order
+    # per step: each hit's draw, batch position and class, in draw order, so
+    # the hits before a cut are a prefix of each step's
     held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    empty = (d, np.zeros(0, np.int32), np.zeros(0, np.uint8))
-    n_held, done, out = 0, 0, []
-
-    def release(first: int) -> None:
-        """Hand off the hits of draws [done, first), which have no live cell:
-        a stable sort by draw keeps each draw's in round, then word, order."""
-        nonlocal held, n_held, done
-        cut = [int(np.count_nonzero(step[0] < first)) for step in held]
-        dl, pos, cls = (np.concatenate(a) for a in zip(
-            empty, *(tuple(a[:c] for a in step) for step, c in zip(held, cut))))
-        held = [tuple(a[c:] for a in step) for step, c in zip(held, cut)
-                if c < step[0].size]
-        n_held = sum(step[0].size for step in held)
-        order = np.argsort(dl, kind="stable")
-        pos, cls = pos[order], cls[order]
-        ends = np.cumsum(np.bincount(dl, minlength=first)[done:]).tolist()
-        out.extend((pos[a:b], cls[a:b]) for a, b in zip([0, *ends], ends))
-        done = first
-
+    cuts = iter(cuts)
+    cut = next(cuts, None)
     g = 0
-    while True:
-        while d.size < _ADMIT and g < len(groups):
-            nd, nw, nh = round0(*groups[g])
+    while cut is not None:
+        while d.size < _ADMIT and g < len(groups) - 1:
+            nd, nw, nh = round0(groups[g], groups[g + 1])
             g += 1
-            d = np.concatenate((d, nd.astype(index)))
+            d = np.concatenate((d, nd.astype(d.dtype)))
             key = np.concatenate((key, keys[nd] + base[nw]))
             h = np.concatenate((h, nh))
             at = np.concatenate((at, nw * _WORD))
             row = np.concatenate((row, row_of[nd]))
-        if not d.size:
-            break
-        # every cell here hits in its round, at trial offset ``at``
-        at += _gap(levels, row, h)
-        if len(classes):
-            hc = _mix_array(key + np.uint64(_CLASS * _GOLDEN & _MASK))
-            hc >>= np.uint64(11)
-            # the bounds ascend, so only a hit past one bound can pass the next
-            cls = (hc >= classes[0][row]).view(np.uint8)
-            past = cls.nonzero()[0]
-            for bounds in classes[1:]:
-                past = past[hc[past] >= bounds[row[past]]]
-                cls[past] += 1
-            del hc
-        else:
-            cls = np.zeros(d.size, dtype=np.uint8)
-        src = ((at >= skip) & (at < stop)).nonzero()[0] if partial else slice(None)
-        pos = (at[src] - skip).astype(np.int32)
-        held.append((d[src], pos, cls[src]))
-        n_held += pos.size
-        del pos, cls
-        # the next round's gap hash, and whether it hits in the trials left
-        key += np.uint64(2 * _GOLDEN & _MASK)     # the counter steps by 2
-        np.copyto(h, key)
-        h = _mix_array(h)
-        h >>= np.uint64(11)
-        bound = at & (_WORD - 1)
-        bound += row
-        hit = h >= after[bound]
-        del bound
-        at += 1
-        if partial:
-            hit &= at < stop
-        keep = hit.nonzero()[0]
-        d = d[keep]
-        key = key[keep]
-        h = h[keep]
-        at = at[keep]
-        row = row[keep]
-        if n_held >= _FLUSH:
-            first = int(d[0]) if d.size else (groups[g][0] if g < len(groups)
-                                             else len(draws))
-            if first > done:
-                release(first)
-    release(len(draws))
-    return out
+            del nd, nw, nh
+        if d.size:
+            # every cell here hits in its round, at trial offset ``at``
+            at += _gap(top, levels, row, h)
+            if len(classes):
+                hc = _mix_array(key + np.uint64(_CLASS * _GOLDEN & _MASK))
+                hc >>= np.uint64(11)
+                # the bounds ascend, so only a hit past one bound can pass
+                # the next
+                cls = (hc >= classes[0][row]).view(np.uint8)
+                past = cls.nonzero()[0]
+                for bounds in classes[1:]:
+                    past = past[hc[past] >= bounds[row[past]]]
+                    cls[past] += 1
+                del hc, past
+            else:
+                cls = np.zeros(d.size, dtype=np.uint8)
+            src = ((at >= skip) & (at < stop)).nonzero()[0] if partial else slice(None)
+            step = (d[src], (at[src] - skip).astype(np.int32), cls[src])
+            if step[0].size:
+                held.append(step)
+            del cls, step, src
+            # the next round's gap hash, and whether it hits in the trials left
+            key += np.uint64(2 * _GOLDEN & _MASK)     # the counter steps by 2
+            np.copyto(h, key)
+            h = _mix_array(h)
+            h >>= np.uint64(11)
+            bound = at & (_WORD - 1)
+            bound += row
+            hit = h >= after[bound]
+            del bound
+            at += 1
+            if partial:
+                hit &= at < stop
+            keep = hit.nonzero()[0]
+            d = d[keep]
+            key = key[keep]
+            h = h[keep]
+            at = at[keep]
+            row = row[keep]
+            del hit, keep
+        # the first draw with a cell live or still to join
+        low = (int(d[0]) if d.size else groups[g] if g + 1 < len(groups)
+               else math.inf)
+        while cut is not None and cut <= low:
+            ends = [step[0].size if step[0][-1] < cut
+                    else int(np.count_nonzero(step[0] < cut)) for step in held]
+            yield tuple(np.concatenate([empty[k], *(step[k][:e] for step, e
+                                                    in zip(held, ends))])
+                        for k in range(3))
+            held = [tuple(a[e:] for a in step) for step, e in zip(held, ends)
+                    if e < step[0].size]
+            cut = next(cuts, None)
+
+
+def draw_faults(seed: int, trials: range | np.ndarray,
+                draws: Sequence[tuple[int, int, Sequence[float]]]
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The hits of :func:`fault_hits` per draw: for each of ``draws``, the
+    int32 batch positions of the trials of ``trials`` that draw a fault and
+    the uint8 class index of each, in round order, then word order, not
+    sorted.  It walks the draws with one cut, at the end, and sorts the hits
+    stably by draw."""
+    [(d, pos, cls)] = fault_hits(seed, trials, draws, [len(draws)])
+    order = np.argsort(d, kind="stable")
+    pos, cls = pos[order], cls[order]
+    ends = np.cumsum(np.bincount(d, minlength=len(draws))).tolist()
+    return [(pos[a:b], cls[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 class FaultStream:

@@ -20,10 +20,12 @@ from biasrep.gadgets import (Block, Circuit, Correction, Location, Qubit,
                              build_teleport_identity, check_schedule,
                              circuit_from_text, circuit_to_text)
 from biasrep.montecarlo import _fault_effects, fault_sites
-from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
+from biasrep import pauli_frame
+from biasrep.noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultKind,
                                  OpKind, Rates, Species, default_rates,
                                  zero_rates)
 from biasrep.pauli_frame import LeakPolicy, run_circuit, run_circuit_batch
+from biasrep.streams import draw_faults, fault_hits
 
 from oracles import fault_effects_by_scalar_runs
 
@@ -299,7 +301,6 @@ def test_forced_faults_within_one_layer_match_scalar_engine(
     # forced events are applied in an order other than time order.  Trial j
     # carries the events whose bits are set in j, and each forced hit is
     # applied by a scatter of its own.
-    from biasrep import pauli_frame
     monkeypatch.setattr(pauli_frame, "_HITS", 1)
     layer = [CNOT33.locations[i] for i in CNOT33.layers[7].locations]
     assert [(loc.index, loc.qubits) for loc in layer] == [
@@ -354,6 +355,25 @@ def test_batch_engine_rejects_misplaced_forced_events():
                               forced_faults=[[], [event], []])
 
 
+def test_batch_engine_finds_forced_events_by_position():
+    # check_schedule requires each location's id to be its position; with
+    # validate=False and location 5 given id 4, a forced X on qubit 3 at
+    # location 4 is read at position 4, which acts on (6, 3)
+    circuit = build_teleport_identity(3, 1)
+    locations = list(circuit.locations)
+    assert [loc.qubits for loc in locations[4:6]] == [(6, 3), (6, 4)]
+    locations[5] = dataclasses.replace(locations[5], index=4)
+    relabelled = dataclasses.replace(circuit, locations=tuple(locations))
+    forced = [[], [FaultEvent(4, 3, FaultKind.X)]]
+    got = run_circuit_batch(relabelled, zero_rates(), 0, range(2),
+                            forced_faults=forced, validate=False)
+    want = run_circuit_batch(circuit, zero_rates(), 0, range(2),
+                             forced_faults=forced)
+    assert got.frame_x[3].tolist() == [False, True]
+    for a, b in zip(got.words, want.words):
+        assert np.array_equal(a, b)
+
+
 def test_forced_faults_need_one_list_per_trial():
     with pytest.raises(ValueError, match="2 forced-fault lists for 3 trials"):
         run_circuit_batch(build_teleport_identity(3, 1), zero_rates(), 0,
@@ -401,3 +421,70 @@ def test_text_round_trip_runs_identically(circuit, table, seed, trials,
     assert a.meas_locations == b.meas_locations
     for got, want in zip(batch_columns(b), batch_columns(a)):
         assert np.array_equal(got, want)
+
+
+def hit_rows(n: int, kind: FaultKind, q: int, out_row: int) -> tuple[int, int]:
+    """The two rows of the batch engine's stacked state (leak flags, x and
+    z bits of the ``n`` qubits, then outcomes) that a hit of ``kind`` on
+    qubit ``q`` acts on, -1 for none, from the fault's effect alone."""
+    effect = EFFECTS[kind]
+    if effect.leak:
+        return q, -1
+    if effect.flip:
+        return 3 * n + out_row, -1
+    if effect.x:
+        return n + q, 2 * n + q if effect.z else -1
+    return 2 * n + q, -1
+
+
+def assert_layer_hits_match_draw_faults(circuit, table, seed, trials):
+    """For each layer, the walk's hits are those that draw_faults draws
+    per draw for the layer's draws, and the entries the batch engine
+    applies for them are one per target of each hit: a pair draw's hit
+    acts on both of its qubits.  Returns the number of hits of pair
+    draws."""
+    plan = pauli_frame._hit_plan(circuit, table.sites(circuit))
+    draws, layer_end = plan.draws, plan.layer_end
+    site = {(s.location_id, s.qubit): s
+            for sites in table.sites(circuit) for s in sites}
+    out_row = {loc: r for r, loc in enumerate(circuit.measure_locations)}
+    per_draw = draw_faults(seed, trials, draws)
+    pieces = list(fault_hits(seed, trials, draws, layer_end))
+    assert len(pieces) == len(layer_end) == len(circuit.layers)
+    n, pair_hits = circuit.n_qubits, 0
+    for k, ((d, pos, cls), lo, hi) in enumerate(zip(pieces, [0, *layer_end],
+                                                    layer_end)):
+        assert sorted(zip(d.tolist(), pos.tolist(), cls.tolist())) == sorted(
+            (i, p, c) for i in range(lo, hi)
+            for p, c in zip(per_draw[i][0].tolist(), per_draw[i][1].tolist()))
+        want = []
+        for i, p, c in zip(d.tolist(), pos.tolist(), cls.tolist()):
+            s = site[draws[i][:2]]
+            pair_hits += len(s.targets) > 1
+            want += [(q, p, *hit_rows(n, s.row.classes[c], q,
+                                      out_row.get(s.location_id, -1)))
+                     for q in s.targets]
+        e, at = pauli_frame._layer_entries(plan, k, d, pos, cls)
+        assert sorted(zip(plan.q[e].tolist(), at.tolist(), plan.row1[e].tolist(),
+                          plan.row2[e].tolist())) == sorted(want)
+    return pair_hits
+
+
+@pytest.mark.parametrize("trials", [range(64 * 3, 64 * 40), range(37, 5_038)],
+                         ids=["words", "inside"])
+@pytest.mark.parametrize("table", [default_rates, leaky_zz_table],
+                         ids=["table1", "leaky-zz"])
+@pytest.mark.parametrize("circuit", [CNOT33, build_logical_cnot(3, 3, pre_teleport=True)],
+                         ids=["cnot33", "cnot33-pre"])
+def test_layer_cuts_hand_on_each_layers_hits(circuit, table, trials):
+    rates = table()
+    pair_hits = assert_layer_hits_match_draw_faults(circuit, rates, 5, trials)
+    assert (pair_hits > 0) == (rates.cphase_zz > 0)
+
+
+@SETTINGS
+@given(gadgets, leaky_tables(), seeds,
+       st.builds(lambda start, size: range(start, start + size),
+                 st.integers(0, 2**40), st.integers(1, 300)))
+def test_layer_cuts_on_generated_circuits(circuit, table, seed, trials):
+    assert_layer_hits_match_draw_faults(circuit, table, seed, trials)

@@ -390,17 +390,18 @@ class TestFaultSiteTable:
     TABLES = [default_rates, lambda: leaky_table(1e3, cphase_zz=0.01)]
 
     @staticmethod
-    def record(monkeypatch, module):
-        """Record the (location, qubit) of every fault draw, per call of
-        ``draw_faults`` from ``module``: the batch engine calls it from
-        ``pauli_frame``, the scalar engine from ``noise_model``."""
+    def record(monkeypatch, module, name="draw_faults"):
+        """Record the (location, qubit) of every fault draw, per call of the
+        kernel entry ``name`` from ``module``: the batch engine calls
+        ``fault_hits`` from ``pauli_frame`` (its draws in layer order), the
+        scalar engine ``draw_faults`` from ``noise_model``."""
         calls = []
-        original = module.draw_faults
+        original = getattr(module, name)
 
-        def recorded(seed, trials, draws):
+        def recorded(seed, trials, draws, *cuts):
             calls.append([(location, qubit) for location, qubit, _ in draws])
-            return original(seed, trials, draws)
-        monkeypatch.setattr(module, "draw_faults", recorded)
+            return original(seed, trials, draws, *cuts)
+        monkeypatch.setattr(module, name, recorded)
         return calls
 
     @pytest.mark.parametrize("table", TABLES, ids=["table1", "leaky-zz"])
@@ -411,11 +412,13 @@ class TestFaultSiteTable:
         assert len(sites) == len(circuit.locations)
         flat = [(s.location_id, s.qubit) for loc_sites in sites for s in loc_sites]
         assert (-1 in {q for _, q in flat}) == (rates.cphase_zz > 0)
-        batch = self.record(monkeypatch, biasrep.pauli_frame)
+        batch = self.record(monkeypatch, biasrep.pauli_frame, "fault_hits")
         scalar = self.record(monkeypatch, biasrep.noise_model)
         run_circuit_batch(circuit, rates, 5, np.arange(64, dtype=np.uint64))
         run_circuit(circuit, rates, 5, trial=3)
-        assert batch == [flat]
+        # each engine draws every cell of the table once, in one call
+        assert [sorted(call) for call in batch] == [sorted(flat)]
+        assert len(set(flat)) == len(flat)
         assert scalar == [flat]
 
     def test_batch_draws_the_table_once(self, monkeypatch):
@@ -424,10 +427,10 @@ class TestFaultSiteTable:
         circuit, rates = build_logical_cnot(3, 3), leaky_table(1e3, cphase_zz=0.01)
         flat = [(s.location_id, s.qubit) for loc_sites in rates.sites(circuit)
                 for s in loc_sites]
-        batch = self.record(monkeypatch, biasrep.pauli_frame)
+        batch = self.record(monkeypatch, biasrep.pauli_frame, "fault_hits")
         run_circuit_batch(circuit, rates, 5,
                           np.arange(37, 70_000, dtype=np.uint64))
-        assert batch == [flat]
+        assert [sorted(call) for call in batch] == [sorted(flat)]
 
     @pytest.mark.parametrize("build", CIRCUITS, ids=["teleport31", "cnot33-pre"])
     def test_sites_per_location(self, build):

@@ -1,6 +1,7 @@
 import functools
 import math
 from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from biasrep import streams
 from biasrep.noise_model import FaultKind, FaultRow
 from biasrep.streams import (_CELLS, _GOLDEN, _MASK, _MIX1, _MIX2, TAG_FAULT,
-                             TAG_LEAK_CZ, draw_faults, fault_bounds, hash_bound,
-                             keyed_hash, stream_key, trial_span, uniform,
-                             uniform_vector)
+                             TAG_LEAK_CZ, draw_faults, fault_bounds, fault_hits,
+                             hash_bound, keyed_hash, stream_key, trial_span,
+                             uniform, uniform_vector)
 
 SEED, LOC, QUBIT = 31, 17, 4
 
@@ -330,16 +331,22 @@ def test_class_shares_follow_the_row():
     assert chisquare(counts).pvalue > 1e-4
 
 
-def table1_x5_draws() -> list:
-    """The fault draws of cnot(3,3) on table1 with every rate x5."""
+def table1_x5_sites() -> tuple:
+    """cnot(3,3) and its fault sites on table1 with every rate x5."""
     from biasrep.gadgets import build_logical_cnot
     from biasrep.noise_model import ErrorRateTable, Rates, default_rates
 
     table = ErrorRateTable(entries={
         k: Rates(5 * r.eps, 5 * r.eps_other, 5 * r.eps_leak)
         for k, r in default_rates().entries.items()})
+    circuit = build_logical_cnot(3, 3)
+    return circuit, table.sites(circuit)
+
+
+def table1_x5_draws() -> list:
+    """The fault draws of cnot(3,3) on table1 with every rate x5."""
     return [(s.location_id, s.qubit, s.row.thresholds)
-            for sites in table.sites(build_logical_cnot(3, 3)) for s in sites]
+            for sites in table1_x5_sites()[1] for s in sites]
 
 
 def test_one_draw_per_group_changes_no_array(monkeypatch):
@@ -357,10 +364,22 @@ def test_one_draw_per_group_changes_no_array(monkeypatch):
         assert which.tolist() == want_which.tolist()
 
 
-# The pool's test inputs: table1 x5 on cnot(3,3), and the rows of ROWS with
-# p >= 1/2, each at a location of its own, whose cells stay live for many
-# rounds; and trials in whole words, and a span that starts and ends inside
-# a word.
+def table1_x5_layers() -> tuple[list, list[int]]:
+    """The draws of :func:`table1_x5_draws` in layer order, as the batch
+    engine walks them, and one past each layer's last draw."""
+    circuit, sites = table1_x5_sites()
+    the_draws, ends = [], []
+    for layer in circuit.layers:
+        the_draws += [(s.location_id, s.qubit, s.row.thresholds)
+                      for i in layer.locations for s in sites[i]]
+        ends.append(len(the_draws))
+    return the_draws, ends
+
+
+# The pool's test inputs: table1 x5 on cnot(3,3), by layer, and the rows of
+# ROWS with p >= 1/2, each at a location of its own and two to a "layer",
+# whose cells stay live for many rounds; and trials in whole words, and a
+# span that starts and ends inside a word.
 HIGH_P = [row for row in ROWS if row[-1] >= 0.5]
 POOL_TRIALS = {
     "words": np.arange(64 * 40, 64 * 120, dtype=np.uint64),
@@ -368,58 +387,97 @@ POOL_TRIALS = {
 }
 
 
-def pool_draws(inputs: str) -> list:
+def pool_draws(inputs: str) -> tuple[list, list[int]]:
     if inputs == "x5":
-        return table1_x5_draws()
-    return [(LOC + i, QUBIT, row) for i, row in enumerate(HIGH_P)]
+        return table1_x5_layers()
+    n = len(HIGH_P)
+    return [(LOC + i, QUBIT, row) for i, row in enumerate(HIGH_P)], [
+        *range(2, n, 2), n]
 
 
 @pytest.mark.parametrize("inputs", ["x5", "high-p"])
 @pytest.mark.parametrize("trials", list(POOL_TRIALS))
 def test_pool_and_hand_off_sizes_change_no_array(monkeypatch, inputs, trials):
-    # the pool's admission size and the hits it holds before a hand-off
-    # only bound working memory: with one draw per group and round 0 in
-    # 64-cell slices, a pool that takes in a group only once empty, one
+    # the pool's admission size and the cuts at which the walk hands on its
+    # hits only bound working memory: with one draw per group and round 0
+    # in 64-cell slices, a pool that takes in a group only once empty, one
     # that takes in every group at once and one that takes in a group
-    # beside cells many rounds on, each handing off at every step or only
-    # at the end, every array and its order is unchanged
+    # beside cells many rounds on, each cut after every draw, after every
+    # layer or only at the end, each piece holds the hits of its draws
+    # alone, and they give every draw's arrays in their order
     trials = POOL_TRIALS[trials]
-    the_draws = pool_draws(inputs)
+    the_draws, layers = pool_draws(inputs)
     whole = draw_faults(SEED, trials, the_draws)
     for (pos, which), (loc, qubit, row) in zip(whole, the_draws):
         classes = [walked_class(int(t), row, loc, qubit) for t in trials]
         assert as_pairs(pos, which) == [(j, c) for j, c in enumerate(classes) if c >= 0]
     monkeypatch.setattr(streams, "_LIVE", 1)
     monkeypatch.setattr(streams, "_CELLS", 64)
+    n = len(the_draws)
     for admit in (1, 40, 1 << 40):
-        for flush in (1, 1 << 40):
-            monkeypatch.setattr(streams, "_ADMIT", admit)
-            monkeypatch.setattr(streams, "_FLUSH", flush)
-            split = draw_faults(SEED, trials, the_draws)
-            assert len(split) == len(whole)
-            for (pos, which), (want, want_which) in zip(split, whole):
+        monkeypatch.setattr(streams, "_ADMIT", admit)
+        for cuts in (range(1, n + 1), layers, [n]):
+            pieces = list(fault_hits(SEED, trials, the_draws, cuts))
+            assert len(pieces) == len(cuts)
+            for (d, pos, which), lo, hi in zip(pieces, [0, *cuts], cuts):
+                assert d.dtype == np.min_scalar_type(n)
                 assert pos.dtype == np.int32 and which.dtype == np.uint8
-                assert pos.tolist() == want.tolist()
-                assert which.tolist() == want_which.tolist()
+                assert ((lo <= d) & (d < hi)).all()
+            d, pos, which = (np.concatenate(a) for a in zip(*pieces))
+            order = np.argsort(d, kind="stable")
+            ends = np.cumsum(np.bincount(d, minlength=n)).tolist()
+            for i, (a, b) in enumerate(zip([0, *ends], ends)):
+                assert pos[order[a:b]].tolist() == whole[i][0].tolist()
+                assert which[order[a:b]].tolist() == whole[i][1].tolist()
 
 
-def test_gap_counts_the_entries_above_each_hash():
-    # every table of ROWS, stacked as draw_faults stacks them, at each
-    # hash that hits (none does at p = 0): 0, 2^53 - 1, and each entry and
-    # its neighbours; the count is the entries above the hash
-    tables = [fault_bounds(row)[0] for row in ROWS]
+# The gap tests' rows beside ROWS: p <= 1e-6, whose 64 bounds share one
+# bucket, and p >= 1/2, whose bounds crowd near 0.
+GAP_ROWS = ROWS + [(1e-9,), (1e-6,), (0.75,), (0.999,)]
+
+
+@pytest.mark.parametrize("rows", [GAP_ROWS] + [[row] for row in GAP_ROWS if row[-1]],
+                         ids=["stacked"] + [str(row[-1]) for row in GAP_ROWS if row[-1]])
+def test_gap_counts_the_entries_above_each_hash(rows):
+    # the tables of ``rows``, stacked as fault_hits stacks them, at each
+    # hash that hits (none does at p = 0): 0, 2^53 - 1, each entry and its
+    # neighbours, and each bucket's edges; the count is the entries above
+    # the hash
+    tables = [fault_bounds(row)[0] for row in rows]
+    edges = {(b << 43) + e for b in range(1 << 10) for e in (-1, 0)}
     cells = []
     for r, table in enumerate(tables):
         hashes = {0, (1 << 53) - 1} | {g + e for g in table for e in (-1, 0, 1)}
         cells += [(64 * r, h, sum(g > h for g in table))
-                  for h in sorted(hashes) if table[-1] <= h < 1 << 53]
+                  for h in sorted(hashes | edges) if table[-1] <= h < 1 << 53]
     assert {row // 64 for row, _, _ in cells} == {
-        r for r, row in enumerate(ROWS) if row[-1] > 0}
+        r for r, row in enumerate(rows) if row[-1] > 0}
     row, h, want = zip(*cells)
-    levels = streams._stacked(tuple(ROWS))[1]
-    got = streams._gap(levels, np.array(row, dtype=np.intp),
+    _, top, levels = streams._stacked(tuple(rows))[:3]
+    got = streams._gap(top, levels, np.array(row, dtype=np.intp),
                        np.array(h, dtype=np.uint64))
     assert got.tolist() == list(want)
+    # the levels finish the most entries that share a bucket
+    most = max(max(Counter(g >> 43 for g in table if g).values(), default=0)
+               for table in tables)
+    assert [s for s, _ in levels] == [1 << k for k in reversed(range(most.bit_length()))]
+
+
+def test_gap_buckets_at_the_extremes():
+    # p <= 1e-6 puts all 64 bounds in the top bucket; p >= 1/2 crowds them
+    # into bucket 0; table1 and table1 x5 leave at most one in any bucket,
+    # so one compare finishes each count
+    for p in (1e-9, 1e-6):
+        assert {g >> 43 for g in fault_bounds((p,))[0]} == {(1 << 10) - 1}
+    assert sum(g >> 43 == 0 for g in fault_bounds((0.75,))[0]) > 32
+    from biasrep.gadgets import build_logical_cnot
+    from biasrep.noise_model import default_rates
+
+    x5 = {row for *_, row in table1_x5_draws()}
+    table1 = {s.row.thresholds for sites in default_rates().sites(
+        build_logical_cnot(5, 7)) for s in sites}
+    for rows in (x5, table1):
+        assert [s for s, _ in streams._stacked(tuple(sorted(rows)))[2]] == [1]
 
 
 def test_a_group_with_no_hit_returns_empty_arrays():
