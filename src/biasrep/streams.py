@@ -404,9 +404,12 @@ def fault_hits(seed: int, trials: range | np.ndarray,
             at = at[keep]
             row = row[keep]
             del hit, keep
-        # the first draw with a cell live or still to join
-        low = (int(d[0]) if d.size else groups[g] if g + 1 < len(groups)
-               else math.inf)
+        # the first draw with a cell live or still to join (past the last
+        # group, none: every cut left is ready)
+        if d.size:
+            low = int(d[0])
+        else:
+            low = groups[g] if g + 1 < len(groups) else math.inf
         while cut is not None and cut <= low:
             ends = [step[0].size if step[0][-1] < cut
                     else int(np.count_nonzero(step[0] < cut)) for step in held]
