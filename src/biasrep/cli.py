@@ -114,17 +114,21 @@ def _single_bias(values: list[float], default: float | None) -> float | None:
     return values[0] if values else default
 
 
+def _drop(reason: str, *given: tuple[str, object]) -> None:
+    """Refuse the flags of ``given`` (flag, value) that are set (not None
+    or []), which the command would ignore for ``reason``."""
+    ignored = [flag for flag, value in given if value not in (None, [])]
+    if ignored:
+        raise ConfigError(f"{reason}; drop " + " and ".join(ignored))
+
+
 def _rates_alone(args: argparse.Namespace) -> ErrorRateTable | None:
     """The ``--rates`` table, if given.  It fixes every rate, so a rate
     point given beside it (--eps, --bias, --eps-grid) would be ignored."""
     if not args.rates:
         return None
-    point = (("--eps", args.eps), ("--bias", args.bias),
-             ("--eps-grid", getattr(args, "eps_grid", None)))
-    ignored = [flag for flag, value in point if value not in (None, [])]
-    if ignored:
-        raise ConfigError("--rates fixes every rate; drop "
-                          + " and ".join(ignored))
+    _drop("--rates fixes every rate", ("--eps", args.eps), ("--bias", args.bias),
+          ("--eps-grid", getattr(args, "eps_grid", None)))
     return _load_rates(args.rates)
 
 
@@ -220,6 +224,13 @@ def _optimum_row(eps: float | None, bias: float | None,
 def cmd_bounds(args: argparse.Namespace) -> int:
     config = {"command": "bounds", "c": args.c, "n_max": args.n_max}
     lines: list[str] = []
+    if args.optimize:
+        _drop("--optimize chooses n and k (t = c k) and takes eps from "
+              "--eps-grid or --rates", ("--n", args.n), ("--k", args.k),
+              ("--t", args.t), ("--eps", args.eps))
+    else:
+        _drop("direct evaluation takes one point, not a grid",
+              ("--eps-grid", args.eps_grid))
     table = _rates_alone(args)
 
     if args.optimize:
@@ -381,14 +392,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.circuit:
-        ignored = [flag for flag, given in (("--gadget", args.gadget is not None),
-                                            ("--n", args.n is not None),
-                                            ("--k", args.k is not None),
-                                            ("--pre-teleport", args.pre_teleport))
-                   if given]
-        if ignored:
-            raise ConfigError("--circuit gives the whole circuit; drop "
-                              + " and ".join(ignored))
+        _drop("--circuit gives the whole circuit", ("--gadget", args.gadget),
+              ("--n", args.n), ("--k", args.k),
+              ("--pre-teleport", args.pre_teleport or None))
         circuit = _read(args.circuit, "circuit", circuit_from_text)
     elif args.gadget is None:
         raise ConfigError("validate needs --gadget or --circuit")

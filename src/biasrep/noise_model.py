@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .streams import FaultStream, draw_faults
+from .streams import FaultStream, fault_hits
 
 if TYPE_CHECKING:
     from .gadgets import Circuit
@@ -300,15 +300,17 @@ def trial_faults(sites: Sequence[FaultSite], seed: int,
                  trial: int) -> list[FaultEvent]:
     """The faults that trial ``trial`` of ``seed`` draws at ``sites``, in
     site order: one event per target of each site that hits.  One
-    :func:`~biasrep.streams.draw_faults` call over a one-trial span makes
-    every draw; no sites, no call."""
+    :func:`~biasrep.streams.fault_hits` call over a one-trial span, with
+    one cut, makes every draw; no sites, no call.  A one-trial span hits a
+    draw at most once, so its hits sorted by draw index are in site order."""
     if not sites:
         return []
-    hits = draw_faults(seed, range(trial, trial + 1),
-                       [(s.location_id, s.qubit, s.row.thresholds) for s in sites])
-    return [FaultEvent(s.location_id, q, s.row.classes[which[0]])
-            for s, (_, which) in zip(sites, hits) if which.size
-            for q in s.targets]
+    [(d, _, cls)] = fault_hits(seed, range(trial, trial + 1),
+                               [(s.location_id, s.qubit, s.row.thresholds)
+                                for s in sites], [len(sites)])
+    return [FaultEvent(sites[i].location_id, q, sites[i].row.classes[c])
+            for i, c in sorted(zip(d.tolist(), cls.tolist()))
+            for q in sites[i].targets]
 
 
 def sample_faults(kind: OpKind, qubits: Sequence[int], species: Sequence[Species],
@@ -329,8 +331,8 @@ def fault_class_counts(kind: OpKind, species: Species, rates: ErrorRateTable,
     row = rates.faults().get(kind, OpFaults({})).rows.get(species)
     if row is None:
         return {}
-    [(_, which)] = draw_faults(seed, range(trials),
-                               [(location_id, qubit, row.thresholds)])
+    [(_, _, which)] = fault_hits(seed, range(trials),
+                                 [(location_id, qubit, row.thresholds)], [1])
     counts = np.bincount(which, minlength=len(row.classes))
     return {cls: int(n) for cls, n in zip(row.classes, counts)}
 

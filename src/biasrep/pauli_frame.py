@@ -171,33 +171,96 @@ _KIND_CODE = {kind: i for i, kind in enumerate(FaultKind)}
 _KIND_BITS = np.array([EFFECTS[kind][:3] for kind in FaultKind], dtype=bool).T
 
 
-def _location_table(circuit: Circuit) -> np.ndarray:
-    """Per location position in ``circuit.locations``, which is also its id
-    (``check_schedule`` requires it), int32 (qubit, qubit, layer, outcome
-    row): a one-qubit location's qubit twice, and outcome row -1 off a
-    measurement.  A last row, (-1, -1, 0, -1), stands for a location the
-    circuit does not have.  Built on first use and kept on the circuit, as
-    ``Circuit.layers`` is."""
-    table = circuit.__dict__.get("_location_table")
-    if table is None:
-        locations = circuit.locations
-        out_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
-        layer = {i: k for k, ly in enumerate(circuit.layers) for i in ly.locations}
-        table = np.array([(*(loc.qubits * 2)[:2], layer[i], out_row.get(loc.index, -1))
-                          for i, loc in enumerate(locations)] + [(-1, -1, 0, -1)],
-                         dtype=np.int32)
-        circuit.__dict__["_location_table"] = table
-    return table
+class _HitPlan(NamedTuple):
+    """A circuit compiled with a table of fault draws; both engines read it.
+    ``at`` holds per location position (its id, as ``check_schedule``
+    requires) int32 (qubit, qubit, layer, outcome row): a one-qubit
+    location's qubit twice, and row -1 off a measurement; a last row,
+    (-1, -1, 0, -1), stands for a location the circuit does not have.  For
+    the hit of class c of draw d, at d * ``width`` + c, ``q`` holds the
+    qubit of its first target and ``row1``/``row2`` the two rows of the
+    stacked state of :func:`_apply_hits` that it acts on there; for a pair
+    draw, the same for its second target sits ``len(draws) * width`` on."""
+
+    at: np.ndarray
+    sites: list[FaultSite]  # the FaultSite of each draw
+    draws: list            # as fault_hits takes them: by layer, pairs last
+    layer_end: list[int]   # one past each layer's last draw
+    pair_from: list[int] | None    # each layer's first pair draw, if any
+    width: int             # the most classes of a draw
+    q: np.ndarray
+    row1: np.ndarray
+    row2: np.ndarray
 
 
-def _check_forced(circuit: Circuit,
+def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
+    """The :class:`_HitPlan` of ``circuit`` with the fault draws ``table``
+    (``rates.sites(circuit)``).  Built on first use and kept on the
+    circuit, as ``Circuit.layers`` is, until it is asked for with another
+    table."""
+    cached = circuit.__dict__.get("_hit_plan")
+    if cached is None or cached[0] is not table:
+        cached = (table, _build_hit_plan(circuit, table))
+        circuit.__dict__["_hit_plan"] = cached
+    return cached[1]
+
+
+def _build_hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
+    locations = circuit.locations
+    out_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
+    at = [(-1, -1, 0, -1)] * (len(locations) + 1)
+    drawn = []              # (site, outcome row), in draw order
+    layer_end, pair_from = [], []
+    for k, layer in enumerate(circuit.layers):
+        own = []
+        for i in layer.locations:
+            loc = locations[i]
+            r = out_row.get(loc.index, -1)
+            at[i] = (*(loc.qubits * 2)[:2], k, r)
+            own += [(s, r) for s in table[i]]
+        drawn += [e for e in own if len(e[0].targets) == 1]
+        pair_from.append(len(drawn))
+        drawn += [e for e in own if len(e[0].targets) > 1]
+        layer_end.append(len(drawn))
+    n_targets = max((len(s.targets) for s, _ in drawn), default=1)
+    width = max((len(s.row.classes) for s, _ in drawn), default=1)
+    # per target, draw and class: the qubit, the outcome row and the class as
+    # a FaultKind code, padded with Z codes on qubit 0 that no hit reads
+    qs = np.zeros((n_targets, len(drawn), width), dtype=np.intp)
+    rows = np.zeros_like(qs)
+    kind = np.zeros_like(qs)
+    for d, (s, r) in enumerate(drawn):
+        qs[:len(s.targets), d] = np.array(s.targets)[:, None]
+        rows[:, d] = r
+        kind[:, d, :len(s.row.classes)] = [_KIND_CODE[c] for c in s.row.classes]
+    row1, row2 = _hit_rows(circuit.n_qubits, kind, qs, rows)
+    sites = [s for s, _ in drawn]
+    draws = [(s.location_id, s.qubit, s.row.thresholds) for s in sites]
+    return _HitPlan(np.array(at, dtype=np.int32), sites, draws, layer_end,
+                    pair_from if n_targets > 1 else None, width, qs.ravel(),
+                    row1.ravel(), row2.ravel())
+
+
+def _hit_rows(n: int, kind: np.ndarray, q: np.ndarray, row: np.ndarray):
+    """The two rows of the stacked state of :func:`_apply_hits` that a hit
+    of the FaultKind codes ``kind`` on qubit ``q`` acts on, where ``row`` is
+    its location's outcome row (read for an outcome flip alone)."""
+    is_x, is_z, is_leak = _KIND_BITS[:, kind]
+    # a class without a Pauli or a leak is an outcome flip
+    first = np.where(is_leak, q, np.where(is_x, n + q, np.where(
+        is_z, 2 * n + q, 3 * n + row)))
+    return first, np.where(is_x & is_z, 2 * n + q, -1)
+
+
+def _check_forced(circuit: Circuit, plan: _HitPlan,
                   forced_faults: Sequence[Sequence[FaultEvent]]) -> np.ndarray:
     """The events of each trial's list ``forced_faults[j]``, in order, as
     int32 rows (qubit, j, position of the event's location, FaultKind
-    code).  Raises ``ValueError`` for the first event at a location the
-    circuit does not have (no location would apply it), on a qubit its
-    location does not act on, or (an outcome flip) off a measurement."""
-    table = _location_table(circuit)
+    code), checked against ``plan.at``.  Raises ``ValueError`` for the
+    first event at a location the circuit does not have (no location would
+    apply it), on a qubit its location does not act on, or (an outcome
+    flip) off a measurement."""
+    table = plan.at
     n = len(circuit.locations)
     rows = np.fromiter(((ev.qubit, j, ev.location_id if 0 <= ev.location_id < n else -1,
                          _KIND_CODE[ev.error])
@@ -230,38 +293,39 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
 
     Iterates locations in time order: gate action first (frame conjugation
     for CPHASE), then sampled faults plus any forced faults for that
-    location.  Deterministic given (seed, trial): the trial's fault draws
-    are read from one :func:`~biasrep.streams.draw_faults` call over the
-    circuit's sites, the same draws :func:`run_circuit_batch` makes.  The
-    forced faults are checked before any work: one at a location the
-    circuit lacks, on a qubit its location does not act on, or an outcome
-    flip off a measurement raises ``ValueError``.  ``validate=False``
-    skips only a read of the circuit's cached ``violations``.
+    location.  Deterministic given (seed, trial): one
+    :func:`~biasrep.noise_model.trial_faults` call draws the sites of the
+    :class:`_HitPlan` that :func:`run_circuit_batch` reads, so the two
+    engines make the same draws.  The forced faults are checked against
+    the plan before any work: one at a location the circuit lacks, on a
+    qubit its location does not act on, or an outcome flip off a
+    measurement raises ``ValueError``; each is applied at the position its
+    location id names, as in the batch engine.  ``validate=False`` skips
+    only a read of the circuit's cached ``violations``.
     """
     if validate:
         assert_valid(circuit)
+    plan = _hit_plan(circuit, rates.sites(circuit))
     policy = LeakPolicy(leak_policy)
     stream = FaultStream(seed, trial)
     frame = PauliFrame(circuit.n_qubits)
     record = OutcomeRecord()
     lines: list[str] | None = [] if trace else None
     if forced_faults:
-        _check_forced(circuit, [forced_faults])
-    # each location's sampled events, then its forced ones
+        _check_forced(circuit, plan, [forced_faults])
+    # each location position's sampled events, then its forced ones
     events_at: dict[int, list[FaultEvent]] = {}
-    sampled = trial_faults([s for sites in rates.sites(circuit) for s in sites],
-                           seed, trial)
-    for ev in chain(sampled, forced_faults):
+    for ev in chain(trial_faults(plan.sites, seed, trial), forced_faults):
         events_at.setdefault(ev.location_id, []).append(ev)
 
-    for loc in circuit.locations:
+    for i, loc in enumerate(circuit.locations):
         kind = loc.kind
         if kind is OpKind.PREP_PLUS:
             frame.reset(loc.qubits[0])
         elif kind is OpKind.CPHASE:
             conjugate_through_cz(frame, *loc.qubits, policy=policy,
                                  stream=stream, location_id=loc.index)
-        events = events_at.get(loc.index, ())
+        events = events_at.get(i, ())
         flip = False
         for ev in events:
             if kind is OpKind.MEASURE_X and EFFECTS[ev.error].flip:
@@ -397,73 +461,6 @@ def _apply_hits(state: np.ndarray, n: int, leaked_words: np.ndarray,
     return leaky
 
 
-class _HitPlan(NamedTuple):
-    """How :func:`run_circuit_batch` draws and applies the fault draws of a
-    table.  For the hit of class c of draw d, at d * ``width`` + c, ``q``
-    holds the qubit of its first target and ``row1``/``row2`` the two rows
-    of the stacked state of :func:`_apply_hits` that it acts on there; for
-    a pair draw, the same for its second target sits ``len(draws) *
-    width`` further on."""
-
-    draws: list            # as fault_hits takes them: by layer, pairs last
-    layer_end: list[int]   # one past each layer's last draw
-    pair_from: list[int] | None    # each layer's first pair draw, if any
-    width: int             # the most classes of a draw
-    q: np.ndarray
-    row1: np.ndarray
-    row2: np.ndarray
-
-
-def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
-    """The :class:`_HitPlan` of the fault draws ``table``
-    (``rates.sites(circuit)``).  Built on first use and kept on the
-    circuit, as ``Circuit.layers`` is, until it is asked for with another
-    table."""
-    cached = circuit.__dict__.get("_hit_plan")
-    if cached is None or cached[0] is not table:
-        cached = (table, _build_hit_plan(circuit, table))
-        circuit.__dict__["_hit_plan"] = cached
-    return cached[1]
-
-
-def _build_hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
-    out_row = _location_table(circuit)[:, 3].tolist()
-    sites = []              # (site, outcome row)
-    layer_end, pair_from = [], []
-    for layer in circuit.layers:
-        own = [(s, out_row[i]) for i in layer.locations for s in table[i]]
-        sites += [e for e in own if len(e[0].targets) == 1]
-        pair_from.append(len(sites))
-        sites += [e for e in own if len(e[0].targets) > 1]
-        layer_end.append(len(sites))
-    n_targets = max((len(s.targets) for s, _ in sites), default=1)
-    width = max((len(s.row.classes) for s, _ in sites), default=1)
-    # per target, draw and class: the qubit, the outcome row and the class as
-    # a FaultKind code, padded with Z codes on qubit 0 that no hit reads
-    qs = np.zeros((n_targets, len(sites), width), dtype=np.intp)
-    rows = np.zeros_like(qs)
-    kind = np.zeros_like(qs)
-    for d, (s, r) in enumerate(sites):
-        qs[:len(s.targets), d] = np.array(s.targets)[:, None]
-        rows[:, d] = r
-        kind[:, d, :len(s.row.classes)] = [_KIND_CODE[c] for c in s.row.classes]
-    row1, row2 = _hit_rows(circuit.n_qubits, kind, qs, rows)
-    draws = [(s.location_id, s.qubit, s.row.thresholds) for s, _ in sites]
-    return _HitPlan(draws, layer_end, pair_from if n_targets > 1 else None,
-                    width, qs.ravel(), row1.ravel(), row2.ravel())
-
-
-def _hit_rows(n: int, kind: np.ndarray, q: np.ndarray, row: np.ndarray):
-    """The two rows of the stacked state of :func:`_apply_hits` that a hit
-    of the FaultKind codes ``kind`` on qubit ``q`` acts on, where ``row`` is
-    its location's outcome row (read for an outcome flip alone)."""
-    is_x, is_z, is_leak = _KIND_BITS[:, kind]
-    # a class without a Pauli or a leak is an outcome flip
-    first = np.where(is_leak, q, np.where(is_x, n + q, np.where(
-        is_z, 2 * n + q, 3 * n + row)))
-    return first, np.where(is_x & is_z, 2 * n + q, -1)
-
-
 def _layer_entries(plan: _HitPlan, k: int, d: np.ndarray, pos: np.ndarray,
                    cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of ``plan`` that sampled hits of layer ``k`` (their
@@ -479,14 +476,14 @@ def _layer_entries(plan: _HitPlan, k: int, d: np.ndarray, pos: np.ndarray,
     return e, pos
 
 
-def _forced_hits(circuit: Circuit,
+def _forced_hits(circuit: Circuit, plan: _HitPlan,
                  forced_faults: Sequence[Sequence[FaultEvent]]) -> list[np.ndarray]:
     """The events of each trial's list ``forced_faults[j]`` as hits for
     :func:`_apply_hits`, after :func:`_check_forced`: for each layer of
     ``circuit.layers`` in turn, int32 rows (qubit, batch position j, first
     row, second row), in list order within a layer."""
-    rows = _check_forced(circuit, forced_faults)
-    table = _location_table(circuit)
+    rows = _check_forced(circuit, plan, forced_faults)
+    table = plan.at
     key = table[rows[:, 2], 2]
     rows = rows[np.argsort(key, kind="stable")]
     ends = np.cumsum(np.bincount(key, minlength=len(circuit.layers))).tolist()
@@ -548,16 +545,15 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     trials = range(first, first + B)
     if forced_faults and len(forced_faults) != B:
         raise ValueError(f"{len(forced_faults)} forced-fault lists for {B} trials")
+    plan = _hit_plan(circuit, rates.sites(circuit))
     layers = circuit.layers
     # each layer's forced hits, or none
-    forced = (_forced_hits(circuit, forced_faults) if forced_faults
+    forced = (_forced_hits(circuit, plan, forced_faults) if forced_faults
               else [()] * len(layers))
     W = (B + 63) >> 6
 
-    table = rates.sites(circuit)
     meas_locs = circuit.measure_locations
     N = circuit.n_qubits
-    plan = _hit_plan(circuit, table)
     state = np.zeros((3 * N + len(meas_locs), W), dtype=np.uint64)
     flat = state.reshape(-1)
     frame = state[:3 * N].reshape(3, N, W)

@@ -21,10 +21,11 @@ pool, one hash per cell a step.  It hands on its hits at cuts in the list
 of draws that its caller sets, each piece once the walk has finished the
 draws before the cut: the batch engine cuts at each layer's end and
 applies a layer's hits while the later draws are still being made, and
-:func:`draw_faults` cuts once, at the end, and sorts the hits by draw.
-A span of trials that starts inside a word walks that word from its first
-bit, with the same keys as any other span; a span that ends inside a word
-stops after its last trial; the hits outside the span are dropped.
+the scalar engine (``noise_model.trial_faults``) walks one trial with one
+cut, at the end, and sorts its hits by draw.  A span of trials that starts
+inside a word walks that word from its first bit, with the same keys as
+any other span; a span that ends inside a word stops after its last trial;
+the hits outside the span are dropped.
 
 A per-trial draw (:func:`uniform`, :func:`uniform_vector`,
 :func:`keyed_hash`) at the default tag ``TAG_FAULT`` reads the very hash
@@ -419,21 +420,6 @@ def fault_hits(seed: int, trials: range | np.ndarray,
             held = [tuple(a[e:] for a in step) for step, e in zip(held, ends)
                     if e < step[0].size]
             cut = next(cuts, None)
-
-
-def draw_faults(seed: int, trials: range | np.ndarray,
-                draws: Sequence[tuple[int, int, Sequence[float]]]
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The hits of :func:`fault_hits` per draw: for each of ``draws``, the
-    int32 batch positions of the trials of ``trials`` that draw a fault and
-    the uint8 class index of each, in round order, then word order, not
-    sorted.  It walks the draws with one cut, at the end, and sorts the hits
-    stably by draw."""
-    [(d, pos, cls)] = fault_hits(seed, trials, draws, [len(draws)])
-    order = np.argsort(d, kind="stable")
-    pos, cls = pos[order], cls[order]
-    ends = np.cumsum(np.bincount(d, minlength=len(draws))).tolist()
-    return [(pos[a:b], cls[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 class FaultStream:

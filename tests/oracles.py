@@ -11,7 +11,10 @@ fast implementations are checked against.  The exceptions are
 package's scalar engine, and :func:`fault_effects_by_scalar_runs`, which
 propagates every single fault through it; they are the references for the
 linear enumeration in ``brute_force_oracle`` and for its batched
-single-fault effects, not for the engine.
+single-fault effects, not for the engine.  :func:`draw_faults` is a view
+of the package's walk of the fault draws, its hits per draw: the spec
+that the stream tests check the walk's pieces and the scalar engine's
+draws against.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from biasrep.gadgets import Circuit
 from biasrep.montecarlo import OracleResult, fault_sites, run_trial
 from biasrep.noise_model import ErrorRateTable, FaultEvent, OpKind, zero_rates
 from biasrep.pauli_frame import LeakPolicy, run_circuit
+from biasrep.streams import fault_hits
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -421,6 +426,25 @@ def diamond_norm_1q_exact(apply_map, restarts: int = 60, seed: int = 5,
 
 
 # ---------------------------------------------------------------------------
+# The fault draws, per draw
+# ---------------------------------------------------------------------------
+
+def draw_faults(seed: int, trials: range | np.ndarray,
+                draws: Sequence[tuple[int, int, Sequence[float]]]
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The hits of :func:`fault_hits` per draw: for each of ``draws``, the
+    int32 batch positions of the trials of ``trials`` that draw a fault and
+    the uint8 class index of each, in round order, then word order, not
+    sorted.  It walks the draws with one cut, at the end, and sorts the hits
+    stably by draw."""
+    [(d, pos, cls)] = fault_hits(seed, trials, draws, [len(draws)])
+    order = np.argsort(d, kind="stable")
+    pos, cls = pos[order], cls[order]
+    ends = np.cumsum(np.bincount(d, minlength=len(draws))).tolist()
+    return [(pos[a:b], cls[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+# ---------------------------------------------------------------------------
 # Fault enumeration, one scalar run per fault or pattern
 # ---------------------------------------------------------------------------
 
@@ -430,9 +454,9 @@ def fault_effects_by_scalar_runs(circuit: Circuit,
     bits (in ``measure_locations`` order), output frame x bits and z bits
     of a run on the zero table under ``never-z`` with that fault forced, as
     the columns of a bool array [outcomes + 2 * qubits, faults]."""
-    rows = []
+    rows, zero = [], zero_rates()
     for fault in faults:
-        run = run_circuit(circuit, zero_rates(), 0, forced_faults=[fault],
+        run = run_circuit(circuit, zero, 0, forced_faults=[fault],
                           leak_policy=LeakPolicy.NEVER_Z, validate=False)
         rows.append([*(run.outcomes.bits[loc] for loc in circuit.measure_locations),
                      *run.frame.x, *run.frame.z])

@@ -169,6 +169,30 @@ class TestRatesFixEveryRate:
         assert out == ""
 
 
+class TestBoundsDropsNoFlag:
+    """A flag that the chosen bounds mode would ignore is refused, named,
+    before any work, rather than dropped."""
+
+    SWEEP = ["bounds", "--eps-grid", "1e-4:1e-2:3", "--bias", "1e3"]
+
+    @pytest.mark.parametrize("argv,flags", [
+        (SWEEP + ["--optimize", "n=k", "--n", "5"], "--n"),
+        (SWEEP + ["--optimize", "n=k", "--k", "5"], "--k"),
+        (SWEEP + ["--optimize", "free", "--t", "2"], "--t"),
+        (SWEEP + ["--optimize", "free", "--eps", "0.5"], "--eps"),
+        (SWEEP + ["--optimize", "free", "--n", "5", "--k", "7"], "--n and --k"),
+        (["bounds", "--rates", "table1", "--optimize", "free", "--n", "5"], "--n"),
+        (["bounds", "--n", "5", "--eps", "1e-3", "--eps-grid", "1e-3,2e-3"],
+         "--eps-grid")],
+        ids=["optimize-n", "optimize-k", "optimize-t", "optimize-eps",
+             "optimize-n-and-k", "optimize-rates-n", "direct-grid"])
+    def test_ignored_flag_rejected(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"drop {flags}" in err
+        assert out == ""
+
+
 class TestSimulate:
     def test_zero_rates(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--gadget", "teleport",

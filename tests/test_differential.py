@@ -23,11 +23,11 @@ from biasrep.montecarlo import _fault_effects, fault_sites
 from biasrep import pauli_frame
 from biasrep.noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultKind,
                                  OpKind, Rates, Species, default_rates,
-                                 zero_rates)
+                                 trial_faults, zero_rates)
 from biasrep.pauli_frame import LeakPolicy, run_circuit, run_circuit_batch
-from biasrep.streams import draw_faults, fault_hits
+from biasrep.streams import fault_hits
 
-from oracles import fault_effects_by_scalar_runs
+from oracles import draw_faults, fault_effects_by_scalar_runs
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -358,7 +358,8 @@ def test_batch_engine_rejects_misplaced_forced_events():
 def test_batch_engine_finds_forced_events_by_position():
     # check_schedule requires each location's id to be its position; with
     # validate=False and location 5 given id 4, a forced X on qubit 3 at
-    # location 4 is read at position 4, which acts on (6, 3)
+    # location 4 is read at position 4, which acts on (6, 3), by both
+    # engines (applied at position 5 too, it would cancel)
     circuit = build_teleport_identity(3, 1)
     locations = list(circuit.locations)
     assert [loc.qubits for loc in locations[4:6]] == [(6, 3), (6, 4)]
@@ -372,6 +373,14 @@ def test_batch_engine_finds_forced_events_by_position():
     assert got.frame_x[3].tolist() == [False, True]
     for a, b in zip(got.words, want.words):
         assert np.array_equal(a, b)
+    for j, events in enumerate(forced):
+        got = run_circuit(relabelled, zero_rates(), 0, trial=j,
+                          forced_faults=events, validate=False)
+        want = run_circuit(circuit, zero_rates(), 0, trial=j,
+                           forced_faults=events)
+        assert got.frame.x[3] == j
+        assert got.outcomes == want.outcomes
+        assert (got.frame.x, got.frame.z) == (want.frame.x, want.frame.z)
 
 
 def test_forced_faults_need_one_list_per_trial():
@@ -421,6 +430,34 @@ def test_text_round_trip_runs_identically(circuit, table, seed, trials,
     assert a.meas_locations == b.meas_locations
     for got, want in zip(batch_columns(b), batch_columns(a)):
         assert np.array_equal(got, want)
+
+
+# Rates of 0.3 and more: two draws of one location often hit the same
+# trial, after different numbers of rounds of its word
+DENSE_TABLE = ErrorRateTable({
+    key: Rates(0.3) if key[0] is OpKind.MEASURE_X else Rates(0.3, 0.3, 0.1)
+    for key in default_rates().entries}, cphase_zz=0.3)
+
+
+@SETTINGS
+@given(gadgets, st.sampled_from([default_rates(), leaky_zz_table(), DENSE_TABLE]),
+       seeds, trial_spans)
+def test_trial_faults_are_the_draws_of_their_trial(circuit, table, seed,
+                                                   trials):
+    # the scalar engine's draws, one trial at a time, are the hits of that
+    # trial in the per-draw view of a walk over the whole span, one event
+    # per target (both qubits of a pair draw), in the order of the sites:
+    # as the table lists them, and as the engines' plan draws them
+    plan = pauli_frame._hit_plan(circuit, table.sites(circuit))
+    flat = [s for sites in table.sites(circuit) for s in sites]
+    for sites in (flat, plan.sites):
+        per_draw = draw_faults(seed, trials, [
+            (s.location_id, s.qubit, s.row.thresholds) for s in sites])
+        for j, trial in enumerate(trials):
+            want = [FaultEvent(s.location_id, q, s.row.classes[c])
+                    for s, (pos, which) in zip(sites, per_draw)
+                    for c in which[pos == j].tolist() for q in s.targets]
+            assert trial_faults(sites, seed, trial) == want
 
 
 def hit_rows(n: int, kind: FaultKind, q: int, out_row: int) -> tuple[int, int]:

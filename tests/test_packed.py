@@ -17,9 +17,9 @@ from biasrep.montecarlo import (TrialCounts, classify_batch, count_trials,
 from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind,
                                  Rates, default_rates, zero_rates)
 from biasrep.pauli_frame import run_circuit, run_circuit_batch, unpack_words
-from biasrep.streams import draw_faults
 
 from conftest import pack, table_with
+from oracles import draw_faults
 
 
 def leaky(cphase_zz: float = 0.0) -> ErrorRateTable:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from biasrep.gadgets import (Block, Circuit, Location, Qubit,
                              ScheduleViolation, build_gadget,
                              build_logical_cnot, build_teleport_identity)
-from biasrep.noise_model import (FaultEvent, FaultKind, OpKind, Rates,
-                                 Species, default_rates, zero_rates)
+from biasrep.noise_model import (ErrorRateTable, FaultEvent, FaultKind, OpKind,
+                                 Rates, Species, default_rates, zero_rates)
 from biasrep.pauli_frame import (LeakPolicy, PauliFrame, conjugate_through_cz,
                                  measure_x, run_circuit, run_circuit_batch)
 import biasrep.noise_model
@@ -25,6 +26,10 @@ def leaky_table(leak_scale, cphase_zz=0.0):
         key: Rates(min(r.eps * 40, 0.3), min(r.eps_other * 1e4, 0.2),
                    min(r.eps_leak * leak_scale, 0.2))
         for key, r in base.entries.items()}, cphase_zz=cphase_zz)
+
+
+# sha256 of test_scalar_draws_are_pinned's runs
+SCALAR_PIN = "01b536798ae4263e1f6ac02baa769be7e48a4361bfeddfe25d1ab5721322d82c"
 
 
 def frame_with(n, **states):
@@ -238,6 +243,24 @@ class TestRunCircuit:
         assert a.outcomes.bits == b.outcomes.bits
         assert a.frame.states() == b.frame.states()
 
+    def test_scalar_draws_are_pinned(self):
+        # trials 0-1,999 of cnot(3,3) on table1 x5 with a correlated CPHASE
+        # term: the outcome bits (in measure_locations order) and the output
+        # frame of each run, pinned to the scalar engine's output as it was
+        # before it took its draws from streams.fault_hits
+        circuit = build_logical_cnot(3, 3)
+        table = ErrorRateTable(entries={
+            key: Rates(5 * r.eps, 5 * r.eps_other, 5 * r.eps_leak)
+            for key, r in default_rates().entries.items()}, cphase_zz=0.01)
+        digest = hashlib.sha256()
+        for trial in range(2_000):
+            run = run_circuit(circuit, table, 3, trial=trial,
+                              leak_policy="random-z")
+            digest.update(bytes(run.outcomes.bits[loc]
+                                for loc in circuit.measure_locations))
+            digest.update(run.frame.x + run.frame.z + run.frame.leaked)
+        assert digest.hexdigest() == SCALAR_PIN
+
     def test_measurement_angle_is_metadata_only(self):
         # equatorial measurement angles never touch rates or outcomes
         import math
@@ -390,18 +413,18 @@ class TestFaultSiteTable:
     TABLES = [default_rates, lambda: leaky_table(1e3, cphase_zz=0.01)]
 
     @staticmethod
-    def record(monkeypatch, module, name="draw_faults"):
+    def record(monkeypatch, module):
         """Record the (location, qubit) of every fault draw, per call of the
-        kernel entry ``name`` from ``module``: the batch engine calls
-        ``fault_hits`` from ``pauli_frame`` (its draws in layer order), the
-        scalar engine ``draw_faults`` from ``noise_model``."""
+        walk of the draws, ``fault_hits``, from ``module``: the batch engine
+        calls it from ``pauli_frame``, the scalar engine from
+        ``noise_model`` (``trial_faults``)."""
         calls = []
-        original = getattr(module, name)
+        original = module.fault_hits
 
-        def recorded(seed, trials, draws, *cuts):
+        def recorded(seed, trials, draws, cuts):
             calls.append([(location, qubit) for location, qubit, _ in draws])
-            return original(seed, trials, draws, *cuts)
-        monkeypatch.setattr(module, name, recorded)
+            return original(seed, trials, draws, cuts)
+        monkeypatch.setattr(module, "fault_hits", recorded)
         return calls
 
     @pytest.mark.parametrize("table", TABLES, ids=["table1", "leaky-zz"])
@@ -412,14 +435,15 @@ class TestFaultSiteTable:
         assert len(sites) == len(circuit.locations)
         flat = [(s.location_id, s.qubit) for loc_sites in sites for s in loc_sites]
         assert (-1 in {q for _, q in flat}) == (rates.cphase_zz > 0)
-        batch = self.record(monkeypatch, biasrep.pauli_frame, "fault_hits")
+        batch = self.record(monkeypatch, biasrep.pauli_frame)
         scalar = self.record(monkeypatch, biasrep.noise_model)
         run_circuit_batch(circuit, rates, 5, np.arange(64, dtype=np.uint64))
         run_circuit(circuit, rates, 5, trial=3)
-        # each engine draws every cell of the table once, in one call
+        # each engine draws every cell of the table once, in one call, and
+        # both draw them in the order of their shared plan
         assert [sorted(call) for call in batch] == [sorted(flat)]
         assert len(set(flat)) == len(flat)
-        assert scalar == [flat]
+        assert scalar == batch
 
     def test_batch_draws_the_table_once(self, monkeypatch):
         # several chunks of (draw, word) cells, and a batch that starts and
@@ -427,7 +451,7 @@ class TestFaultSiteTable:
         circuit, rates = build_logical_cnot(3, 3), leaky_table(1e3, cphase_zz=0.01)
         flat = [(s.location_id, s.qubit) for loc_sites in rates.sites(circuit)
                 for s in loc_sites]
-        batch = self.record(monkeypatch, biasrep.pauli_frame, "fault_hits")
+        batch = self.record(monkeypatch, biasrep.pauli_frame)
         run_circuit_batch(circuit, rates, 5,
                           np.arange(37, 70_000, dtype=np.uint64))
         assert [sorted(call) for call in batch] == [sorted(flat)]
@@ -444,8 +468,9 @@ class TestFaultSiteTable:
                 assert s.total == sum(p for _, p in s.choices)
 
     def test_hit_plan_is_built_once_per_circuit_and_table(self, monkeypatch):
-        # batches of one circuit and table share one plan; another table
-        # gets a plan of its own, and each gives what a fresh circuit gives
+        # batches and scalar runs of one circuit and table share one plan;
+        # another table gets a plan of its own, and each gives what a fresh
+        # circuit gives
         built = []
         original = biasrep.pauli_frame._build_hit_plan
 
@@ -456,15 +481,28 @@ class TestFaultSiteTable:
         circuit = build_logical_cnot(3, 3)
         tables = (default_rates(), default_rates(), leaky_table(1e3))
         spans = [np.arange(lo, lo + 200, dtype=np.uint64) for lo in (0, 100)]
-        runs = [run_circuit_batch(circuit, rates, 5, trials)
-                for rates in tables for trials in spans]
-        fresh = [run_circuit_batch(build_logical_cnot(3, 3), rates, 5, trials)
-                 for rates in tables for trials in spans]
+
+        def runs(circuit):
+            batches, scalars = [], []
+            for rates in tables:
+                # a scalar run first, then batches, then scalar runs again
+                scalars.append(run_circuit(circuit, rates, 5, trial=150))
+                batches += [run_circuit_batch(circuit, rates, 5, trials)
+                            for trials in spans]
+                scalars += [run_circuit(circuit, rates, 5, trial=t)
+                            for t in (0, 150, 299)]
+            return batches, scalars
+        (batches, scalars), (fresh, fresh_scalars) = (
+            runs(circuit), runs(build_logical_cnot(3, 3)))
         # one plan per table object: default_rates() builds a new one
         assert sum(c is circuit for c in built) == 3
-        for got, want in zip(runs, fresh):
+        for got, want in zip(batches, fresh):
             for a, b in zip(got.words, want.words):
                 assert np.array_equal(a, b)
+        for got, want in zip(scalars, fresh_scalars):
+            assert got.outcomes == want.outcomes
+            assert (got.frame.x, got.frame.z, got.frame.leaked) == (
+                want.frame.x, want.frame.z, want.frame.leaked)
 
     def test_zero_table_draws_nothing(self, monkeypatch):
         circuit = build_logical_cnot(3, 3)

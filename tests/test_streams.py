@@ -9,9 +9,11 @@ import pytest
 from biasrep import streams
 from biasrep.noise_model import FaultKind, FaultRow
 from biasrep.streams import (_CELLS, _GOLDEN, _MASK, _MIX1, _MIX2, TAG_FAULT,
-                             TAG_LEAK_CZ, draw_faults, fault_bounds, fault_hits,
-                             hash_bound, keyed_hash, stream_key, trial_span,
-                             uniform, uniform_vector)
+                             TAG_LEAK_CZ, fault_bounds, fault_hits, hash_bound,
+                             keyed_hash, stream_key, trial_span, uniform,
+                             uniform_vector)
+
+from oracles import draw_faults
 
 SEED, LOC, QUBIT = 31, 17, 4
 
