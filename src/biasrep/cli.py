@@ -222,22 +222,23 @@ def _optimum_row(eps: float | None, bias: float | None,
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    config = {"command": "bounds", "c": args.c, "n_max": args.n_max}
-    lines: list[str] = []
     if args.optimize:
         _drop("--optimize chooses n and k (t = c k) and takes eps from "
               "--eps-grid or --rates", ("--n", args.n), ("--k", args.k),
               ("--t", args.t), ("--eps", args.eps))
     else:
-        _drop("direct evaluation takes one point, not a grid",
-              ("--eps-grid", args.eps_grid))
+        _drop("direct evaluation takes one point, not a grid or a search "
+              "bound", ("--eps-grid", args.eps_grid), ("--n-max", args.n_max))
     table = _rates_alone(args)
+    n_max = 15 if args.n_max is None else args.n_max
+    config = {"command": "bounds", "c": args.c, "n_max": n_max}
+    lines: list[str] = []
 
     if args.optimize:
         constraint = args.optimize
         if table is not None:
             config.update({"rates": args.rates, "optimize": constraint})
-            lines.append(_optimum_row(None, None, table, args.c, args.n_max,
+            lines.append(_optimum_row(None, None, table, args.c, n_max,
                                       constraint))
         else:
             if not args.bias or not args.eps_grid:
@@ -246,7 +247,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             config.update({"bias": args.bias, "eps_grid": args.eps_grid,
                            "optimize": constraint})
             for eps, bias, r in sweep(grid, args.bias, c=args.c,
-                                      n_max=args.n_max, constraint=constraint):
+                                      n_max=n_max, constraint=constraint):
                 lines.append(_bound_row(eps, bias, args.c, r.n, r.k,
                                         r.eps_L, r.epsp_L))
     else:
@@ -456,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--bias", type=float, action="append", default=[])
     bnd.add_argument("--eps-grid", default=None)
     bnd.add_argument("--c", type=float, default=3.0)
-    bnd.add_argument("--n-max", type=int, default=15)
+    bnd.add_argument("--n-max", type=int, default=None)
     bnd.add_argument("--rates", default=None)
     bnd.add_argument("--optimize", choices=("n=k", "free"), default=None)
     bnd.add_argument("--output", default=None)

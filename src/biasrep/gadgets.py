@@ -12,6 +12,10 @@ Data qubits are species A, ancillas species B, and CPHASE couples one of
 each.  Within every ancilla chain the output-block couplings are scheduled
 before any input-block coupling, so leakage entering from an input can never
 reach an output block.
+
+This module only builds, checks (:func:`check_schedule`) and serializes
+circuits.  How an engine steps through one, its ASAP layers among it, is
+compiled with a table's fault draws in :mod:`biasrep.pauli_frame`.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .noise_model import OpKind, Species
 
@@ -58,20 +60,6 @@ class Block:
     name: str
     qubits: tuple[int, ...]
     kind: str                 # "input" | "output"
-
-
-class Layer(NamedTuple):
-    """One ASAP layer of a circuit.  Its locations act on disjoint qubits;
-    they are given as positions in ``Circuit.locations``, in time order,
-    and as index arrays by operation kind."""
-
-    locations: tuple[int, ...]
-    prep: np.ndarray          # prepared qubits
-    cz: np.ndarray            # [2, pairs]: the qubits of each CPHASE
-    cz_loc: np.ndarray        # the location id of each CPHASE
-    meas: np.ndarray          # measured qubits
-    meas_loc: np.ndarray      # the location id of each measurement
-    meas_row: np.ndarray      # its position in ``measure_locations``
 
 
 @dataclass(frozen=True)
@@ -114,50 +102,6 @@ class Circuit:
         """:func:`check_schedule`'s verdict, computed on first use; a copy
         made by ``dataclasses.replace`` checks itself afresh."""
         return tuple(check_schedule(self))
-
-    @cached_property
-    def layers(self) -> tuple[Layer, ...]:
-        """The circuit's ASAP layers, computed on first use.  A location's
-        layer is one past the latest layer of any earlier location that
-        shares one of its qubits, so a layer's locations act on disjoint
-        qubits and each qubit meets its locations in time order."""
-        after: dict[int, int] = {}      # qubit -> layers up to its last use
-        members: list[list[int]] = []
-        for i, loc in enumerate(self.locations):
-            layer = max([after.get(q, 0) for q in loc.qubits])
-            for q in loc.qubits:
-                after[q] = layer + 1
-            if layer == len(members):
-                members.append([])
-            members[layer].append(i)
-        row = {loc: i for i, loc in enumerate(self.measure_locations)}
-        # each kind's columns in layer order, and one past each layer's end
-        prep, cz, cz_loc, meas, meas_loc, meas_row = ([] for _ in range(6))
-        ends = []
-        for positions in members:
-            for i in positions:
-                loc = self.locations[i]
-                if loc.kind is OpKind.PREP_PLUS:
-                    prep.append(loc.qubits[0])
-                elif loc.kind is OpKind.CPHASE:
-                    cz.append(loc.qubits)
-                    cz_loc.append(loc.index)
-                else:
-                    meas.append(loc.qubits[0])
-                    meas_loc.append(loc.index)
-                    meas_row.append(row[loc.index])
-            ends.append((len(prep), len(cz), len(meas)))
-        prep, cz_loc, meas, meas_loc, meas_row = (
-            np.array(c, dtype=np.intp)
-            for c in (prep, cz_loc, meas, meas_loc, meas_row))
-        cz = np.array(cz, dtype=np.intp).reshape(-1, 2).T
-        layers = []
-        for positions, (p0, c0, m0), (p1, c1, m1) in zip(
-                members, [(0, 0, 0), *ends], ends):
-            layers.append(Layer(tuple(positions), prep[p0:p1], cz[:, c0:c1],
-                                cz_loc[c0:c1], meas[m0:m1], meas_loc[m0:m1],
-                                meas_row[m0:m1]))
-        return tuple(layers)
 
 
 class ScheduleViolation(ValueError):

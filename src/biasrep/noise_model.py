@@ -148,6 +148,11 @@ class FaultSite(NamedTuple):
     def total(self) -> float:
         return sum(self.row.probs)
 
+    def events(self, cls: int) -> list[FaultEvent]:
+        """The events of a hit of class index ``cls``: one per target."""
+        return [FaultEvent(self.location_id, q, self.row.classes[cls])
+                for q in self.targets]
+
 
 class OpFaults(NamedTuple):
     """The fault draws of one operation kind: one per qubit whose species
@@ -296,10 +301,10 @@ def zero_rates() -> ErrorRateTable:
 # Fault sampling
 # ---------------------------------------------------------------------------
 
-def trial_faults(sites: Sequence[FaultSite], seed: int,
-                 trial: int) -> list[FaultEvent]:
-    """The faults that trial ``trial`` of ``seed`` draws at ``sites``, in
-    site order: one event per target of each site that hits.  One
+def trial_hits(sites: Sequence[FaultSite], seed: int,
+               trial: int) -> list[tuple[int, int]]:
+    """The hits that trial ``trial`` of ``seed`` draws at ``sites``, as
+    (site index, class index) pairs in site order.  One
     :func:`~biasrep.streams.fault_hits` call over a one-trial span, with
     one cut, makes every draw; no sites, no call.  A one-trial span hits a
     draw at most once, so its hits sorted by draw index are in site order."""
@@ -308,9 +313,16 @@ def trial_faults(sites: Sequence[FaultSite], seed: int,
     [(d, _, cls)] = fault_hits(seed, range(trial, trial + 1),
                                [(s.location_id, s.qubit, s.row.thresholds)
                                 for s in sites], [len(sites)])
-    return [FaultEvent(sites[i].location_id, q, sites[i].row.classes[c])
-            for i, c in sorted(zip(d.tolist(), cls.tolist()))
-            for q in sites[i].targets]
+    return sorted(zip(d.tolist(), cls.tolist()))
+
+
+def trial_faults(sites: Sequence[FaultSite], seed: int,
+                 trial: int) -> list[FaultEvent]:
+    """The faults of the :func:`trial_hits` of trial ``trial`` of ``seed``
+    at ``sites``, in site order: one event per target of each site that
+    hits."""
+    return [ev for i, c in trial_hits(sites, seed, trial)
+            for ev in sites[i].events(c)]
 
 
 def sample_faults(kind: OpKind, qubits: Sequence[int], species: Sequence[Species],

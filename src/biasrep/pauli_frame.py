@@ -24,7 +24,7 @@ import numpy as np
 
 from .gadgets import Circuit, assert_valid
 from .noise_model import (EFFECTS, ErrorRateTable, FaultEvent, FaultKind, FaultSite,
-                          OpKind, trial_faults)
+                          OpKind, trial_hits)
 from .streams import (TAG_LEAK_CZ, TAG_LEAK_OUTCOME, FaultStream, fault_hits,
                       trial_span, uniform_vector)
 
@@ -171,22 +171,41 @@ _KIND_CODE = {kind: i for i, kind in enumerate(FaultKind)}
 _KIND_BITS = np.array([EFFECTS[kind][:3] for kind in FaultKind], dtype=bool).T
 
 
+class Layer(NamedTuple):
+    """One ASAP layer of a circuit.  Its locations act on disjoint qubits;
+    they are given as positions in ``Circuit.locations``, in time order,
+    and as index arrays by operation kind."""
+
+    locations: tuple[int, ...]
+    prep: np.ndarray          # prepared qubits
+    cz: np.ndarray            # [2, pairs]: the qubits of each CPHASE
+    cz_loc: np.ndarray        # the location id of each CPHASE
+    meas: np.ndarray          # measured qubits
+    meas_loc: np.ndarray      # the location id of each measurement
+    meas_row: np.ndarray      # its position in ``measure_locations``
+
+
 class _HitPlan(NamedTuple):
     """A circuit compiled with a table of fault draws; both engines read it.
-    ``at`` holds per location position (its id, as ``check_schedule``
-    requires) int32 (qubit, qubit, layer, outcome row): a one-qubit
-    location's qubit twice, and row -1 off a measurement; a last row,
-    (-1, -1, 0, -1), stands for a location the circuit does not have.  For
-    the hit of class c of draw d, at d * ``width`` + c, ``q`` holds the
+    ``layers`` is the circuit's ASAP schedule: a location's layer is one
+    past the latest layer of any earlier location that shares one of its
+    qubits, so a layer's locations act on disjoint qubits and each qubit
+    meets its locations in time order.  ``at`` holds per location position
+    (its id, as ``check_schedule`` requires) int32 (qubit, qubit, layer,
+    outcome row): a one-qubit location's qubit twice, and row -1 off a
+    measurement; a last row, (-1, -1, 0, -1), stands for a location the
+    circuit does not have.  The draws go by layer, then in time order.
+    For the hit of class c of draw d, at d * ``width`` + c, ``q`` holds the
     qubit of its first target and ``row1``/``row2`` the two rows of the
-    stacked state of :func:`_apply_hits` that it acts on there; for a pair
-    draw, the same for its second target sits ``len(draws) * width`` on."""
+    stacked state of :func:`_apply_hits` that it acts on: a pair draw's
+    (its class is Z) are the z rows of its two qubits."""
 
+    layers: tuple[Layer, ...]
     at: np.ndarray
     sites: list[FaultSite]  # the FaultSite of each draw
-    draws: list            # as fault_hits takes them: by layer, pairs last
+    position: list[int]     # the location position of each draw
+    draws: list            # as fault_hits takes them
     layer_end: list[int]   # one past each layer's last draw
-    pair_from: list[int] | None    # each layer's first pair draw, if any
     width: int             # the most classes of a draw
     q: np.ndarray
     row1: np.ndarray
@@ -196,8 +215,7 @@ class _HitPlan(NamedTuple):
 def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
     """The :class:`_HitPlan` of ``circuit`` with the fault draws ``table``
     (``rates.sites(circuit)``).  Built on first use and kept on the
-    circuit, as ``Circuit.layers`` is, until it is asked for with another
-    table."""
+    circuit until it is asked for with another table."""
     cached = circuit.__dict__.get("_hit_plan")
     if cached is None or cached[0] is not table:
         cached = (table, _build_hit_plan(circuit, table))
@@ -207,38 +225,65 @@ def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
 
 def _build_hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
     locations = circuit.locations
+    n = circuit.n_qubits
     out_row = {loc: i for i, loc in enumerate(circuit.measure_locations)}
     at = [(-1, -1, 0, -1)] * (len(locations) + 1)
-    drawn = []              # (site, outcome row), in draw order
-    layer_end, pair_from = [], []
-    for k, layer in enumerate(circuit.layers):
-        own = []
-        for i in layer.locations:
+    after: dict[int, int] = {}      # qubit -> layers up to its last use
+    members: list[list[int]] = []
+    for i, loc in enumerate(locations):
+        k = max([after.get(q, 0) for q in loc.qubits])
+        for q in loc.qubits:
+            after[q] = k + 1
+        if k == len(members):
+            members.append([])
+        members[k].append(i)
+        at[i] = (*(loc.qubits * 2)[:2], k, out_row.get(loc.index, -1))
+    # each kind's columns and the draws in layer order, and one past each
+    # layer's end
+    prep, cz, cz_loc, meas, meas_loc, meas_row = ([] for _ in range(6))
+    sites, position, ends, layer_end = [], [], [], []
+    for positions in members:
+        for i in positions:
             loc = locations[i]
-            r = out_row.get(loc.index, -1)
-            at[i] = (*(loc.qubits * 2)[:2], k, r)
-            own += [(s, r) for s in table[i]]
-        drawn += [e for e in own if len(e[0].targets) == 1]
-        pair_from.append(len(drawn))
-        drawn += [e for e in own if len(e[0].targets) > 1]
-        layer_end.append(len(drawn))
-    n_targets = max((len(s.targets) for s, _ in drawn), default=1)
-    width = max((len(s.row.classes) for s, _ in drawn), default=1)
-    # per target, draw and class: the qubit, the outcome row and the class as
-    # a FaultKind code, padded with Z codes on qubit 0 that no hit reads
-    qs = np.zeros((n_targets, len(drawn), width), dtype=np.intp)
-    rows = np.zeros_like(qs)
-    kind = np.zeros_like(qs)
-    for d, (s, r) in enumerate(drawn):
-        qs[:len(s.targets), d] = np.array(s.targets)[:, None]
-        rows[:, d] = r
-        kind[:, d, :len(s.row.classes)] = [_KIND_CODE[c] for c in s.row.classes]
-    row1, row2 = _hit_rows(circuit.n_qubits, kind, qs, rows)
-    sites = [s for s, _ in drawn]
+            if loc.kind is OpKind.PREP_PLUS:
+                prep.append(loc.qubits[0])
+            elif loc.kind is OpKind.CPHASE:
+                cz.append(loc.qubits)
+                cz_loc.append(loc.index)
+            else:
+                meas.append(loc.qubits[0])
+                meas_loc.append(loc.index)
+                meas_row.append(at[i][3])
+            sites += table[i]
+            position += [i] * len(table[i])
+        ends.append((len(prep), len(cz), len(meas)))
+        layer_end.append(len(sites))
+    prep, cz_loc, meas, meas_loc, meas_row = (
+        np.array(c, dtype=np.intp)
+        for c in (prep, cz_loc, meas, meas_loc, meas_row))
+    cz = np.array(cz, dtype=np.intp).reshape(-1, 2).T
+    layers = tuple(
+        Layer(tuple(positions), prep[p0:p1], cz[:, c0:c1], cz_loc[c0:c1],
+              meas[m0:m1], meas_loc[m0:m1], meas_row[m0:m1])
+        for positions, (p0, c0, m0), (p1, c1, m1) in zip(
+            members, [(0, 0, 0), *ends], ends))
+    width = max((len(s.row.classes) for s in sites), default=1)
+    # per draw and class: the first and last targets, the outcome row and the
+    # class as a FaultKind code, padded with Z codes that no hit reads
+    qs, last, rows = (np.array(c, dtype=np.intp)[:, None] for c in (
+        [s.targets[0] for s in sites], [s.targets[-1] for s in sites],
+        [at[i][3] for i in position]))
+    kind = np.zeros((len(sites), width), dtype=np.intp)
+    for d, s in enumerate(sites):
+        kind[d, :len(s.row.classes)] = [_KIND_CODE[c] for c in s.row.classes]
+    row1, row2 = _hit_rows(n, kind, qs, rows)
+    # a pair draw's one class is Z, on both of its qubits
+    row2 = np.where(last != qs, 2 * n + last, row2)
     draws = [(s.location_id, s.qubit, s.row.thresholds) for s in sites]
-    return _HitPlan(np.array(at, dtype=np.int32), sites, draws, layer_end,
-                    pair_from if n_targets > 1 else None, width, qs.ravel(),
-                    row1.ravel(), row2.ravel())
+    return _HitPlan(layers, np.array(at, dtype=np.int32), sites, position,
+                    draws, layer_end, width,
+                    np.broadcast_to(qs, kind.shape).ravel(), row1.ravel(),
+                    row2.ravel())
 
 
 def _hit_rows(n: int, kind: np.ndarray, q: np.ndarray, row: np.ndarray):
@@ -294,11 +339,12 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     Iterates locations in time order: gate action first (frame conjugation
     for CPHASE), then sampled faults plus any forced faults for that
     location.  Deterministic given (seed, trial): one
-    :func:`~biasrep.noise_model.trial_faults` call draws the sites of the
+    :func:`~biasrep.noise_model.trial_hits` call draws the sites of the
     :class:`_HitPlan` that :func:`run_circuit_batch` reads, so the two
-    engines make the same draws.  The forced faults are checked against
-    the plan before any work: one at a location the circuit lacks, on a
-    qubit its location does not act on, or an outcome flip off a
+    engines make the same draws, and each hit is applied at the position
+    of its draw, as in the batch engine.  The forced faults are checked
+    against the plan before any work: one at a location the circuit lacks,
+    on a qubit its location does not act on, or an outcome flip off a
     measurement raises ``ValueError``; each is applied at the position its
     location id names, as in the batch engine.  ``validate=False`` skips
     only a read of the circuit's cached ``violations``.
@@ -315,7 +361,9 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
         _check_forced(circuit, plan, [forced_faults])
     # each location position's sampled events, then its forced ones
     events_at: dict[int, list[FaultEvent]] = {}
-    for ev in chain(trial_faults(plan.sites, seed, trial), forced_faults):
+    for d, c in trial_hits(plan.sites, seed, trial):
+        events_at.setdefault(plan.position[d], []).extend(plan.sites[d].events(c))
+    for ev in forced_faults:
         events_at.setdefault(ev.location_id, []).append(ev)
 
     for i, loc in enumerate(circuit.locations):
@@ -435,12 +483,15 @@ def _apply_hits(state: np.ndarray, n: int, leaked_words: np.ndarray,
     x and z bits of the ``n`` qubits, then outcomes: hit i on qubit
     ``qubit[i]`` at batch position ``pos[i]`` XORs its bit into rows
     ``first[i]`` and ``second[i]`` (if not negative), or leaks the qubit
-    when ``first[i]`` is its leak row.  Leaks go first and each XOR is
-    masked by the qubit's leak flag, so that a Pauli on a leaked qubit is
-    dropped whichever of its location's hits leaked it (a masked outcome
-    flip is drawn afresh anyway).  ``leaked_words``, a flag per word, is
-    set for the words of new leaks.  ``leaky`` says whether any trial has
-    leaked before; the return value, whether any has now."""
+    when ``first[i]`` is its leak row.  ``second`` is only ever a z row
+    (Y's, or the second qubit's of a pair draw).  Leaks go first, and each
+    XOR is masked by the leak flag of its row's qubit: ``qubit[i]`` for
+    ``first[i]``, and ``second[i] - 2n`` for ``second[i]``, so that a Pauli
+    on a leaked qubit is dropped whichever of its location's hits leaked
+    it (a masked outcome flip is drawn afresh anyway).  ``leaked_words``, a
+    flag per word, is set for the words of new leaks.  ``leaky`` says
+    whether any trial has leaked before; the return value, whether any has
+    now."""
     W = leaked_words.size
     word = pos >> 6
     bit = np.uint64(1) << (pos & 63).astype(np.uint64)
@@ -452,41 +503,29 @@ def _apply_hits(state: np.ndarray, n: int, leaked_words: np.ndarray,
         np.bitwise_and.at(state, at + 2 * n * W, ~b)
         leaked_words[word[leak]] = True
         leaky = True
+    two = (second >= 0).nonzero()[0]
+    if two.size:
+        at, b = second[two] * W + word[two], bit[two]
+        if leaky:
+            b &= ~state[at - 2 * n * W]
+        np.bitwise_xor.at(state, at, b)
     if leaky:
         bit &= ~state[qubit * W + word]
     np.bitwise_xor.at(state, first * W + word, bit)
-    two = (second >= 0).nonzero()[0]
-    if two.size:
-        np.bitwise_xor.at(state, second[two] * W + word[two], bit[two])
     return leaky
-
-
-def _layer_entries(plan: _HitPlan, k: int, d: np.ndarray, pos: np.ndarray,
-                   cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of ``plan`` that sampled hits of layer ``k`` (their
-    draws, batch positions and classes) act by, and the batch position of
-    each: one per hit, and one more for a hit of a pair draw."""
-    e = np.multiply(d, plan.width, dtype=np.intp)
-    e += cls
-    if plan.pair_from is not None:
-        two = (d >= plan.pair_from[k]).nonzero()[0]
-        if two.size:
-            e = np.concatenate((e, e[two] + len(plan.draws) * plan.width))
-            pos = np.concatenate((pos, pos[two]))
-    return e, pos
 
 
 def _forced_hits(circuit: Circuit, plan: _HitPlan,
                  forced_faults: Sequence[Sequence[FaultEvent]]) -> list[np.ndarray]:
     """The events of each trial's list ``forced_faults[j]`` as hits for
     :func:`_apply_hits`, after :func:`_check_forced`: for each layer of
-    ``circuit.layers`` in turn, int32 rows (qubit, batch position j, first
+    ``plan.layers`` in turn, int32 rows (qubit, batch position j, first
     row, second row), in list order within a layer."""
     rows = _check_forced(circuit, plan, forced_faults)
     table = plan.at
     key = table[rows[:, 2], 2]
     rows = rows[np.argsort(key, kind="stable")]
-    ends = np.cumsum(np.bincount(key, minlength=len(circuit.layers))).tolist()
+    ends = np.cumsum(np.bincount(key, minlength=len(plan.layers))).tolist()
     del key
     q, _, at, kind = rows.T
     rows[:, 2], rows[:, 3] = _hit_rows(circuit.n_qubits, kind, q, table[at, 3])
@@ -511,12 +550,14 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     ``trials`` is one span of trials, as :func:`~biasrep.streams.trial_span`
     takes it; anything else raises ``ValueError``.
 
-    The circuit is stepped one ASAP layer (``Circuit.layers``) at a time:
-    the layer's resets, its CPHASEs as one word operation, one keyed hash
-    for the partner coins of its leaked qubits, its sampled hits and then
-    its forced ones, by one scatter per ``_HITS`` of them (a pair draw's
-    hit acting on two qubits), and its measurements as one word operation
-    with one keyed hash for leaked outcomes.  The sampled hits come from one walk of the fault draws,
+    The circuit is stepped one ASAP layer (``plan.layers`` of its
+    :class:`_HitPlan`) at a time: the layer's resets, its CPHASEs as one
+    word operation, one keyed hash for the partner coins of its leaked
+    qubits, its sampled hits and then its forced ones, by one scatter per
+    ``_HITS`` of them (each hit one plan entry, a pair draw's acting on the
+    z rows of both its qubits), and its measurements as one word operation
+    with one keyed hash for leaked outcomes.  The sampled hits come from
+    one walk of the fault draws,
     :func:`~biasrep.streams.fault_hits`, over the draws in layer order,
     which hands on each layer's hits, flat, once it has finished that
     layer's draws, so the draws are made as the layers need them and no
@@ -546,7 +587,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     if forced_faults and len(forced_faults) != B:
         raise ValueError(f"{len(forced_faults)} forced-fault lists for {B} trials")
     plan = _hit_plan(circuit, rates.sites(circuit))
-    layers = circuit.layers
+    layers = plan.layers
     # each layer's forced hits, or none
     forced = (_forced_hits(circuit, plan, forced_faults) if forced_faults
               else [()] * len(layers))
@@ -566,7 +607,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     leaky = False
 
     hits = fault_hits(seed, trials, plan.draws, plan.layer_end)
-    for k, (layer, f) in enumerate(zip(layers, forced)):
+    for layer, f in zip(layers, forced):
         if layer.prep.size:
             frame[:, layer.prep] = 0
         n = layer.cz_loc.size
@@ -589,10 +630,10 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
             z[dst[:, None], w] = zz
         d, pos, cls = next(hits)
         for a in range(0, d.size, _HITS):
-            e, at = _layer_entries(plan, k, d[a:a + _HITS], pos[a:a + _HITS],
-                                   cls[a:a + _HITS])
-            leaky = _apply_hits(flat, N, leaked_words, leaky, plan.q[e], at,
-                                plan.row1[e], plan.row2[e])
+            e = np.multiply(d[a:a + _HITS], plan.width, dtype=np.intp)
+            e += cls[a:a + _HITS]
+            leaky = _apply_hits(flat, N, leaked_words, leaky, plan.q[e],
+                                pos[a:a + _HITS], plan.row1[e], plan.row2[e])
         del d, pos, cls
         for a in range(0, len(f), _HITS):
             leaky = _apply_hits(flat, N, leaked_words, leaky, *f[a:a + _HITS].T)

@@ -21,7 +21,7 @@ pool, one hash per cell a step.  It hands on its hits at cuts in the list
 of draws that its caller sets, each piece once the walk has finished the
 draws before the cut: the batch engine cuts at each layer's end and
 applies a layer's hits while the later draws are still being made, and
-the scalar engine (``noise_model.trial_faults``) walks one trial with one
+the scalar engine (``noise_model.trial_hits``) walks one trial with one
 cut, at the end, and sorts its hits by draw.  A span of trials that starts
 inside a word walks that word from its first bit, with the same keys as
 any other span; a span that ends inside a word stops after its last trial;

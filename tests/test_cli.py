@@ -183,9 +183,11 @@ class TestBoundsDropsNoFlag:
         (SWEEP + ["--optimize", "free", "--n", "5", "--k", "7"], "--n and --k"),
         (["bounds", "--rates", "table1", "--optimize", "free", "--n", "5"], "--n"),
         (["bounds", "--n", "5", "--eps", "1e-3", "--eps-grid", "1e-3,2e-3"],
-         "--eps-grid")],
+         "--eps-grid"),
+        (["bounds", "--n", "5", "--eps", "1e-3", "--n-max", "7"], "--n-max")],
         ids=["optimize-n", "optimize-k", "optimize-t", "optimize-eps",
-             "optimize-n-and-k", "optimize-rates-n", "direct-grid"])
+             "optimize-n-and-k", "optimize-rates-n", "direct-grid",
+             "direct-n-max"])
     def test_ignored_flag_rejected(self, capsys, argv, flags):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

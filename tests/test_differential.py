@@ -121,14 +121,23 @@ def test_random_circuits_pass_the_schedule_check(circuit):
     assert check_schedule(circuit) == []
 
 
+def zero_plan(circuit: Circuit):
+    """The engines' plan of ``circuit`` with no fault draws, whose layers
+    are the ASAP layers that the batch engine steps by."""
+    return pauli_frame._hit_plan(circuit, zero_rates().sites(circuit))
+
+
 @SETTINGS
 @given(gadgets)
 def test_layers_are_the_asap_schedule(circuit):
     # the layers partition the locations; no qubit appears twice in one
     # layer; a location's layer is one past the latest of any earlier
-    # location sharing a qubit with it
+    # location sharing a qubit with it, and is the layer the plan's
+    # location table gives it
+    plan = zero_plan(circuit)
+    layers = plan.layers
     layer_of = {}
-    for n, layer in enumerate(circuit.layers):
+    for n, layer in enumerate(layers):
         locs = [circuit.locations[i] for i in layer.locations]
         qubits = [q for loc in locs for q in loc.qubits]
         assert len(qubits) == len(set(qubits))
@@ -143,8 +152,9 @@ def test_layers_are_the_asap_schedule(circuit):
         assert layer.meas_loc.tolist() == [loc.index for loc in meas]
         assert [circuit.measure_locations[r] for r in layer.meas_row] == \
             layer.meas_loc.tolist()
-    assert sum(len(layer.locations) for layer in circuit.layers) == len(layer_of)
+    assert sum(len(layer.locations) for layer in layers) == len(layer_of)
     assert sorted(layer_of) == list(range(len(circuit.locations)))
+    assert plan.at[:-1, 2].tolist() == [layer_of[i] for i in range(len(layer_of))]
     for i, loc in enumerate(circuit.locations):
         earlier = [layer_of[j] for j in range(i)
                    if set(circuit.locations[j].qubits) & set(loc.qubits)]
@@ -181,21 +191,25 @@ def batch_columns(batch) -> list[np.ndarray]:
 
 
 def assert_batch_matches_scalar(circuit, table, seed, trials, policy,
-                                forced=None):
+                                forced=None, validate=True):
     """Every result array of one batched run equals the scalar engine's,
-    trial by trial, with trial j forced with ``forced[j]`` if given."""
+    trial by trial, with trial j forced with ``forced[j]`` if given.
+    Returns the batch."""
     forced = forced or [[] for _ in trials]
     batch = run_circuit_batch(circuit, table, seed, trials,
-                              forced_faults=forced, leak_policy=policy)
+                              forced_faults=forced, leak_policy=policy,
+                              validate=validate)
     for j, trial in enumerate(trials):
         run = run_circuit(circuit, table, seed, trial=trial,
-                          forced_faults=forced[j], leak_policy=policy)
+                          forced_faults=forced[j], leak_policy=policy,
+                          validate=validate)
         meas = batch.meas_locations
         scalar = [[run.outcomes.bits[loc] for loc in meas],
                   [run.outcomes.leaked_random[loc] for loc in meas],
                   run.frame.x, run.frame.z, run.frame.leaked]
         for got, want in zip(batch_columns(batch), scalar):
             assert got[:, j].tolist() == [bool(b) for b in want]
+    return batch
 
 
 @SETTINGS
@@ -302,11 +316,12 @@ def test_forced_faults_within_one_layer_match_scalar_engine(
     # carries the events whose bits are set in j, and each forced hit is
     # applied by a scatter of its own.
     monkeypatch.setattr(pauli_frame, "_HITS", 1)
-    layer = [CNOT33.locations[i] for i in CNOT33.layers[7].locations]
+    layers = zero_plan(CNOT33).layers
+    layer = [CNOT33.locations[i] for i in layers[7].locations]
     assert [(loc.index, loc.qubits) for loc in layer] == [
         (13, (12,)), (20, (13, 2)), (27, (14, 1)), (34, (15, 9)),
         (44, (16, 8)), (54, (17, 7)), (63, (0,))]
-    assert CNOT33.layers[8].locations[0] == 21
+    assert layers[8].locations[0] == 21
     Z, X, LEAK, FLIP = (FaultKind.Z, FaultKind.X, FaultKind.LEAK,
                         FaultKind.MEAS_FLIP)
     events = [FaultEvent(13, 12, FLIP), FaultEvent(20, 13, LEAK),
@@ -355,16 +370,22 @@ def test_batch_engine_rejects_misplaced_forced_events():
                               forced_faults=[[], [event], []])
 
 
-def test_batch_engine_finds_forced_events_by_position():
-    # check_schedule requires each location's id to be its position; with
-    # validate=False and location 5 given id 4, a forced X on qubit 3 at
-    # location 4 is read at position 4, which acts on (6, 3), by both
-    # engines (applied at position 5 too, it would cancel)
+def relabelled_teleport() -> tuple[Circuit, Circuit]:
+    """teleport(3,1), and a copy whose location 5, a CPHASE on ancilla 6
+    like location 4, has the id 4: a circuit only ``validate=False`` runs,
+    as check_schedule requires each location's id to be its position."""
     circuit = build_teleport_identity(3, 1)
     locations = list(circuit.locations)
     assert [loc.qubits for loc in locations[4:6]] == [(6, 3), (6, 4)]
     locations[5] = dataclasses.replace(locations[5], index=4)
-    relabelled = dataclasses.replace(circuit, locations=tuple(locations))
+    return circuit, dataclasses.replace(circuit, locations=tuple(locations))
+
+
+def test_batch_engine_finds_forced_events_by_position():
+    # with location 5 given id 4, a forced X on qubit 3 at location 4 is
+    # read at position 4, which acts on (6, 3), by both engines (applied at
+    # position 5 too, it would cancel)
+    circuit, relabelled = relabelled_teleport()
     forced = [[], [FaultEvent(4, 3, FaultKind.X)]]
     got = run_circuit_batch(relabelled, zero_rates(), 0, range(2),
                             forced_faults=forced, validate=False)
@@ -381,6 +402,19 @@ def test_batch_engine_finds_forced_events_by_position():
         assert got.frame.x[3] == j
         assert got.outcomes == want.outcomes
         assert (got.frame.x, got.frame.z) == (want.frame.x, want.frame.z)
+
+
+def test_engines_apply_sampled_faults_at_their_draws_position():
+    # the draws of positions 4 and 5 share the address (4, 6) and so their
+    # hits on ancilla 6, but each engine applies a draw's hits at the
+    # position of its draw: 5's at 5, after the CPHASE on (6, 4), not at 4
+    _, relabelled = relabelled_teleport()
+    table = ErrorRateTable({
+        key: Rates(0.1, 0.1) if key[0] is OpKind.CPHASE
+        else Rates(0.3) if key[0] is OpKind.MEASURE_X else Rates()
+        for key in zero_rates().entries})
+    assert_batch_matches_scalar(relabelled, table, 7, range(200),
+                                LeakPolicy.RANDOM_Z, validate=False)
 
 
 def test_forced_faults_need_one_list_per_trial():
@@ -476,10 +510,10 @@ def hit_rows(n: int, kind: FaultKind, q: int, out_row: int) -> tuple[int, int]:
 
 def assert_layer_hits_match_draw_faults(circuit, table, seed, trials):
     """For each layer, the walk's hits are those that draw_faults draws
-    per draw for the layer's draws, and the entries the batch engine
-    applies for them are one per target of each hit: a pair draw's hit
-    acts on both of its qubits.  Returns the number of hits of pair
-    draws."""
+    per draw for the layer's draws, and the batch engine applies each by
+    one entry: on its first target, with the rows of its class there and,
+    for a pair draw, the z row of its second target as its second row.
+    Returns the number of hits of pair draws."""
     plan = pauli_frame._hit_plan(circuit, table.sites(circuit))
     draws, layer_end = plan.draws, plan.layer_end
     site = {(s.location_id, s.qubit): s
@@ -487,10 +521,9 @@ def assert_layer_hits_match_draw_faults(circuit, table, seed, trials):
     out_row = {loc: r for r, loc in enumerate(circuit.measure_locations)}
     per_draw = draw_faults(seed, trials, draws)
     pieces = list(fault_hits(seed, trials, draws, layer_end))
-    assert len(pieces) == len(layer_end) == len(circuit.layers)
+    assert len(pieces) == len(layer_end) == len(plan.layers)
     n, pair_hits = circuit.n_qubits, 0
-    for k, ((d, pos, cls), lo, hi) in enumerate(zip(pieces, [0, *layer_end],
-                                                    layer_end)):
+    for (d, pos, cls), lo, hi in zip(pieces, [0, *layer_end], layer_end):
         assert sorted(zip(d.tolist(), pos.tolist(), cls.tolist())) == sorted(
             (i, p, c) for i in range(lo, hi)
             for p, c in zip(per_draw[i][0].tolist(), per_draw[i][1].tolist()))
@@ -498,11 +531,12 @@ def assert_layer_hits_match_draw_faults(circuit, table, seed, trials):
         for i, p, c in zip(d.tolist(), pos.tolist(), cls.tolist()):
             s = site[draws[i][:2]]
             pair_hits += len(s.targets) > 1
-            want += [(q, p, *hit_rows(n, s.row.classes[c], q,
-                                      out_row.get(s.location_id, -1)))
-                     for q in s.targets]
-        e, at = pauli_frame._layer_entries(plan, k, d, pos, cls)
-        assert sorted(zip(plan.q[e].tolist(), at.tolist(), plan.row1[e].tolist(),
+            rows = [hit_rows(n, s.row.classes[c], q, out_row.get(s.location_id, -1))
+                    for q in s.targets]
+            second = rows[1][0] if len(rows) > 1 else rows[0][1]
+            want.append((s.targets[0], p, rows[0][0], second))
+        e = d.astype(np.intp) * plan.width + cls
+        assert sorted(zip(plan.q[e].tolist(), pos.tolist(), plan.row1[e].tolist(),
                           plan.row2[e].tolist())) == sorted(want)
     return pair_hits
 
@@ -525,3 +559,31 @@ def test_layer_cuts_hand_on_each_layers_hits(circuit, table, trials):
                  st.integers(0, 2**40), st.integers(1, 300)))
 def test_layer_cuts_on_generated_circuits(circuit, table, seed, trials):
     assert_layer_hits_match_draw_faults(circuit, table, seed, trials)
+
+
+def test_a_pair_hit_is_masked_by_each_qubits_own_leak():
+    # every CPHASE's pair draw hits in every trial and nothing else does;
+    # qubit 0, leaked at its preparation in the even trials, is the second
+    # qubit of one CPHASE and the first of the other, so each of its
+    # partners takes its pair Z though 0 drops its own, whichever target
+    # of the pair draw it is (never-z adds no Z of its own)
+    circuit = Circuit(
+        (Qubit(0, Species.A, "data", "out"), Qubit(1, Species.B, "ancilla", ""),
+         Qubit(2, Species.B, "ancilla", "")),
+        (Location(0, OpKind.PREP_PLUS, (0,)), Location(1, OpKind.PREP_PLUS, (1,)),
+         Location(2, OpKind.PREP_PLUS, (2,)), Location(3, OpKind.CPHASE, (1, 0)),
+         Location(4, OpKind.CPHASE, (0, 2))),
+        (Block("out", (0,), "output"),))
+    assert check_schedule(circuit) == []
+    table = ErrorRateTable(zero_rates().entries, cphase_zz=1.0)
+    trials = range(2**37 + 50, 2**37 + 50 + 20)
+    forced = [[FaultEvent(0, 0, FaultKind.LEAK)] * (j % 2 == 0)
+              for j in range(len(trials))]
+    batch = assert_batch_matches_scalar(circuit, table, 5, trials,
+                                        LeakPolicy.NEVER_Z, forced)
+    leaked = [j % 2 == 0 for j in range(len(trials))]
+    assert batch.frame_leaked.tolist() == [leaked, [False] * 20, [False] * 20]
+    # unleaked, qubit 0 takes both pair Zs, which cancel
+    assert not batch.frame_z[0].any()
+    assert batch.frame_z[1:].all()
+    assert not batch.frame_x.any() and not batch.outcome_bits.size
