@@ -182,10 +182,7 @@ class ErrorRateTable:
 
     entries: dict[tuple[OpKind, Species], Rates] = field(default_factory=dict)
     cphase_zz: float = 0.0
-    _faults: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
-    _sites: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    _ROW_KEYS = {"operation", "species", "eps", "eps_other", "eps_leak"}
 
     def get(self, kind: OpKind, species: Species) -> Rates:
         try:
@@ -209,38 +206,29 @@ class ErrorRateTable:
             raise ValueError("missing rate rows: " + ", ".join(missing))
 
     def faults(self) -> dict[OpKind, OpFaults]:
-        """The fault semantics of these rates: the :class:`OpFaults` of each
-        operation kind with a nonzero row, where rows and classes of zero
-        probability are left out.  Built after one validation on first use
-        and rebuilt only after ``entries`` or ``cphase_zz`` change."""
-        key = (tuple(self.entries.items()), self.cphase_zz)
-        if self._faults is None or self._faults[0] != key:
-            self.validate()
-            rows: dict[OpKind, dict[Species, FaultRow]] = {}
-            for (kind, species), r in self.entries.items():
-                row = FaultRow.build(FAULT_CLASSES[kind](r))
-                if row is not None:
-                    rows.setdefault(kind, {})[species] = row
-            table = {kind: OpFaults(by_species) for kind, by_species in rows.items()}
-            pair = FaultRow.build([(FaultKind.Z, self.cphase_zz)])
-            if pair is not None:
-                table[OpKind.CPHASE] = OpFaults(rows.get(OpKind.CPHASE, {}), pair)
-            self._faults = (key, table)
-        return self._faults[1]
+        """The fault semantics of these rates, built after one validation:
+        the :class:`OpFaults` of each operation kind with a nonzero row,
+        where rows and classes of zero probability are left out."""
+        self.validate()
+        rows: dict[OpKind, dict[Species, FaultRow]] = {}
+        for (kind, species), r in self.entries.items():
+            row = FaultRow.build(FAULT_CLASSES[kind](r))
+            if row is not None:
+                rows.setdefault(kind, {})[species] = row
+        table = {kind: OpFaults(by_species) for kind, by_species in rows.items()}
+        pair = FaultRow.build([(FaultKind.Z, self.cphase_zz)])
+        if pair is not None:
+            table[OpKind.CPHASE] = OpFaults(rows.get(OpKind.CPHASE, {}), pair)
+        return table
 
     def sites(self, circuit: Circuit) -> list[list[FaultSite]]:
         """The :class:`FaultSite` draws of each location of ``circuit`` in time
-        order: a circuit's draws, resolved for both engines and the oracle.
-        Built on first use for a circuit object and rebuilt only for another
-        circuit or after :meth:`faults` is rebuilt."""
+        order, built afresh from :meth:`faults`: a circuit's draws, resolved
+        for both engines' plan and the oracle."""
         faults = self.faults()
-        cached = self._sites
-        if cached is None or cached[0] is not faults or cached[1] is not circuit:
-            sites = [op.sites(loc.index, loc.qubits, circuit.species_of)
-                     if (op := faults.get(loc.kind)) else []
-                     for loc in circuit.locations]
-            self._sites = (faults, circuit, sites)
-        return self._sites[2]
+        return [op.sites(loc.index, loc.qubits, circuit.species_of)
+                if (op := faults.get(loc.kind)) else []
+                for loc in circuit.locations]
 
     def bias(self, kind: OpKind = OpKind.CPHASE, species: Species = Species.A) -> float:
         r = self.get(kind, species)
@@ -259,13 +247,22 @@ class ErrorRateTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ErrorRateTable":
+        """The validated table of a :meth:`to_json` document.  A key it does
+        not know, or a second row for one (operation, species), is refused."""
         doc = json.loads(text)
         entries = {}
         for row in doc["rates"]:
             key = (OpKind(row["operation"]), Species(row["species"]))
+            name = f"({key[0].value}, {key[1].value})"
+            if unknown := sorted(row.keys() - cls._ROW_KEYS):
+                raise ValueError(f"unknown key {unknown[0]!r} in rate row {name}")
+            if key in entries:
+                raise ValueError(f"a second rate row for {name}")
             entries[key] = Rates(float(row.get("eps", 0.0)),
                                  float(row.get("eps_other", 0.0)),
                                  float(row.get("eps_leak", 0.0)))
+        if unknown := sorted(doc.keys() - {"rates", "cphase_zz"}):
+            raise ValueError(f"unknown key {unknown[0]!r} in rate table")
         table = cls(entries=entries, cphase_zz=float(doc.get("cphase_zz", 0.0)))
         table.validate()
         return table
@@ -301,18 +298,16 @@ def zero_rates() -> ErrorRateTable:
 # Fault sampling
 # ---------------------------------------------------------------------------
 
-def trial_hits(sites: Sequence[FaultSite], seed: int,
+def trial_hits(draws: Sequence[tuple[int, int, tuple[float, ...]]], seed: int,
                trial: int) -> list[tuple[int, int]]:
-    """The hits that trial ``trial`` of ``seed`` draws at ``sites``, as
-    (site index, class index) pairs in site order.  One
-    :func:`~biasrep.streams.fault_hits` call over a one-trial span, with
-    one cut, makes every draw; no sites, no call.  A one-trial span hits a
-    draw at most once, so its hits sorted by draw index are in site order."""
-    if not sites:
+    """The hits that trial ``trial`` of ``seed`` draws at ``draws`` (location,
+    qubit, thresholds), as (draw index, class index) pairs in draw order.
+    One :func:`~biasrep.streams.fault_hits` call over a one-trial span, with
+    one cut, makes every draw; no draws, no call.  A one-trial span hits a
+    draw at most once, so its hits sorted by draw index are in draw order."""
+    if not draws:
         return []
-    [(d, _, cls)] = fault_hits(seed, range(trial, trial + 1),
-                               [(s.location_id, s.qubit, s.row.thresholds)
-                                for s in sites], [len(sites)])
+    [(d, _, cls)] = fault_hits(seed, range(trial, trial + 1), draws, [len(draws)])
     return sorted(zip(d.tolist(), cls.tolist()))
 
 
@@ -321,7 +316,8 @@ def trial_faults(sites: Sequence[FaultSite], seed: int,
     """The faults of the :func:`trial_hits` of trial ``trial`` of ``seed``
     at ``sites``, in site order: one event per target of each site that
     hits."""
-    return [ev for i, c in trial_hits(sites, seed, trial)
+    draws = [(s.location_id, s.qubit, s.row.thresholds) for s in sites]
+    return [ev for i, c in trial_hits(draws, seed, trial)
             for ev in sites[i].events(c)]
 
 

@@ -212,13 +212,14 @@ class _HitPlan(NamedTuple):
     row2: np.ndarray
 
 
-def _hit_plan(circuit: Circuit, table: list[list[FaultSite]]) -> _HitPlan:
-    """The :class:`_HitPlan` of ``circuit`` with the fault draws ``table``
-    (``rates.sites(circuit)``).  Built on first use and kept on the
-    circuit until it is asked for with another table."""
+def _hit_plan(circuit: Circuit, rates: ErrorRateTable) -> _HitPlan:
+    """The :class:`_HitPlan` of ``circuit`` with ``rates.sites(circuit)``,
+    kept on the circuit and keyed on the rates' values: equal tables share
+    one plan, other values rebuild it, and each circuit keeps its own."""
+    key = (dict(rates.entries), rates.cphase_zz)
     cached = circuit.__dict__.get("_hit_plan")
-    if cached is None or cached[0] is not table:
-        cached = (table, _build_hit_plan(circuit, table))
+    if cached is None or cached[0] != key:
+        cached = (key, _build_hit_plan(circuit, rates.sites(circuit)))
         circuit.__dict__["_hit_plan"] = cached
     return cached[1]
 
@@ -339,7 +340,7 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     Iterates locations in time order: gate action first (frame conjugation
     for CPHASE), then sampled faults plus any forced faults for that
     location.  Deterministic given (seed, trial): one
-    :func:`~biasrep.noise_model.trial_hits` call draws the sites of the
+    :func:`~biasrep.noise_model.trial_hits` call makes the draws of the
     :class:`_HitPlan` that :func:`run_circuit_batch` reads, so the two
     engines make the same draws, and each hit is applied at the position
     of its draw, as in the batch engine.  The forced faults are checked
@@ -351,7 +352,7 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
     """
     if validate:
         assert_valid(circuit)
-    plan = _hit_plan(circuit, rates.sites(circuit))
+    plan = _hit_plan(circuit, rates)
     policy = LeakPolicy(leak_policy)
     stream = FaultStream(seed, trial)
     frame = PauliFrame(circuit.n_qubits)
@@ -361,7 +362,7 @@ def run_circuit(circuit: Circuit, rates: ErrorRateTable, seed: int, *,
         _check_forced(circuit, plan, [forced_faults])
     # each location position's sampled events, then its forced ones
     events_at: dict[int, list[FaultEvent]] = {}
-    for d, c in trial_hits(plan.sites, seed, trial):
+    for d, c in trial_hits(plan.draws, seed, trial):
         events_at.setdefault(plan.position[d], []).extend(plan.sites[d].events(c))
     for ev in forced_faults:
         events_at.setdefault(ev.location_id, []).append(ev)
@@ -586,7 +587,7 @@ def run_circuit_batch(circuit: Circuit, rates: ErrorRateTable, seed: int,
     trials = range(first, first + B)
     if forced_faults and len(forced_faults) != B:
         raise ValueError(f"{len(forced_faults)} forced-fault lists for {B} trials")
-    plan = _hit_plan(circuit, rates.sites(circuit))
+    plan = _hit_plan(circuit, rates)
     layers = plan.layers
     # each layer's forced hits, or none
     forced = (_forced_hits(circuit, plan, forced_faults) if forced_faults

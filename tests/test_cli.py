@@ -300,7 +300,17 @@ class TestSimulate:
                     if row["operation"] == "measx" else row
                     for row in json.loads(default_rates().to_json())["rates"]]},
          "a measurement takes eps"),
-    ], ids=["list", "null-eps", "measx-other-and-leak"])
+        ({"rates": [dict(row, eps_leek=0.1) if row["operation"] == "cz"
+                    else row
+                    for row in json.loads(default_rates().to_json())["rates"]]},
+         "unknown key 'eps_leek' in rate row (cz, A)"),
+        (dict(json.loads(default_rates().to_json()), cphase_z=0.01),
+         "unknown key 'cphase_z' in rate table"),
+        ({"rates": [*json.loads(default_rates().to_json())["rates"],
+                    {"operation": "cz", "species": "A", "eps": 0.5}]},
+         "a second rate row for (cz, A)"),
+    ], ids=["list", "null-eps", "measx-other-and-leak", "unknown-row-key",
+            "unknown-top-level-key", "duplicate-row"])
     def test_malformed_rate_table_is_config_error(self, capsys, tmp_path,
                                                   doc, message):
         path = tmp_path / "rates.json"

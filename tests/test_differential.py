@@ -124,7 +124,7 @@ def test_random_circuits_pass_the_schedule_check(circuit):
 def zero_plan(circuit: Circuit):
     """The engines' plan of ``circuit`` with no fault draws, whose layers
     are the ASAP layers that the batch engine steps by."""
-    return pauli_frame._hit_plan(circuit, zero_rates().sites(circuit))
+    return pauli_frame._hit_plan(circuit, zero_rates())
 
 
 @SETTINGS
@@ -482,7 +482,7 @@ def test_trial_faults_are_the_draws_of_their_trial(circuit, table, seed,
     # trial in the per-draw view of a walk over the whole span, one event
     # per target (both qubits of a pair draw), in the order of the sites:
     # as the table lists them, and as the engines' plan draws them
-    plan = pauli_frame._hit_plan(circuit, table.sites(circuit))
+    plan = pauli_frame._hit_plan(circuit, table)
     flat = [s for sites in table.sites(circuit) for s in sites]
     for sites in (flat, plan.sites):
         per_draw = draw_faults(seed, trials, [
@@ -514,7 +514,7 @@ def assert_layer_hits_match_draw_faults(circuit, table, seed, trials):
     one entry: on its first target, with the rows of its class there and,
     for a pair draw, the z row of its second target as its second row.
     Returns the number of hits of pair draws."""
-    plan = pauli_frame._hit_plan(circuit, table.sites(circuit))
+    plan = pauli_frame._hit_plan(circuit, table)
     draws, layer_end = plan.draws, plan.layer_end
     site = {(s.location_id, s.qubit): s
             for sites in table.sites(circuit) for s in sites}

@@ -467,10 +467,9 @@ class TestFaultSiteTable:
                 assert s.targets == (loc.qubits if s.qubit < 0 else (s.qubit,))
                 assert s.total == sum(p for _, p in s.choices)
 
-    def test_hit_plan_is_built_once_per_circuit_and_table(self, monkeypatch):
-        # batches and scalar runs of one circuit and table share one plan;
-        # another table gets a plan of its own, and each gives what a fresh
-        # circuit gives
+    @staticmethod
+    def record_builds(monkeypatch):
+        """The circuit of each ``_build_hit_plan`` call, in call order."""
         built = []
         original = biasrep.pauli_frame._build_hit_plan
 
@@ -478,6 +477,22 @@ class TestFaultSiteTable:
             built.append(circuit)
             return original(circuit, table)
         monkeypatch.setattr(biasrep.pauli_frame, "_build_hit_plan", recorded)
+        return built
+
+    @staticmethod
+    def runs(circuit, rates):
+        """A batch of two words and a scalar run of ``circuit``, as values
+        that compare equal exactly when the runs are."""
+        batch = run_circuit_batch(circuit, rates, 5, range(100, 228))
+        scalar = run_circuit(circuit, rates, 5, trial=150)
+        return ([w.tobytes() for w in batch.words], scalar.outcomes,
+                (scalar.frame.x, scalar.frame.z, scalar.frame.leaked))
+
+    def test_hit_plan_is_built_once_per_circuit_and_table(self, monkeypatch):
+        # batches and scalar runs of one circuit and table share one plan;
+        # another table gets a plan of its own, and each gives what a fresh
+        # circuit gives
+        built = self.record_builds(monkeypatch)
         circuit = build_logical_cnot(3, 3)
         tables = (default_rates(), default_rates(), leaky_table(1e3))
         spans = [np.arange(lo, lo + 200, dtype=np.uint64) for lo in (0, 100)]
@@ -494,8 +509,8 @@ class TestFaultSiteTable:
             return batches, scalars
         (batches, scalars), (fresh, fresh_scalars) = (
             runs(circuit), runs(build_logical_cnot(3, 3)))
-        # one plan per table object: default_rates() builds a new one
-        assert sum(c is circuit for c in built) == 3
+        # one plan per table's values: the two default_rates() are equal
+        assert sum(c is circuit for c in built) == 2
         for got, want in zip(batches, fresh):
             for a, b in zip(got.words, want.words):
                 assert np.array_equal(a, b)
@@ -503,6 +518,44 @@ class TestFaultSiteTable:
             assert got.outcomes == want.outcomes
             assert (got.frame.x, got.frame.z, got.frame.leaked) == (
                 want.frame.x, want.frame.z, want.frame.leaked)
+
+    def test_alternated_circuits_keep_their_own_plans(self, monkeypatch):
+        # two circuits that share one table, run in turn through both
+        # engines, build one plan each
+        built = self.record_builds(monkeypatch)
+        rates = leaky_table(1e3, cphase_zz=0.01)
+        a, b = build_logical_cnot(3, 3), build_teleport_identity(3, 1)
+        got = [self.runs(c, rates) for _ in range(4) for c in (a, b)]
+        assert len(built) == 2 and built[0] is a and built[1] is b
+        want = [self.runs(build_logical_cnot(3, 3), rates),
+                self.runs(build_teleport_identity(3, 1), rates)]
+        assert got == want * 4
+
+    def test_equal_tables_share_a_plan(self, monkeypatch):
+        built = self.record_builds(monkeypatch)
+        circuit = build_logical_cnot(3, 3)
+        got = [self.runs(circuit, default_rates()) for _ in range(3)]
+        assert len(built) == 1
+        assert got == [self.runs(build_logical_cnot(3, 3), default_rates())] * 3
+
+    def test_changed_rates_rebuild_the_plan(self, monkeypatch):
+        # a changed entry, then a changed cphase_zz, each rebuild the plan,
+        # and each run is the run of a fresh circuit
+        built = self.record_builds(monkeypatch)
+        circuit, rates = build_logical_cnot(3, 3), default_rates()
+        cz_a = Rates(0.1, 0.01, 0.01)
+        got = [self.runs(circuit, rates)]
+        rates.entries[(OpKind.CPHASE, Species.A)] = cz_a
+        got.append(self.runs(circuit, rates))
+        rates.cphase_zz = 0.01
+        got.append(self.runs(circuit, rates))
+        assert len(built) == 3
+        changed = default_rates()
+        changed.entries[(OpKind.CPHASE, Species.A)] = cz_a
+        want = [self.runs(build_logical_cnot(3, 3), table) for table in (
+            default_rates(), changed, ErrorRateTable(changed.entries, 0.01))]
+        assert got == want
+        assert got[0] != got[1] != got[2]
 
     def test_zero_table_draws_nothing(self, monkeypatch):
         circuit = build_logical_cnot(3, 3)

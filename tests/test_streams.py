@@ -369,11 +369,11 @@ def test_one_draw_per_group_changes_no_array(monkeypatch):
 def table1_x5_layers() -> tuple[list, list[int]]:
     """The draws of :func:`table1_x5_draws` in layer order, as the batch
     engine walks them, and one past each layer's last draw."""
-    from biasrep.pauli_frame import _hit_plan
+    from biasrep.pauli_frame import _build_hit_plan
 
     circuit, sites = table1_x5_sites()
     the_draws, ends = [], []
-    for layer in _hit_plan(circuit, sites).layers:
+    for layer in _build_hit_plan(circuit, sites).layers:
         the_draws += [(s.location_id, s.qubit, s.row.thresholds)
                       for i in layer.locations for s in sites[i]]
         ends.append(len(the_draws))
